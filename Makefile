@@ -44,9 +44,10 @@ golden-update:
 	$(GO) test -run '^TestGolden' -timeout 30m -update ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m -update ./internal/campaign
 
-# bench records the benchmark set into BENCH_pr10.json.
+# bench records the benchmark set into OUT, which is required and must
+# not be a committed ledger: make bench OUT=BENCH_pr13.json
 bench:
-	scripts/bench.sh
+	scripts/bench.sh $(OUT)
 
 # profile captures serial CPU + heap pprof profiles for one experiment
 # or pipeline (TARGET, default fig4) into PROFILE_DIR (default
@@ -64,8 +65,8 @@ bench-check:
 	scripts/bench_compare.sh BENCH_check.json
 	rm -f BENCH_check.json
 
+# clean removes build outputs only; the committed BENCH_pr*.json
+# ledger stays.
 clean:
-	rm -f greenviz greenvizd BENCH_check.json \
-		BENCH_pr1.json BENCH_pr2.json BENCH_pr4.json BENCH_pr6.json \
-		BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json
+	rm -f greenviz greenvizd BENCH_check.json
 	rm -rf profiles

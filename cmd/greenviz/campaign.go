@@ -53,7 +53,7 @@ func runCampaign(path string, workers int, quiet bool) error {
 	}
 	idx := 0
 	for {
-		events, closed, wake := c.EventsAfter(idx)
+		events, closed, wake := c.Events().After(idx)
 		idx += len(events)
 		for _, ev := range events {
 			switch ev.Type {

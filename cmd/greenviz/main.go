@@ -52,7 +52,6 @@ func run() int {
 		realSubsteps = flag.Int("real-substeps", 16, "solver sub-steps computed per iteration (<= 1536); higher is more faithful, slower")
 		fioGiB       = flag.Int("fio-gib", 4, "fio test file size in GiB (Table III uses 4)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiment drivers for -experiment all")
-		kernWorkers  = flag.Int("kernel-workers", 0, "intra-step data parallelism of the solver/render/encode kernels (0 = GOMAXPROCS); output is byte-identical at any value")
 		csvDir       = flag.String("csv", "", "directory to dump case-study power profiles as CSV")
 		faults       = flag.String("faults", "", "inject storage faults: comma-separated bitrot=,readerr=,writeerr=,latency=,drop= (probabilities), spike=,timeout= (seconds), seed= — empty disables injection (byte-identical output)")
 
@@ -128,7 +127,7 @@ func run() int {
 	}
 
 	if *pipeline != "" {
-		if err := runPipeline(*pipeline, *app, *device, *caseIdx, *seed, *realSubsteps, *kernWorkers, *framesDir, *format, faultCfg, *events); err != nil {
+		if err := runPipeline(*pipeline, *app, *device, *caseIdx, *seed, *realSubsteps, *framesDir, *format, faultCfg, *events); err != nil {
 			fmt.Fprintf(os.Stderr, "greenviz: %v\n", err)
 			return 1
 		}
@@ -155,10 +154,8 @@ func run() int {
 	}
 	// A -faults spec applies to every pipeline run the experiments
 	// perform; left empty, all report bodies are byte-identical to a
-	// fault-free build. Kernel workers likewise: the knob changes how
-	// many bands each hot kernel splits into, never the output bytes.
+	// fault-free build.
 	cfg.Faults = faultCfg
-	cfg.KernelWorkers = *kernWorkers
 	suite := greenviz.NewSuite(*seed, &cfg)
 	suite.Fio.FileSize = units.Bytes(*fioGiB) * units.GiB
 	// The suite itself is quiet by default (library and daemon embeds

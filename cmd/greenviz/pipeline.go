@@ -12,7 +12,7 @@ import (
 // -pipeline mode) and prints its measurements: human-readable text by
 // default, or (-format json) the canonical RunResult encoding — the
 // same bytes the greenvizd service serves as a pipeline job's report.
-func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSubsteps, kernelWorkers int, framesDir, format string, faults *greenviz.FaultConfig, events bool) error {
+func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSubsteps int, framesDir, format string, faults *greenviz.FaultConfig, events bool) error {
 	// Device and app names resolve through the same presets the service
 	// uses, so CLI and API runs of equal configurations are identical.
 	platform, err := greenviz.PlatformByFlag(device)
@@ -29,9 +29,6 @@ func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSub
 	}
 	cfg.RetainFrames = framesDir != ""
 	cfg.Faults = faults
-	// KernelWorkers must land before ConfigureApp: the ocean preset
-	// captures it when wiring its solver constructor.
-	cfg.KernelWorkers = kernelWorkers
 	if err := greenviz.ConfigureApp(&cfg, app); err != nil {
 		return err
 	}

@@ -79,13 +79,11 @@ type Spec struct {
 }
 
 // sweepAxes lists the axis names a campaign may sweep, in menu order.
-// Every name maps onto one JobSpec field; kernel_workers is the one
-// deliberately non-addressing axis (points differing only there
-// collapse onto a single cached run — the dedup is the point).
+// Every name maps onto one JobSpec field.
 func sweepAxes() []string {
 	return []string{
 		"pipeline", "app", "device", "case", "seed", "real_substeps",
-		"kernel_workers", "power_cap_watts", "faults",
+		"power_cap_watts", "faults",
 		"insitu_nosync", "compress_insitu", "async_checkpoint", "cinema_variants",
 	}
 }
@@ -123,12 +121,6 @@ func applyAxis(s *service.JobSpec, name, val string) error {
 			return fail(err)
 		}
 		s.RealSubsteps = n
-	case "kernel_workers":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fail(err)
-		}
-		s.KernelWorkers = n
 	case "cinema_variants":
 		n, err := strconv.Atoi(val)
 		if err != nil {
@@ -344,8 +336,14 @@ func appendCanonical(b []byte, s Spec, points []Point) []byte {
 	return b
 }
 
+// jobSpecKernelWorkersV1 is the v1 token of the removed
+// JobSpec.KernelWorkers field, still written so campaign IDs do not
+// change.
+const jobSpecKernelWorkersV1 = " KernelWorkers:0"
+
 // appendJobSpec appends the %+v form of a service.JobSpec value (flat
-// struct of strings, ints, bools — field order as declared).
+// struct of strings, ints, bools — field order as declared), as of
+// campaign canonical form v1.
 func appendJobSpec(b []byte, s service.JobSpec) []byte {
 	b = append(b, "{Kind:"...)
 	b = append(b, s.Kind...)
@@ -367,8 +365,7 @@ func appendJobSpec(b []byte, s service.JobSpec) []byte {
 	b = strconv.AppendInt(b, int64(s.FioGiB), 10)
 	b = append(b, " Faults:"...)
 	b = append(b, s.Faults...)
-	b = append(b, " KernelWorkers:"...)
-	b = strconv.AppendInt(b, int64(s.KernelWorkers), 10)
+	b = append(b, jobSpecKernelWorkersV1...)
 	b = append(b, " PowerCapWatts:"...)
 	b = strconv.AppendFloat(b, s.PowerCapWatts, 'g', -1, 64)
 	b = append(b, " InsituNoSync:"...)

@@ -13,12 +13,6 @@ import (
 // ErrNoSuchCampaign is returned for unknown campaign IDs.
 var ErrNoSuchCampaign = errors.New("campaign: no such campaign")
 
-// BadSpecError wraps a campaign-spec validation failure (HTTP 400).
-type BadSpecError struct{ Err error }
-
-func (e *BadSpecError) Error() string { return e.Err.Error() }
-func (e *BadSpecError) Unwrap() error { return e.Err }
-
 // Campaign is one accepted sweep: its normalized spec, the expanded
 // points, the live point outcomes, and — once terminal — the rendered
 // report.
@@ -28,7 +22,7 @@ type Campaign struct {
 	Spec   Spec // normalized
 	Points []Point
 
-	log *eventLog
+	log *service.EventLog[Event]
 
 	mu       sync.Mutex
 	state    service.State
@@ -57,35 +51,15 @@ func (c *Campaign) Report() ([]byte, bool) {
 	return c.report, true
 }
 
-// EventsAfter returns the campaign events past idx, whether the
-// stream is closed, and a channel closed on the next append — the
-// replay-then-follow primitive the SSE handler and the CLI's progress
-// narration share.
-func (c *Campaign) EventsAfter(idx int) ([]Event, bool, <-chan struct{}) {
-	return c.log.after(idx)
-}
+// Events exposes the campaign's event log for SSE streaming and the
+// CLI's progress narration.
+func (c *Campaign) Events() *service.EventLog[Event] { return c.log }
 
 // Wait blocks until the campaign is terminal or ctx expires, returning
 // the campaign state either way.
 func (c *Campaign) Wait(ctx context.Context) service.State {
-	idx := 0
-	for {
-		if st := c.State(); st.Terminal() {
-			return st
-		}
-		events, closed, wake := c.log.after(idx)
-		idx += len(events)
-		if closed {
-			return c.State()
-		}
-		if len(events) == 0 {
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return c.State()
-			}
-		}
-	}
+	c.log.Wait(ctx, func() bool { return c.State().Terminal() })
+	return c.State()
 }
 
 // counts tallies the point outcomes for views and listings.
@@ -189,11 +163,11 @@ func (m *Manager) List() []*Campaign {
 func (m *Manager) Start(spec Spec) (*Campaign, error) {
 	norm, err := spec.Normalized()
 	if err != nil {
-		return nil, &BadSpecError{err}
+		return nil, &service.BadSpecError{Err: err}
 	}
 	points, err := Expand(norm)
 	if err != nil {
-		return nil, &BadSpecError{err}
+		return nil, &service.BadSpecError{Err: err}
 	}
 	digest := Digest(norm, points)
 	id := IDFromDigest(digest)
@@ -212,7 +186,7 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 		Digest:   digest,
 		Spec:     norm,
 		Points:   points,
-		log:      newEventLog(),
+		log:      service.NewEventLog[Event](),
 		state:    service.StateRunning,
 		outcomes: make([]pointOutcome, len(points)),
 	}
@@ -229,8 +203,8 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 				}
 			}
 		}
-		c.log.emit(Event{Type: "expanded", Points: len(points)})
-		c.log.emit(Event{Type: "done"})
+		c.log.Emit(Event{Type: "expanded", Points: len(points)})
+		c.log.Emit(Event{Type: "done"})
 		m.register(c)
 		m.mu.Unlock()
 		return c, nil
@@ -255,7 +229,7 @@ func (m *Manager) run(c *Campaign) {
 	defer m.wg.Done()
 	defer m.jobs.Metrics.CampaignsActive.Add(-1)
 
-	c.log.emit(Event{Type: "expanded", Points: len(c.Points)})
+	c.log.Emit(Event{Type: "expanded", Points: len(c.Points)})
 
 	sem := make(chan struct{}, m.opts.PointWorkers)
 	var pwg sync.WaitGroup
@@ -289,22 +263,27 @@ func (m *Manager) run(c *Campaign) {
 		final = service.StateFailed
 	}
 
-	c.mu.Lock()
-	c.state = final
+	var report []byte
 	if final == service.StateDone {
-		c.report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
+		c.mu.Lock()
+		report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
+		c.mu.Unlock()
 	}
+	// The state record lands before the state turns terminal, so
+	// whoever sees the campaign finished finds it in the store.
+	m.persistState(c, final, report)
+	c.mu.Lock()
+	c.state, c.report = final, report
 	c.mu.Unlock()
 
-	m.persistState(c)
 	switch final {
 	case service.StateDone:
 		m.jobs.Metrics.CampaignsCompleted.Add(1)
-		c.log.emit(Event{Type: "done"})
+		c.log.Emit(Event{Type: "done"})
 	case service.StateCanceled:
-		c.log.emit(Event{Type: "canceled"})
+		c.log.Emit(Event{Type: "canceled"})
 	default:
-		c.log.emit(Event{Type: "failed", Error: "no point completed"})
+		c.log.Emit(Event{Type: "failed", Error: "no point completed"})
 	}
 }
 
@@ -379,7 +358,7 @@ func (c *Campaign) recordOutcome(i int, out pointOutcome) {
 	c.mu.Lock()
 	c.outcomes[i] = out
 	c.mu.Unlock()
-	c.log.emit(Event{
+	c.log.Emit(Event{
 		Type:    "point",
 		Point:   i,
 		Label:   c.Points[i].Label,
@@ -411,12 +390,13 @@ type pointRecord struct {
 	Deduped bool          `json:"deduped,omitempty"`
 }
 
-// persistState writes the campaign's state record to the durable
-// store (no-op without one). Best-effort like job-report persistence:
-// a failed write costs a re-aggregation after restart, never
-// correctness — point reports are persisted independently by the job
-// manager, so a resumed campaign re-runs only what the store lost.
-func (m *Manager) persistState(c *Campaign) {
+// persistState writes the campaign's state record — terminal status
+// and report — to the durable store (no-op without one). Best-effort
+// like job-report persistence: a failed write costs a re-aggregation
+// after restart, never correctness — point reports are persisted
+// independently by the job manager, so a resumed campaign re-runs only
+// what the store lost.
+func (m *Manager) persistState(c *Campaign, status service.State, report []byte) {
 	store := m.jobs.Store()
 	if store == nil {
 		return
@@ -428,8 +408,8 @@ func (m *Manager) persistState(c *Campaign) {
 		Digest:    c.Digest,
 		Name:      c.Spec.Name,
 		Objective: c.Spec.Objective,
-		Status:    c.state,
-		Report:    string(c.report),
+		Status:    status,
+		Report:    string(report),
 	}
 	for i, p := range c.Points {
 		rec.Points = append(rec.Points, pointRecord{

@@ -1,7 +1,5 @@
 package campaign
 
-import "sync"
-
 // Event is one campaign SSE payload: the sweep's lifecycle ("expanded"
 // with the point count, terminal "done"/"failed"/"canceled") plus one
 // "point" event per point as it reaches a terminal state.
@@ -34,44 +32,8 @@ func (e Event) Terminal() bool {
 	return false
 }
 
-// eventLog mirrors the service's append-only, closable event sequence
-// for campaign-level progress: replay-then-follow subscribers ride the
-// wake channel, which is closed and replaced on every append.
-type eventLog struct {
-	mu     sync.Mutex
-	events []Event
-	closed bool
-	wake   chan struct{}
-}
+// WithSeq returns the event numbered seq.
+func (e Event) WithSeq(seq int) Event { e.Seq = seq; return e }
 
-func newEventLog() *eventLog {
-	return &eventLog{wake: make(chan struct{})}
-}
-
-// emit appends one event, assigning its sequence number; terminal
-// events close the log and later emits are dropped.
-func (l *eventLog) emit(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	ev.Seq = len(l.events) + 1
-	l.events = append(l.events, ev)
-	if ev.Terminal() {
-		l.closed = true
-	}
-	close(l.wake)
-	l.wake = make(chan struct{})
-}
-
-// after returns the events past idx, whether the log is closed, and
-// the wake channel for the next append.
-func (l *eventLog) after(idx int) ([]Event, bool, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if idx > len(l.events) {
-		idx = len(l.events)
-	}
-	return l.events[idx:], l.closed, l.wake
-}
+// SSEName is the event's SSE "event:" name.
+func (e Event) SSEName() string { return e.Type }

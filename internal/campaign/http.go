@@ -108,7 +108,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		}
 		c, err := m.Start(spec)
 		if err != nil {
-			var bad *BadSpecError
+			var bad *service.BadSpecError
 			if errors.As(err, &bad) {
 				httpError(w, http.StatusBadRequest, err)
 			} else {
@@ -160,18 +160,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if !ok {
 			return
 		}
-		service.StreamSSE(w, r, m.jobs.SSEHeartbeat(), func(idx int) ([]service.SSEEvent, bool, <-chan struct{}) {
-			events, closed, wake := c.EventsAfter(idx)
-			out := make([]service.SSEEvent, 0, len(events))
-			for _, ev := range events {
-				data, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				out = append(out, service.SSEEvent{Name: ev.Type, Data: data})
-			}
-			return out, closed, wake
-		})
+		c.log.Serve(w, r, m.jobs.SSEHeartbeat())
 	})
 }
 

@@ -6,10 +6,9 @@ import (
 	"repro/internal/heat"
 )
 
-// BenchmarkCheckpointEncode is the kernel-scaling benchmark for the
-// chunked parallel encode (run by scripts/bench.sh at -cpu 1,2,4):
-// header + 256×256 field (512 KiB) through a reused Encoder with
-// Workers = GOMAXPROCS. Steady state is 0 allocs/op at any -cpu.
+// BenchmarkCheckpointEncode is the kernel benchmark for the encode
+// (run by scripts/bench.sh at -cpu 1): header + 256×256 field
+// (512 KiB) through a reused Encoder. Steady state is 0 allocs/op.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	g := heat.NewGrid(256, 256)
 	for i := range g.Data {

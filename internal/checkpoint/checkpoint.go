@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"repro/internal/heat"
-	"repro/internal/par"
 	"repro/internal/storage"
 	"repro/internal/units"
 )
@@ -106,42 +105,13 @@ func decodeGrid(b []byte, nx, ny int) *heat.Grid {
 	return g
 }
 
-// encodeGrain is the minimum cells per parallel encode chunk (2048
-// cells = 16 KiB of output), so a 128×128 grid splits into at most 8
-// chunks.
-const encodeGrain = 2048
-
 // Encoder serializes checkpoints while reusing one header+grid scratch
 // buffer across events, so a pipeline writing hundreds of ~128 KiB
 // field snapshots allocates the encode buffer once instead of per
-// event. The grid encode and its CRC run as parallel chunks on the par
-// engine; per-chunk CRCs are combined left-to-right (crc32Combine), so
-// the written bytes — checksum included — are identical at any worker
-// count. The zero value is ready to use. An Encoder is not safe for
+// event. The zero value is ready to use. An Encoder is not safe for
 // concurrent use; give each writer (each pipeline run) its own.
 type Encoder struct {
-	// Workers caps how many par workers an encode may use; 0 means
-	// GOMAXPROCS.
-	Workers int
-
 	prefix []byte // header + encoded grid scratch, reused across events
-
-	// Per-encode state read by the cached chunk kernel: the grid bytes
-	// being filled, the source cells, per-chunk CRCs and cell counts,
-	// and the running combined CRC.
-	grid  []byte
-	data  []float64
-	crcs  []uint32
-	cells []int32
-	crc   uint32
-
-	// combine is the cached zero-extension operator for merging chunk
-	// CRCs. Chunk sizes repeat across events (same grid, same worker
-	// count), so the ~log2(len) matrix build happens once, not per merge.
-	combine crc32Op
-
-	encodeChunk func(chunk, lo, hi int)
-	mergeChunk  func(chunk int)
 }
 
 // encodePrefixInto rebuilds e.prefix for the given event and returns
@@ -150,62 +120,11 @@ func (e *Encoder) encodePrefixInto(g *heat.Grid, step uint64, simTime float64, p
 	if payload < 0 {
 		panic("checkpoint: negative payload size")
 	}
-	gridBytes := g.NX * g.NY * 8
-	need := HeaderSize + gridBytes
+	need := HeaderSize + g.NX*g.NY*8
 	if cap(e.prefix) < need {
 		e.prefix = make([]byte, need)
 	}
 	e.prefix = e.prefix[:need]
-	if e.encodeChunk == nil {
-		e.encodeChunk = func(chunk, lo, hi int) {
-			// Advancing equal-stride windows instead of indexing grid[i*8:]
-			// keeps the stores bounds-check-free, and the 4-wide unroll
-			// with constant offsets amortizes the slice advance; the byte
-			// layout is exactly the per-cell PutUint64 loop's.
-			out := e.grid[lo*8 : hi*8]
-			vals := e.data[lo:hi]
-			le := binary.LittleEndian
-			for len(vals) >= 4 {
-				le.PutUint64(out[0:8], math.Float64bits(vals[0]))
-				le.PutUint64(out[8:16], math.Float64bits(vals[1]))
-				le.PutUint64(out[16:24], math.Float64bits(vals[2]))
-				le.PutUint64(out[24:32], math.Float64bits(vals[3]))
-				out = out[32:]
-				vals = vals[4:]
-			}
-			for i, v := range vals {
-				le.PutUint64(out[i*8:], math.Float64bits(v))
-			}
-			grid := e.grid
-			if chunk == 0 {
-				// Chunk 0 continues straight from the header CRC (set
-				// before the Reduce), so a single-chunk encode needs no
-				// combine at all — the serial fast path.
-				e.crcs[0] = crc32.Update(e.crc, crc32.IEEETable, grid[:hi*8])
-			} else {
-				e.crcs[chunk] = crc32.ChecksumIEEE(grid[lo*8 : hi*8])
-			}
-			e.cells[chunk] = int32(hi - lo)
-		}
-		e.mergeChunk = func(chunk int) {
-			if chunk == 0 {
-				e.crc = e.crcs[0]
-				return
-			}
-			n := int64(e.cells[chunk]) * 8
-			if e.combine.len2 != n {
-				e.combine.init(n)
-			}
-			e.crc = e.combine.apply(e.crc) ^ e.crcs[chunk]
-		}
-	}
-	e.grid = e.prefix[HeaderSize:]
-	e.data = g.Data
-	count := par.Bands(e.Workers, len(g.Data), encodeGrain)
-	for len(e.crcs) < count {
-		e.crcs = append(e.crcs, 0)
-		e.cells = append(e.cells, 0)
-	}
 	putHeader(e.prefix, Header{
 		Version:      1,
 		Step:         step,
@@ -214,12 +133,25 @@ func (e *Encoder) encodePrefixInto(g *heat.Grid, step uint64, simTime float64, p
 		NY:           uint32(g.NY),
 		PayloadBytes: uint64(payload),
 	})
-	// Combining chunk CRCs in ascending chunk order reproduces exactly
-	// the serial header-then-grid checksum (see prefixCRC).
-	e.crc = crc32.ChecksumIEEE(e.prefix[:crcOffset])
-	par.Reduce(e.Workers, len(g.Data), encodeGrain, e.encodeChunk, e.mergeChunk)
-	binary.LittleEndian.PutUint32(e.prefix[crcOffset:], e.crc)
-	e.data = nil
+	// Advancing equal-stride windows instead of indexing grid[i*8:]
+	// keeps the stores bounds-check-free, and the 4-wide unroll with
+	// constant offsets amortizes the slice advance; the byte layout is
+	// exactly the per-cell PutUint64 loop's.
+	grid := e.prefix[HeaderSize:]
+	out, vals := grid, g.Data
+	le := binary.LittleEndian
+	for len(vals) >= 4 {
+		le.PutUint64(out[0:8], math.Float64bits(vals[0]))
+		le.PutUint64(out[8:16], math.Float64bits(vals[1]))
+		le.PutUint64(out[16:24], math.Float64bits(vals[2]))
+		le.PutUint64(out[24:32], math.Float64bits(vals[3]))
+		out = out[32:]
+		vals = vals[4:]
+	}
+	for i, v := range vals {
+		le.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	le.PutUint32(e.prefix[crcOffset:], prefixCRC(e.prefix, grid))
 	return e.prefix
 }
 

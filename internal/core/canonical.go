@@ -23,13 +23,9 @@ func (cfg AppConfig) AppendCanonical(dst []byte) []byte {
 	b := append(dst, "v1\n"...)
 	// heat.Params is a flat value struct (Sources are values too), so
 	// its %+v form is deterministic and spelled out field by field
-	// below. Workers (like KernelWorkers, and Render.Workers) only
-	// partitions the kernels' work — output bytes are identical at any
-	// setting — so it is zeroed out of the content address.
-	hp := cfg.Heat
-	hp.Workers = 0
+	// below.
 	b = append(b, "heat:"...)
-	b = appendHeatParams(b, hp)
+	b = appendHeatParams(b, cfg.Heat)
 	b = append(b, "\nsubsteps:"...)
 	b = strconv.AppendInt(b, int64(cfg.SubstepsPerIteration), 10)
 	b = append(b, " real:"...)
@@ -129,7 +125,12 @@ func appendTrimUnit(b []byte, v float64, unit string) []byte {
 	return append(b, unit...)
 }
 
-// appendHeatParams appends the %+v form of a heat.Params value.
+// heatWorkersV1 is the v1 token of the removed heat.Params.Workers
+// field, still written so result-store keys do not change.
+const heatWorkersV1 = " Workers:0"
+
+// appendHeatParams appends the %+v form of a heat.Params value, as of
+// canonical form v1.
 func appendHeatParams(b []byte, p heat.Params) []byte {
 	b = append(b, "{NX:"...)
 	b = strconv.AppendInt(b, int64(p.NX), 10)
@@ -149,8 +150,7 @@ func appendHeatParams(b []byte, p heat.Params) []byte {
 	b = appendG(b, p.BoundaryTemp)
 	b = append(b, " InitialTemp:"...)
 	b = appendG(b, p.InitialTemp)
-	b = append(b, " Workers:"...)
-	b = strconv.AppendInt(b, int64(p.Workers), 10)
+	b = append(b, heatWorkersV1...)
 	b = append(b, " Sources:["...)
 	for i, s := range p.Sources {
 		if i > 0 {

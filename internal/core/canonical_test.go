@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image/color"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -13,15 +14,15 @@ import (
 )
 
 // writeCanonicalReference is the fmt.Fprintf formulation AppendCanonical
-// replaced, kept verbatim as the specification of the canonical bytes:
-// the property test below asserts the strconv appender reproduces it
-// byte-for-byte over randomized configs.
+// replaced, kept as the specification of the canonical bytes: the
+// property test below asserts the strconv appender reproduces it
+// byte-for-byte over randomized configs. heat.Params has since lost its
+// Workers field, so heatWorkersV1 is spliced back where %+v printed it.
 func writeCanonicalReference(w *bytes.Buffer, cfg AppConfig) {
 	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
 	p("v1\n")
-	hp := cfg.Heat
-	hp.Workers = 0
-	p("heat:%+v\n", hp)
+	hp := strings.Replace(fmt.Sprintf("%+v", cfg.Heat), " Sources:[", heatWorkersV1+" Sources:[", 1)
+	p("heat:%s\n", hp)
 	p("substeps:%d real:%d\n", cfg.SubstepsPerIteration, cfg.RealSubsteps)
 	p("payload ckpt:%d insitu:%d\n", cfg.CheckpointPayload, cfg.InsituPayload)
 	p("render:%dx%d lo:%g hi:%g iso:%v isocolor:%v colormap:%t\n",
@@ -53,7 +54,6 @@ func randomConfig(rng *rand.Rand) AppConfig {
 	cfg.Heat.BoundaryTemp = (rng.Float64() - 0.5) * 1e6
 	cfg.Heat.InitialTemp = rng.NormFloat64() * 100
 	cfg.Heat.Boundary = heat.BoundaryKind(rng.Intn(2))
-	cfg.Heat.Workers = rng.Intn(8)
 	cfg.Heat.Sources = cfg.Heat.Sources[:0]
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		cfg.Heat.Sources = append(cfg.Heat.Sources, heat.Source{

@@ -186,13 +186,6 @@ type AppConfig struct {
 	InsituPayload units.Bytes
 	// Render configures the per-event visualization.
 	Render viz.RenderOptions
-	// KernelWorkers caps the intra-step data parallelism of every hot
-	// kernel (solver sweeps, render fill/contour, checkpoint encode):
-	// validate propagates it into Heat.Workers, Render.Workers, and the
-	// checkpoint encoder unless those are already set. 0 means
-	// GOMAXPROCS. Output bytes are identical at any setting, so it is
-	// excluded from CanonicalDigest.
-	KernelWorkers int
 	// CheckpointPolicy controls on-disk layout of checkpoint files.
 	CheckpointPolicy storage.AllocPolicy
 	// InsituNoSync skips the per-frame fsync of the in-situ pipeline
@@ -287,14 +280,5 @@ func validate(cs CaseStudy, cfg *AppConfig) {
 	}
 	if cfg.CheckpointPayload < 0 || cfg.InsituPayload < 0 {
 		panic("core: negative payload")
-	}
-	if cfg.KernelWorkers < 0 {
-		panic("core: KernelWorkers must be >= 0")
-	}
-	if cfg.Heat.Workers == 0 {
-		cfg.Heat.Workers = cfg.KernelWorkers
-	}
-	if cfg.Render.Workers == 0 {
-		cfg.Render.Workers = cfg.KernelWorkers
 	}
 }

@@ -52,19 +52,13 @@ func AppFlags() []string { return []string{"heat", "ocean"} }
 // ConfigureApp wires the named proxy application into cfg: "heat" (or
 // empty) keeps the paper's heat-transfer solver; "ocean" installs the
 // shallow-water solver with its diverging colormap and zero-level
-// isoline. The ocean solver captures cfg.KernelWorkers at this call,
-// so set KernelWorkers before ConfigureApp (the CLI and service do).
+// isoline.
 func ConfigureApp(cfg *AppConfig, app string) error {
 	switch app {
 	case "", "heat":
 		return nil
 	case "ocean":
-		workers := cfg.KernelWorkers
-		cfg.NewSimulator = func() Simulator {
-			p := ocean.DefaultParams()
-			p.Workers = workers
-			return ocean.NewSolver(p)
-		}
+		cfg.NewSimulator = func() Simulator { return ocean.NewSolver(ocean.DefaultParams()) }
 		cfg.Render.Colormap = viz.CoolWarm()
 		cfg.Render.Isolines = []float64{0}
 		return nil

@@ -9,30 +9,40 @@ import (
 	"repro/internal/node"
 )
 
-// TestEncodeJSONDeterministic runs the same fast pipeline twice and
-// requires byte-identical JSON — the property the service's
-// content-addressed report cache depends on.
+// TestEncodeJSONDeterministic runs the post-processing and in-situ
+// pipelines of every app twice and requires byte-identical JSON — the
+// property the service's content-addressed report cache depends on.
+// Frames, checkpoints and timings all reach the encoding, so this is
+// also the determinism check of full runs that holds under -race (the
+// golden suites skip there).
 func TestEncodeJSONDeterministic(t *testing.T) {
-	cfg := DefaultAppConfig()
-	cfg.RealSubsteps = 1
-	cs := CaseStudies()[2]
-	encode := func() string {
-		res := Run(node.New(node.SandyBridge(), 1), InSitu, cs, cfg)
-		var buf bytes.Buffer
-		if err := res.EncodeJSON(&buf); err != nil {
-			t.Fatalf("EncodeJSON: %v", err)
+	cs := CaseStudy{Name: "det", Iterations: 6, IOInterval: 2}
+	var a string
+	for _, app := range AppFlags() {
+		for _, p := range []Pipeline{PostProcessing, InSitu} {
+			encode := func() string {
+				cfg := testConfig()
+				if err := ConfigureApp(&cfg, app); err != nil {
+					t.Fatalf("ConfigureApp(%s): %v", app, err)
+				}
+				res := Run(node.New(node.SandyBridge(), 1), p, cs, cfg)
+				var buf bytes.Buffer
+				if err := res.EncodeJSON(&buf); err != nil {
+					t.Fatalf("EncodeJSON: %v", err)
+				}
+				return buf.String()
+			}
+			a = encode()
+			if b := encode(); a != b {
+				t.Fatalf("%s/%s: identical runs encoded differently:\n%s\n---\n%s", app, p, a, b)
+			}
 		}
-		return buf.String()
-	}
-	a, b := encode(), encode()
-	if a != b {
-		t.Fatalf("identical runs encoded differently:\n%s\n---\n%s", a, b)
 	}
 	if !strings.HasSuffix(a, "\n") {
 		t.Error("encoding misses the trailing newline")
 	}
 
-	// Round-trip the scalar surface.
+	// Round-trip the scalar surface of the last (in-situ) run.
 	var m map[string]any
 	if err := json.Unmarshal([]byte(a), &m); err != nil {
 		t.Fatalf("Unmarshal: %v", err)

@@ -69,7 +69,7 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 	n, cfg, cs := r.n, r.cfg, r.cs
 	store := cfg.Store
 	if store == nil {
-		store = localStore{n: n, policy: cfg.CheckpointPolicy, async: cfg.AsyncCheckpoint, enc: &checkpoint.Encoder{Workers: cfg.KernelWorkers}}
+		store = localStore{n: n, policy: cfg.CheckpointPolicy, async: cfg.AsyncCheckpoint, enc: &checkpoint.Encoder{}}
 	}
 	var ckpts []ckptRef
 	for i := 1; i <= cs.Iterations; i++ {

@@ -22,9 +22,7 @@ func (s *Suite) PFS() Report {
 	client := node.New(node.SandyBridge(), s.seedFor("pfs/client"))
 	fsys := pfs.New(client, pfs.DefaultParams(), s.seedFor("pfs/servers"))
 	cfg := s.Config
-	store := pfs.NewStore(fsys)
-	store.SetKernelWorkers(cfg.KernelWorkers)
-	cfg.Store = store
+	cfg.Store = pfs.NewStore(fsys)
 	remote := core.Run(client, core.PostProcessing, cs, cfg)
 	serversE := fsys.ServersEnergy()
 

@@ -80,9 +80,7 @@ func (s *Suite) Reliability() Report {
 	client := node.New(node.SandyBridge(), s.seedFor("reliability/pfs/client"))
 	fsys := pfs.New(client, pfs.DefaultParams(), s.seedFor("reliability/pfs/servers"))
 	cfg := s.Config
-	store := pfs.NewStore(fsys)
-	store.SetKernelWorkers(cfg.KernelWorkers)
-	cfg.Store = store
+	cfg.Store = pfs.NewStore(fsys)
 	cfg.Faults = &fault.Config{Seed: s.seedFor("reliability/pfs/faults"), Drop: 0.05}
 	remote := core.Run(client, core.PostProcessing, cs, cfg)
 	rec := remote.Recovery

@@ -34,7 +34,7 @@ func TestSweepMatchesReference(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nx := 3 + rng.Intn(40)
 		ny := 3 + rng.Intn(40)
-		s := NewSolver(Params{NX: nx, NY: ny, Alpha: 1, DX: 1, DY: 1, Workers: 1})
+		s := NewSolver(Params{NX: nx, NY: ny, Alpha: 1, DX: 1, DY: 1})
 		for i := range s.cur.Data {
 			// Wide magnitude spread so rounding differences can't hide.
 			s.cur.Data[i] = (rng.Float64() - 0.5) * float64(int(1)<<uint(rng.Intn(30)))
@@ -42,7 +42,7 @@ func TestSweepMatchesReference(t *testing.T) {
 		want := NewGrid(nx, ny)
 		referenceSweep(s.cur, want, s.rx, s.ry, 0, ny-2)
 
-		s.sweep(0, ny-2)
+		s.sweep()
 		for y := 1; y < ny-1; y++ {
 			for x := 1; x < nx-1; x++ {
 				got := s.next.Data[y*nx+x]

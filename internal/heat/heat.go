@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/field"
-	"repro/internal/par"
 )
 
 // Grid is the shared 2-D scalar field type (see package field).
@@ -66,10 +65,7 @@ type Params struct {
 	BoundaryTemp float64
 	// InitialTemp fills the interior at start.
 	InitialTemp float64
-	// Workers caps how many par workers a step may use; 0 means
-	// GOMAXPROCS. The output field is byte-identical at any setting.
-	Workers int
-	Sources []Source
+	Sources     []Source
 }
 
 // DefaultParams returns the paper's configuration: a 128×128 grid
@@ -92,23 +88,13 @@ func StabilityLimit(alpha, dx, dy float64) float64 {
 	return (dx * dx * dy * dy) / (2 * alpha * (dx*dx + dy*dy))
 }
 
-// sweepGrain is the minimum rows per band: small enough that a 128-row
-// grid still splits across several workers, large enough that a band is
-// real work relative to the engine's scheduling cost.
-const sweepGrain = 8
-
-// Solver advances the heat equation. Interior sweeps run as row bands
-// on the shared par engine, so stepping never spawns goroutines and
-// distinct solvers may step concurrently.
+// Solver advances the heat equation. Distinct solvers may step
+// concurrently.
 type Solver struct {
 	params    Params
 	cur, next *Grid
 	steps     uint64
 	rx, ry    float64
-	// sweep is the cached stencil kernel handed to par each step; it
-	// reads cur/next through the receiver so the per-step buffer swap
-	// needs no fresh closure (stepping stays allocation-free).
-	sweep func(lo, hi int)
 }
 
 // NewSolver builds a solver, validating parameters and applying the
@@ -138,39 +124,6 @@ func NewSolver(p Params) *Solver {
 	s := &Solver{params: p, cur: NewGrid(p.NX, p.NY), next: NewGrid(p.NX, p.NY)}
 	s.rx = p.Alpha * p.DT / (p.DX * p.DX)
 	s.ry = p.Alpha * p.DT / (p.DY * p.DY)
-	s.sweep = func(lo, hi int) {
-		cur, next := s.cur, s.next
-		nx := s.params.NX
-		rx, ry := s.rx, s.ry
-		// Bands cover interior rows: band index i is grid row i+1.
-		for y := lo + 1; y < hi+1; y++ {
-			row := y * nx
-			// Equal-length row slices let the prove pass drop the five
-			// per-cell bounds checks: x < nx-1 bounds every index below.
-			c := cur.Data[row : row+nx]
-			up := cur.Data[row-nx : row]
-			down := cur.Data[row+nx : row+2*nx]
-			out := next.Data[row : row+nx]
-			// Interior-aligned equal-length views: ranging over the output
-			// view bounds every index, so the loop body carries no bounds
-			// checks at all (verified with -d=ssa/check_bce).
-			o := out[1 : nx-1]
-			cn := c[2 : 2+len(o)]
-			upi := up[1 : 1+len(o)]
-			dni := down[1 : 1+len(o)]
-			// Roll the center row through registers: the store to out
-			// could alias cur for all the compiler knows, so without the
-			// rolling window it reloads c[x-1], c[x], c[x+1] every cell.
-			cl, cc := c[0], c[1]
-			for k := range o {
-				cr := cn[k]
-				o[k] = cc +
-					rx*(cl-2*cc+cr) +
-					ry*(upi[k]-2*cc+dni[k])
-				cl, cc = cc, cr
-			}
-		}
-	}
 	s.cur.Fill(p.InitialTemp)
 	s.applyBoundary(s.cur)
 	s.applySources(s.cur)
@@ -235,7 +188,7 @@ func (s *Solver) applySources(g *Grid) {
 	}
 }
 
-// Step advances n FTCS sub-steps, parallelized across row bands.
+// Step advances n FTCS sub-steps.
 func (s *Solver) Step(n int) {
 	for i := 0; i < n; i++ {
 		s.stepOnce()
@@ -243,9 +196,44 @@ func (s *Solver) Step(n int) {
 }
 
 func (s *Solver) stepOnce() {
-	par.ForLimit(s.params.Workers, s.params.NY-2, sweepGrain, s.sweep)
+	s.sweep()
 	s.cur, s.next = s.next, s.cur
 	s.applyBoundary(s.cur)
 	s.applySources(s.cur)
 	s.steps++
+}
+
+// sweep applies the FTCS stencil to every interior row of cur, writing
+// next.
+func (s *Solver) sweep() {
+	cur, next := s.cur, s.next
+	nx := s.params.NX
+	rx, ry := s.rx, s.ry
+	for y := 1; y < s.params.NY-1; y++ {
+		row := y * nx
+		// Equal-length row slices let the prove pass drop the five
+		// per-cell bounds checks: x < nx-1 bounds every index below.
+		c := cur.Data[row : row+nx]
+		up := cur.Data[row-nx : row]
+		down := cur.Data[row+nx : row+2*nx]
+		out := next.Data[row : row+nx]
+		// Interior-aligned equal-length views: ranging over the output
+		// view bounds every index, so the loop body carries no bounds
+		// checks at all (verified with -d=ssa/check_bce).
+		o := out[1 : nx-1]
+		cn := c[2 : 2+len(o)]
+		upi := up[1 : 1+len(o)]
+		dni := down[1 : 1+len(o)]
+		// Roll the center row through registers: the store to out
+		// could alias cur for all the compiler knows, so without the
+		// rolling window it reloads c[x-1], c[x], c[x+1] every cell.
+		cl, cc := c[0], c[1]
+		for k := range o {
+			cr := cn[k]
+			o[k] = cc +
+				rx*(cl-2*cc+cr) +
+				ry*(upi[k]-2*cc+dni[k])
+			cl, cc = cc, cr
+		}
+	}
 }

@@ -147,21 +147,6 @@ func TestConvergesToSteadyState(t *testing.T) {
 	}
 }
 
-func TestWorkerCountsAgree(t *testing.T) {
-	p := smallParams()
-	p.Workers = 1
-	serial := NewSolver(p)
-	p.Workers = 7 // deliberately not dividing NY-2
-	parallel := NewSolver(p)
-	serial.Step(100)
-	parallel.Step(100)
-	for i := range serial.Field().Data {
-		if serial.Field().Data[i] != parallel.Field().Data[i] {
-			t.Fatalf("serial and 7-worker solvers diverge at cell %d", i)
-		}
-	}
-}
-
 func TestSymmetryPreserved(t *testing.T) {
 	// A centered square source on a square grid must stay 4-fold symmetric.
 	p := Params{

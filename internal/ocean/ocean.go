@@ -7,8 +7,7 @@
 //
 // The scheme is the classic collocated explicit shallow-water update
 // (linearized gravity waves plus advection-free momentum, with Coriolis
-// optional) under a CFL-checked time step, parallelized across row
-// bands like the heat solver.
+// optional) under a CFL-checked time step.
 package ocean
 
 import (
@@ -16,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/field"
-	"repro/internal/par"
 )
 
 // Params configures the solver.
@@ -30,9 +28,6 @@ type Params struct {
 	Coriolis float64
 	// Drops are initial Gaussian height perturbations.
 	Drops []Drop
-	// Workers caps how many par workers a step may use; 0 means
-	// GOMAXPROCS. The output fields are byte-identical at any setting.
-	Workers int
 }
 
 // Drop is a Gaussian bump in the initial height field.
@@ -64,24 +59,13 @@ func CFLLimit(p Params) float64 {
 	return h / (c * math.Sqrt2)
 }
 
-// sweepGrain is the minimum interior rows per band, matching the heat
-// solver's decomposition granularity.
-const sweepGrain = 8
-
-// Solver advances the shallow-water equations. Like the heat solver it
-// runs its interior sweeps as row bands on the shared par engine, so
-// stepping never spawns goroutines; distinct solvers may step
-// concurrently.
+// Solver advances the shallow-water equations. Distinct solvers may
+// step concurrently.
 type Solver struct {
 	params     Params
 	h, u, v    *field.Grid // height anomaly and velocities
 	nh, nu, nv *field.Grid
 	steps      uint64
-	// The two cached pass kernels read the buffers through the receiver,
-	// so the per-step swaps need no fresh closures (stepping stays
-	// allocation-free).
-	momentumPass   func(lo, hi int)
-	continuityPass func(lo, hi int)
 }
 
 // NewSolver validates parameters and applies the initial condition.
@@ -103,72 +87,6 @@ func NewSolver(p Params) *Solver {
 		params: p,
 		h:      field.New(p.NX, p.NY), u: field.New(p.NX, p.NY), v: field.New(p.NX, p.NY),
 		nh: field.New(p.NX, p.NY), nu: field.New(p.NX, p.NY), nv: field.New(p.NX, p.NY),
-	}
-	nx := p.NX
-	gdtx := p.Gravity * p.DT / p.DX
-	gdty := p.Gravity * p.DT / p.DY
-	hdtx := p.Depth * p.DT / p.DX
-	hdty := p.Depth * p.DT / p.DY
-	f := p.Coriolis * p.DT
-	// Bands cover interior rows: band index i is grid row i+1.
-	// Both passes hoist equal-length row slices so the prove pass drops
-	// the per-cell bounds checks, and roll the gradient row through
-	// registers: the writes to the next-step buffers could alias the
-	// current-step fields for all the compiler knows, so without the
-	// rolling window every neighbor is reloaded each cell. The arithmetic
-	// is the exact expression of the naive form — output bits unchanged.
-	s.momentumPass = func(lo, hi int) {
-		for y := lo + 1; y < hi+1; y++ {
-			row := y * nx
-			h := s.h.Data[row : row+nx]
-			hup := s.h.Data[row-nx : row]
-			hdn := s.h.Data[row+nx : row+2*nx]
-			u := s.u.Data[row : row+nx]
-			v := s.v.Data[row : row+nx]
-			nu := s.nu.Data[row : row+nx]
-			nv := s.nv.Data[row : row+nx]
-			// Interior-aligned equal-length views: ranging over the nu view
-			// bounds every index, so the loop body carries no bounds checks
-			// (verified with -d=ssa/check_bce).
-			no := nu[1 : nx-1]
-			nvo := nv[1 : 1+len(no)]
-			hn := h[2 : 2+len(no)]
-			ui := u[1 : 1+len(no)]
-			vi := v[1 : 1+len(no)]
-			upi := hup[1 : 1+len(no)]
-			dni := hdn[1 : 1+len(no)]
-			hl, hc := h[0], h[1]
-			for k := range no {
-				hr := hn[k]
-				ux, vx := ui[k], vi[k]
-				no[k] = ux - gdtx*(hr-hl)/2 + f*vx
-				nvo[k] = vx - gdty*(dni[k]-upi[k])/2 - f*ux
-				hl, hc = hc, hr
-			}
-		}
-	}
-	s.continuityPass = func(lo, hi int) {
-		for y := lo + 1; y < hi+1; y++ {
-			row := y * nx
-			h := s.h.Data[row : row+nx]
-			u := s.u.Data[row : row+nx]
-			vup := s.v.Data[row-nx : row]
-			vdn := s.v.Data[row+nx : row+2*nx]
-			nh := s.nh.Data[row : row+nx]
-			no := nh[1 : nx-1]
-			hm := h[1 : 1+len(no)]
-			un := u[2 : 2+len(no)]
-			upi := vup[1 : 1+len(no)]
-			dni := vdn[1 : 1+len(no)]
-			ul, uc := u[0], u[1]
-			for k := range no {
-				ur := un[k]
-				no[k] = hm[k] -
-					hdtx*(ur-ul)/2 -
-					hdty*(dni[k]-upi[k])/2
-				ul, uc = uc, ur
-			}
-		}
 	}
 	for _, d := range p.Drops {
 		s.applyDrop(d)
@@ -251,20 +169,92 @@ func (s *Solver) stepOnce() {
 	// the old height, then update height from the *new* momentum. The
 	// naive simultaneous update is unconditionally unstable for wave
 	// systems; this variant is stable under the CFL limit.
-	interior := s.params.NY - 2
-	workers := s.params.Workers
 
 	// Pass 1: momentum from the height gradient (+ Coriolis).
-	par.ForLimit(workers, interior, sweepGrain, s.momentumPass)
+	s.momentumPass()
 	s.u, s.nu = s.nu, s.u
 	s.v, s.nv = s.nv, s.v
 	s.reflectVelocityBoundaries()
 
 	// Pass 2: continuity from the divergence of the new momentum.
-	par.ForLimit(workers, interior, sweepGrain, s.continuityPass)
+	s.continuityPass()
 	s.h, s.nh = s.nh, s.h
 	s.reflectHeightBoundaries()
 	s.steps++
+}
+
+// Both passes sweep every interior row. They hoist equal-length row
+// slices so the prove pass drops the per-cell bounds checks, and roll
+// the gradient row through registers: the writes to the next-step
+// buffers could alias the current-step fields for all the compiler
+// knows, so without the rolling window every neighbor is reloaded each
+// cell. The arithmetic is the exact expression of the naive form —
+// output bits unchanged.
+
+// momentumPass writes nu, nv from the height gradient of h (+ Coriolis).
+func (s *Solver) momentumPass() {
+	p := s.params
+	nx := p.NX
+	gdtx := p.Gravity * p.DT / p.DX
+	gdty := p.Gravity * p.DT / p.DY
+	f := p.Coriolis * p.DT
+	for y := 1; y < p.NY-1; y++ {
+		row := y * nx
+		h := s.h.Data[row : row+nx]
+		hup := s.h.Data[row-nx : row]
+		hdn := s.h.Data[row+nx : row+2*nx]
+		u := s.u.Data[row : row+nx]
+		v := s.v.Data[row : row+nx]
+		nu := s.nu.Data[row : row+nx]
+		nv := s.nv.Data[row : row+nx]
+		// Interior-aligned equal-length views: ranging over the nu view
+		// bounds every index, so the loop body carries no bounds checks
+		// (verified with -d=ssa/check_bce).
+		no := nu[1 : nx-1]
+		nvo := nv[1 : 1+len(no)]
+		hn := h[2 : 2+len(no)]
+		ui := u[1 : 1+len(no)]
+		vi := v[1 : 1+len(no)]
+		upi := hup[1 : 1+len(no)]
+		dni := hdn[1 : 1+len(no)]
+		hl, hc := h[0], h[1]
+		for k := range no {
+			hr := hn[k]
+			ux, vx := ui[k], vi[k]
+			no[k] = ux - gdtx*(hr-hl)/2 + f*vx
+			nvo[k] = vx - gdty*(dni[k]-upi[k])/2 - f*ux
+			hl, hc = hc, hr
+		}
+	}
+}
+
+// continuityPass writes nh from the divergence of u, v.
+func (s *Solver) continuityPass() {
+	p := s.params
+	nx := p.NX
+	hdtx := p.Depth * p.DT / p.DX
+	hdty := p.Depth * p.DT / p.DY
+	for y := 1; y < p.NY-1; y++ {
+		row := y * nx
+		h := s.h.Data[row : row+nx]
+		u := s.u.Data[row : row+nx]
+		vup := s.v.Data[row-nx : row]
+		vdn := s.v.Data[row+nx : row+2*nx]
+		nh := s.nh.Data[row : row+nx]
+		no := nh[1 : nx-1]
+		hm := h[1 : 1+len(no)]
+		un := u[2 : 2+len(no)]
+		upi := vup[1 : 1+len(no)]
+		dni := vdn[1 : 1+len(no)]
+		ul, uc := u[0], u[1]
+		for k := range no {
+			ur := un[k]
+			no[k] = hm[k] -
+				hdtx*(ur-ul)/2 -
+				hdty*(dni[k]-upi[k])/2
+			ul, uc = uc, ur
+		}
+	}
 }
 
 // reflectVelocityBoundaries implements closed basin walls by mirroring

@@ -93,21 +93,6 @@ func TestSolverStaysFinite(t *testing.T) {
 	}
 }
 
-func TestWorkerCountsAgree(t *testing.T) {
-	p := smallParams()
-	p.Workers = 1
-	serial := NewSolver(p)
-	p.Workers = 5
-	parallel := NewSolver(p)
-	serial.Step(60)
-	parallel.Step(60)
-	for i := range serial.Field().Data {
-		if serial.Field().Data[i] != parallel.Field().Data[i] {
-			t.Fatalf("worker counts diverge at cell %d", i)
-		}
-	}
-}
-
 func TestCenteredDropStaysSymmetric(t *testing.T) {
 	p := Params{
 		NX: 33, NY: 33, Depth: 50, Gravity: 9.81, DX: 500, DY: 500,

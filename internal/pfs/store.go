@@ -30,14 +30,6 @@ type Store struct {
 // NewStore wraps a filesystem.
 func NewStore(fs *FileSystem) *Store { return &Store{fs: fs} }
 
-// SetKernelWorkers caps the encode parallelism of this store's encoder
-// (0 means GOMAXPROCS); the written bytes are identical at any setting.
-func (s *Store) SetKernelWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.enc.Workers = n
-}
-
 var _ core.CheckpointStore = (*Store)(nil)
 
 // SetFaults attaches a fault injector to the underlying filesystem.

@@ -46,30 +46,46 @@ func (e Event) Terminal() bool {
 	return false
 }
 
-// eventLog is an append-only, closable event sequence supporting
-// replay-then-follow subscribers. The zero value is not usable; use
-// newEventLog.
-type eventLog struct {
+// WithSeq returns the event numbered seq.
+func (e Event) WithSeq(seq int) Event { e.Seq = seq; return e }
+
+// SSEName is the event's SSE "event:" name.
+func (e Event) SSEName() string { return e.Type }
+
+// LogEvent is what an EventLog holds: an SSE payload that takes the
+// sequence number the log assigns, names its SSE event, and says
+// whether it closes the stream.
+type LogEvent[E any] interface {
+	WithSeq(seq int) E
+	SSEName() string
+	Terminal() bool
+}
+
+// EventLog is an append-only, closable event sequence supporting
+// replay-then-follow subscribers: every job execution and every
+// campaign owns one. The zero value is not usable; use NewEventLog.
+type EventLog[E LogEvent[E]] struct {
 	mu     sync.Mutex
-	events []Event
+	events []E
 	closed bool
 	wake   chan struct{} // closed and replaced on every append
 }
 
-func newEventLog() *eventLog {
-	return &eventLog{wake: make(chan struct{})}
+// NewEventLog returns an empty, open log.
+func NewEventLog[E LogEvent[E]]() *EventLog[E] {
+	return &EventLog[E]{wake: make(chan struct{})}
 }
 
-// emit appends one event, assigning its sequence number. Terminal
+// Emit appends one event, assigning its sequence number. Terminal
 // events close the log; emits after close are dropped (a canceled
 // execution may race its own completion).
-func (l *eventLog) emit(ev Event) {
+func (l *EventLog[E]) Emit(ev E) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	ev.Seq = len(l.events) + 1
+	ev = ev.WithSeq(len(l.events) + 1)
 	l.events = append(l.events, ev)
 	if ev.Terminal() {
 		l.closed = true
@@ -78,10 +94,10 @@ func (l *eventLog) emit(ev Event) {
 	l.wake = make(chan struct{})
 }
 
-// after returns the events past idx, whether the log is closed, and a
+// After returns the events past idx, whether the log is closed, and a
 // channel that is closed on the next append — the subscriber's wait
 // primitive.
-func (l *eventLog) after(idx int) ([]Event, bool, <-chan struct{}) {
+func (l *EventLog[E]) After(idx int) ([]E, bool, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if idx > len(l.events) {
@@ -90,19 +106,23 @@ func (l *eventLog) after(idx int) ([]Event, bool, <-chan struct{}) {
 	return l.events[idx:], l.closed, l.wake
 }
 
-// snapshot returns a copy of all events so far.
-func (l *eventLog) snapshot() []Event {
-	evs, _, _ := l.after(0)
-	out := make([]Event, len(evs))
-	copy(out, evs)
-	return out
-}
-
-// len returns the number of events emitted so far.
-func (l *eventLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
+// Wait blocks until done reports true, the log closes, or ctx expires.
+// It rides the wake channel, so waiting costs no polling.
+func (l *EventLog[E]) Wait(ctx context.Context, done func() bool) {
+	for idx := 0; !done(); {
+		events, closed, wake := l.After(idx)
+		idx += len(events)
+		if closed {
+			return
+		}
+		if len(events) == 0 {
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}
 }
 
 // jobCanceled is the sentinel the execution's telemetry consumer
@@ -120,14 +140,14 @@ type jobCanceled struct{}
 // without threading a context through the deterministic core.
 type jobTelemetry struct {
 	ctx context.Context
-	log *eventLog
+	log *EventLog[Event]
 	met *Metrics
 
 	mu   sync.Mutex
 	seen map[string]bool
 }
 
-func newJobTelemetry(ctx context.Context, log *eventLog, met *Metrics) *jobTelemetry {
+func newJobTelemetry(ctx context.Context, log *EventLog[Event], met *Metrics) *jobTelemetry {
 	return &jobTelemetry{ctx: ctx, log: log, met: met, seen: map[string]bool{}}
 }
 
@@ -138,7 +158,7 @@ func (o *jobTelemetry) Consume(ev telemetry.Event) {
 	}
 	switch ev.Kind {
 	case telemetry.KindRunStart:
-		o.log.emit(Event{Type: "run", Run: ev.Run})
+		o.log.Emit(Event{Type: "run", Run: ev.Run})
 	case telemetry.KindStageDone:
 		o.met.addStageTime(ev.Stage, ev.End-ev.Start)
 		if ev.HasEnergy {
@@ -149,7 +169,7 @@ func (o *jobTelemetry) Consume(ev telemetry.Event) {
 		o.seen[ev.Stage] = true
 		o.mu.Unlock()
 		if first {
-			o.log.emit(Event{Type: "stage", Stage: ev.Stage, At: ev.End})
+			o.log.Emit(Event{Type: "stage", Stage: ev.Stage, At: ev.End})
 		}
 	case telemetry.KindFaultInjected:
 		o.met.FaultsInjected.Add(1)

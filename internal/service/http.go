@@ -164,19 +164,7 @@ func Handler(m *Manager) *http.ServeMux {
 		if !ok {
 			return
 		}
-		log := job.Events()
-		StreamSSE(w, r, m.opts.SSEHeartbeat, func(idx int) ([]SSEEvent, bool, <-chan struct{}) {
-			events, closed, wake := log.after(idx)
-			out := make([]SSEEvent, 0, len(events))
-			for _, ev := range events {
-				data, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				out = append(out, SSEEvent{Name: ev.Type, Data: data})
-			}
-			return out, closed, wake
-		})
+		job.Events().Serve(w, r, m.opts.SSEHeartbeat)
 	})
 
 	mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {

@@ -240,15 +240,18 @@ func TestAPIErrors(t *testing.T) {
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status %d, want 400", r2.StatusCode)
 	}
-	// Unknown fields: 400 (catches typos like "experimnt").
-	r3, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"experimnt":"fig4"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, r3.Body)
-	r3.Body.Close()
-	if r3.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", r3.StatusCode)
+	// Unknown fields: 400 (catches typos like "experimnt", and the
+	// removed kernel_workers knob).
+	for _, body := range []string{`{"experimnt":"fig4"}`, `{"experiment":"fig4","kernel_workers":2}`} {
+		r3, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r3.Body)
+		r3.Body.Close()
+		if r3.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown field %s: status %d, want 400", body, r3.StatusCode)
+		}
 	}
 
 	// Unknown job: 404 on status, report, events, cancel.

@@ -54,7 +54,7 @@ func (s State) Terminal() bool {
 type execution struct {
 	digest string
 	spec   JobSpec // normalized
-	log    *eventLog
+	log    *EventLog[Event]
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -128,31 +128,14 @@ func (j *Job) Report() ([]byte, bool) {
 }
 
 // Events exposes the job's event log for SSE streaming.
-func (j *Job) Events() *eventLog { return j.exec.log }
+func (j *Job) Events() *EventLog[Event] { return j.exec.log }
 
 // Wait blocks until the job reaches a terminal state or ctx expires,
-// returning the job's state either way. It rides the event log's wake
-// channel, so waiting costs no polling; a job whose execution was
+// returning the job's state either way; a job whose execution was
 // already terminal (cache or store hit) returns immediately.
 func (j *Job) Wait(ctx context.Context) State {
-	idx := 0
-	for {
-		if st := j.State(); st.Terminal() {
-			return st
-		}
-		events, closed, wake := j.exec.log.after(idx)
-		idx += len(events)
-		if closed {
-			return j.State()
-		}
-		if len(events) == 0 {
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				return j.State()
-			}
-		}
-	}
+	j.exec.log.Wait(ctx, func() bool { return j.State().Terminal() })
+	return j.State()
 }
 
 // terminalAt returns when the job reached a terminal state, and
@@ -327,7 +310,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 			e := &execution{
 				digest:     digest,
 				spec:       norm,
-				log:        newEventLog(),
+				log:        NewEventLog[Event](),
 				ctx:        ctx,
 				cancel:     cancel,
 				state:      StateDone,
@@ -335,7 +318,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 				refs:       1,
 				finishedAt: time.Now(),
 			}
-			e.log.emit(Event{Type: "done"})
+			e.log.Emit(Event{Type: "done"})
 			m.cache[digest] = e
 			job := m.newJobLocked(norm, e)
 			job.deduped = true
@@ -349,7 +332,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	e := &execution{
 		digest: digest,
 		spec:   norm,
-		log:    newEventLog(),
+		log:    NewEventLog[Event](),
 		ctx:    ctx,
 		cancel: cancel,
 		state:  StateQueued,
@@ -364,7 +347,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	m.cache[digest] = e
 	job := m.newJobLocked(norm, e)
-	e.log.emit(Event{Type: "queued"})
+	e.log.Emit(Event{Type: "queued"})
 	m.Metrics.Submitted.Add(1)
 	return job, nil
 }
@@ -634,7 +617,7 @@ func (m *Manager) execute(e *execution) {
 	e.mu.Lock()
 	e.state = StateRunning
 	e.mu.Unlock()
-	e.log.emit(Event{Type: "running"})
+	e.log.Emit(Event{Type: "running"})
 	m.Metrics.Running.Add(1)
 	m.Metrics.Executions.Add(1)
 
@@ -666,6 +649,14 @@ func (m *Manager) safeRun(e *execution) (report []byte, err error) {
 // cache so a later identical submit retries instead of inheriting the
 // failure.
 func (m *Manager) finish(e *execution, report []byte, err error) {
+	if err == nil && m.opts.Store != nil {
+		// Best-effort durability: a failed Put (disk full, permissions)
+		// only costs a re-run after the next restart; the in-memory
+		// cache still serves this process. It lands before the state
+		// turns done, so whoever sees done finds the record on disk.
+		m.opts.Store.Put(e.digest, report)
+	}
+
 	e.mu.Lock()
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -682,23 +673,16 @@ func (m *Manager) finish(e *execution, report []byte, err error) {
 	state := e.state
 	e.mu.Unlock()
 
-	if state == StateDone && m.opts.Store != nil {
-		// Best-effort durability: a failed Put (disk full, permissions)
-		// only costs a re-run after the next restart; the in-memory
-		// cache still serves this process.
-		m.opts.Store.Put(e.digest, report)
-	}
-
 	switch state {
 	case StateDone:
 		m.Metrics.Completed.Add(1)
-		e.log.emit(Event{Type: "done"})
+		e.log.Emit(Event{Type: "done"})
 	case StateCanceled:
 		m.Metrics.Canceled.Add(1)
-		e.log.emit(Event{Type: "canceled"})
+		e.log.Emit(Event{Type: "canceled"})
 	default:
 		m.Metrics.Failed.Add(1)
-		e.log.emit(Event{Type: "failed", Error: err.Error()})
+		e.log.Emit(Event{Type: "failed", Error: err.Error()})
 	}
 	if state != StateDone {
 		m.mu.Lock()

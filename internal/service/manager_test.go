@@ -220,7 +220,7 @@ func TestCancelMidRun(t *testing.T) {
 	if m.CacheEntries() != 0 {
 		t.Errorf("canceled execution still cached (%d entries)", m.CacheEntries())
 	}
-	evs := job.Events().snapshot()
+	evs, _, _ := job.Events().After(0)
 	if len(evs) == 0 || evs[len(evs)-1].Type != "canceled" {
 		t.Errorf("events = %+v, want trailing canceled", evs)
 	}
@@ -290,7 +290,7 @@ func TestFailureEvicted(t *testing.T) {
 	if m.CacheEntries() != 0 {
 		t.Errorf("failed execution still cached (%d entries)", m.CacheEntries())
 	}
-	evs := job.Events().snapshot()
+	evs, _, _ := job.Events().After(0)
 	if len(evs) == 0 || evs[len(evs)-1].Type != "failed" || evs[len(evs)-1].Error == "" {
 		t.Errorf("events = %+v, want trailing failed with error", evs)
 	}

@@ -64,12 +64,6 @@ type JobSpec struct {
 	FioGiB int `json:"fio_gib,omitempty"`
 	// Faults is the CLI's -faults spec string (empty: injection off).
 	Faults string `json:"faults,omitempty"`
-	// KernelWorkers caps the intra-step data parallelism of the hot
-	// kernels (0 = GOMAXPROCS), like the CLI's -kernel-workers. Output
-	// bytes are identical at any setting, so it is excluded from the
-	// job's content address: submits differing only here share one
-	// cached result.
-	KernelWorkers int `json:"kernel_workers,omitempty"`
 
 	// PowerCapWatts, when positive, applies a RAPL PL1-style package
 	// power limit to the platform (pipeline jobs only): the CPU model
@@ -134,9 +128,6 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	if _, err := fault.ParseSpec(n.Faults); err != nil {
 		return n, fmt.Errorf("faults: %w", err)
 	}
-	if n.KernelWorkers < 0 || n.KernelWorkers > 1024 {
-		return n, fmt.Errorf("kernel_workers %d out of range 0..1024", n.KernelWorkers)
-	}
 	if n.PowerCapWatts < 0 || n.PowerCapWatts > 1e4 {
 		return n, fmt.Errorf("power_cap_watts %g out of range 0..10000", n.PowerCapWatts)
 	}
@@ -197,9 +188,6 @@ func (s JobSpec) Config() (core.AppConfig, error) {
 	if s.RealSubsteps > 0 {
 		cfg.RealSubsteps = s.RealSubsteps
 	}
-	// KernelWorkers must land before ConfigureApp: the ocean preset
-	// captures it when wiring its solver constructor.
-	cfg.KernelWorkers = s.KernelWorkers
 	cfg.InsituNoSync = s.InsituNoSync
 	cfg.CompressInsitu = s.CompressInsitu
 	cfg.AsyncCheckpoint = s.AsyncCheckpoint
@@ -223,8 +211,7 @@ var digestBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // Digest returns the job's content address: a hex SHA-256 over the
 // normalized spec's canonical form plus the canonical form of the
 // config it derives. Identical digests mean identical report bytes, so
-// the manager serves N equal submits from one execution. KernelWorkers
-// is deliberately absent — it never changes output bytes.
+// the manager serves N equal submits from one execution.
 func (s JobSpec) Digest() (string, error) {
 	n, err := s.Normalized()
 	if err != nil {

@@ -118,37 +118,6 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestDigestKernelWorkersInvariant pins the cache-key normalization of
-// the tentpole knob: worker count never changes output bytes, so
-// submits differing only in kernel_workers must collapse onto one
-// content address — for pipeline and experiment jobs alike.
-func TestDigestKernelWorkersInvariant(t *testing.T) {
-	for name, base := range map[string]JobSpec{
-		"pipeline":   {Pipeline: "insitu", Case: 3},
-		"ocean":      {Pipeline: "post", App: "ocean"},
-		"experiment": {Experiment: "fig4"},
-	} {
-		ref, err := base.Digest()
-		if err != nil {
-			t.Fatalf("%s: Digest: %v", name, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			v := base
-			v.KernelWorkers = workers
-			d, err := v.Digest()
-			if err != nil {
-				t.Fatalf("%s workers=%d: Digest: %v", name, workers, err)
-			}
-			if d != ref {
-				t.Errorf("%s: kernel_workers=%d changed the digest", name, workers)
-			}
-		}
-	}
-	if _, err := (JobSpec{Pipeline: "post", KernelWorkers: -1}).Digest(); err == nil {
-		t.Error("negative kernel_workers passed validation")
-	}
-}
-
 // TestDigestMatchesFmtReference pins the digest preimage to the
 // fmt.Fprintf formulation the strconv appender replaced: any textual
 // drift in the header or canonical form would silently re-key the

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,24 +10,14 @@ import (
 
 // sse.go is the one Server-Sent-Events writer in the repo: the job
 // event stream (GET /v1/jobs/{id}/events) and the campaign progress
-// stream (GET /v1/campaigns/{id}/events) both serialize through
-// StreamSSE, so wire framing, replay-then-follow semantics, and the
-// idle-stream heartbeat behave identically on every endpoint.
+// stream (GET /v1/campaigns/{id}/events) both serve an EventLog, so
+// wire framing, replay-then-follow semantics, and the idle-stream
+// heartbeat behave identically on every endpoint.
 
-// SSEEvent is one wire event: an SSE "event:" name and its JSON
-// "data:" payload.
-type SSEEvent struct {
-	Name string
-	Data []byte
-}
-
-// StreamSSE serves an append-only event sequence as Server-Sent
-// Events. next is the replay-then-follow cursor: given the number of
-// events already written it returns the events past that index,
-// whether the stream is closed (terminal event emitted), and a channel
-// that closes on the next append. StreamSSE replays everything
-// available, then follows live until the stream closes or the client
-// disconnects.
+// Serve streams the log as Server-Sent Events, each event's JSON as
+// the "data:" of an "event:" named by its SSEName: it replays
+// everything logged so far, then follows live until the log closes
+// (terminal event emitted) or the client disconnects.
 //
 // When heartbeat is positive, an idle stream (no event for a full
 // heartbeat interval) emits a `: heartbeat` comment line and flushes
@@ -34,7 +25,7 @@ type SSEEvent struct {
 // sever long-lived watches (a campaign can sit minutes between point
 // completions). Comments are invisible to EventSource clients by
 // specification. Zero or negative disables heartbeats.
-func StreamSSE(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, next func(idx int) ([]SSEEvent, bool, <-chan struct{})) {
+func (l *EventLog[E]) Serve(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
@@ -54,9 +45,13 @@ func StreamSSE(w http.ResponseWriter, r *http.Request, heartbeat time.Duration, 
 
 	idx := 0
 	for {
-		events, closed, wake := next(idx)
+		events, closed, wake := l.After(idx)
 		for _, ev := range events {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Name, ev.Data)
+			data, err := json.Marshal(ev)
+			if err != nil {
+				continue
+			}
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.SSEName(), data)
 		}
 		idx += len(events)
 		if len(events) > 0 {

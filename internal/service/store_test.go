@@ -54,7 +54,7 @@ func TestAttachRechecksStaleTerminal(t *testing.T) {
 			stale := &execution{
 				digest: digest,
 				spec:   norm,
-				log:    newEventLog(),
+				log:    NewEventLog[Event](),
 				ctx:    ctx,
 				cancel: cancel,
 				state:  staleState,
@@ -243,7 +243,7 @@ func TestStoreWarmStart(t *testing.T) {
 	}
 	// The synthesized execution's event log terminates, so SSE
 	// replays close.
-	evs := warm.Events().snapshot()
+	evs, _, _ := warm.Events().After(0)
 	if len(evs) == 0 || !evs[len(evs)-1].Terminal() {
 		t.Errorf("warm job events = %+v, want terminal tail", evs)
 	}

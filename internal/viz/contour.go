@@ -14,13 +14,6 @@ func MarchingSquares(g *heat.Grid, level float64) ([]Segment, int) {
 	return MarchingSquaresInto(nil, g, level)
 }
 
-// MarchingSquaresInto is MarchingSquares appending into dst, letting
-// render loops reuse one segment buffer across frames instead of
-// growing a fresh slice per isoline.
-func MarchingSquaresInto(dst []Segment, g *heat.Grid, level float64) ([]Segment, int) {
-	return marchingSquaresRows(dst, g, level, 0, g.NY-1)
-}
-
 // Cell edges, the coordinates a contour segment endpoint can lie on.
 const (
 	edgeTop = iota
@@ -53,19 +46,18 @@ var msTable = [16][2]uint8{
 	15: {edgeNone, edgeNone},
 }
 
-// marchingSquaresRows extracts the contour of cell rows [y0, y1) only.
-// Cells are scanned in ascending (y, x) order, so concatenating the
-// results of contiguous ascending row bands reproduces the full-grid
-// segment sequence exactly — the property the parallel renderer's
-// ordered merge relies on.
+// MarchingSquaresInto is MarchingSquares appending into dst, letting
+// render loops reuse one segment buffer across frames instead of
+// growing a fresh slice per isoline. Cells are scanned in ascending
+// (y, x) order.
 //
 // The scan classifies each cell with the msTable lookup and hoists the
 // two corner rows into slices, so the common empty/full cells cost four
 // comparisons and a table read with no per-cell closures or At calls.
-func marchingSquaresRows(dst []Segment, g *heat.Grid, level float64, y0, y1 int) ([]Segment, int) {
+func MarchingSquaresInto(dst []Segment, g *heat.Grid, level float64) ([]Segment, int) {
 	segs := dst
 	nx := g.NX
-	for y := y0; y < y1; y++ {
+	for y := 0; y < g.NY-1; y++ {
 		rowT := g.Data[y*nx : y*nx+nx]
 		rowB := g.Data[(y+1)*nx : (y+1)*nx+nx]
 		fy := float64(y)
@@ -125,7 +117,7 @@ func marchingSquaresRows(dst []Segment, g *heat.Grid, level float64, y0, y1 int)
 			tl, bl = tr, br
 		}
 	}
-	return segs, (y1 - y0) * (nx - 1)
+	return segs, (g.NY - 1) * (nx - 1)
 }
 
 // edgePoint returns the interpolated contour crossing on one cell edge.

@@ -7,17 +7,15 @@ import (
 	"sync"
 
 	"repro/internal/heat"
-	"repro/internal/par"
 )
 
 // framePool recycles output rasters between frames and scratchPool the
-// per-render working state (band scratch plus the cached kernels handed
-// to par): pipelines render hundreds of frames of one geometry, so
-// steady-state rendering should not allocate. sync.Pool keeps the reuse
-// safe when several pipelines render concurrently.
+// per-render working state: pipelines render hundreds of frames of one
+// geometry, so steady-state rendering should not allocate. sync.Pool
+// keeps the reuse safe when several pipelines render concurrently.
 var (
 	framePool   sync.Pool
-	scratchPool sync.Pool
+	scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
 )
 
 // acquireRGBA returns a w×h raster, reusing a pooled one when the
@@ -43,71 +41,30 @@ func ReleaseFrame(img *image.RGBA) {
 	}
 }
 
-// rowGrain is the minimum pixel or cell rows per band for the parallel
-// fill and contour passes.
-const rowGrain = 16
-
-// renderScratch is one render call's working state. The two kernels
-// handed to par are built once per scratch and read everything through
-// the receiver, so a pooled scratch makes steady-state renders
-// closure-allocation-free.
+// renderScratch is the working state Render reuses between calls.
 type renderScratch struct {
-	img     *image.RGBA
-	g       *heat.Grid
-	cm      *Colormap
-	lo, inv float64
-	sx, sy  float64
-	width   int
-	level   float64
-
 	// Per-column resample state, precomputed once per render: every pixel
 	// row uses the same horizontal sample positions, so the int(fx) and
 	// weight math runs width times instead of width*height times.
 	colX []int32
 	colW []float64
 
-	// Per-band marching-squares partials, indexed by band; merged into
-	// segs in ascending band order (== serial row order).
-	bands [][]Segment
-	cells []int
-	segs  []Segment
-
-	fillRows func(lo, hi int)
-	march    func(band, lo, hi int)
+	// segs is the contour segment buffer every isoline reuses.
+	segs []Segment
 }
 
-func acquireScratch() *renderScratch {
-	if v := scratchPool.Get(); v != nil {
-		return v.(*renderScratch)
+// prepareColumns fills the per-column resample tables for a width-pixel
+// row over an nx-cell field row (identical values to the per-pixel
+// computation they replace).
+func (rs *renderScratch) prepareColumns(width, nx int, sx float64) {
+	if cap(rs.colX) < width {
+		rs.colX = make([]int32, width)
+		rs.colW = make([]float64, width)
 	}
-	rs := &renderScratch{}
-	rs.fillRows = func(lo, hi int) { rs.fill(lo, hi) }
-	rs.march = func(band, lo, hi int) {
-		segs, cells := marchingSquaresRows(rs.bands[band][:0], rs.g, rs.level, lo, hi)
-		rs.bands[band] = segs
-		rs.cells[band] = cells
-	}
-	return rs
-}
-
-func releaseScratch(rs *renderScratch) {
-	rs.img = nil
-	rs.g = nil
-	scratchPool.Put(rs)
-}
-
-// prepareColumns fills the per-column resample tables for the current
-// geometry (identical values to the per-pixel computation they replace).
-func (rs *renderScratch) prepareColumns() {
-	if cap(rs.colX) < rs.width {
-		rs.colX = make([]int32, rs.width)
-		rs.colW = make([]float64, rs.width)
-	}
-	rs.colX = rs.colX[:rs.width]
-	rs.colW = rs.colW[:rs.width]
-	nx := rs.g.NX
-	for px := 0; px < rs.width; px++ {
-		fx := float64(px) * rs.sx
+	rs.colX = rs.colX[:width]
+	rs.colW = rs.colW[:width]
+	for px := 0; px < width; px++ {
+		fx := float64(px) * sx
 		x0 := int(fx)
 		if x0 >= nx-1 {
 			x0 = nx - 2
@@ -117,22 +74,21 @@ func (rs *renderScratch) prepareColumns() {
 	}
 }
 
-// fill colormaps pixel rows [py0, py1): bilinear field resample, then
-// the colormap lookup. Rows are an exclusive output region of img.
-// The per-row field slices and direct Pix writes keep the inner loop
-// free of bounds checks and interface dispatch; the blend expression is
-// the exact left-to-right form of the naive version, so output bytes
-// are unchanged.
-func (rs *renderScratch) fill(py0, py1 int) {
-	g, img, cm := rs.g, rs.img, rs.cm
-	lo, inv := rs.lo, rs.inv
+// fill colormaps every pixel row of img: bilinear field resample at
+// the prepared columns and row step sy, then the colormap lookup of
+// (v-lo)*inv. The per-row field slices and direct Pix writes keep
+// the inner loop free of bounds checks and interface dispatch; the
+// blend expression is the exact left-to-right form of the naive
+// version, so output bytes are unchanged.
+func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, inv, sy float64) {
 	gnx := g.NX
 	colX, colW := rs.colX, rs.colW
+	width := len(colX)
 	lut, stops, seg := cm.lut, cm.stops, cm.seg
 	first := cm.colors[0]
 	last := cm.colors[len(cm.colors)-1]
-	for py := py0; py < py1; py++ {
-		fy := float64(py) * rs.sy
+	for py := 0; py < img.Rect.Dy(); py++ {
+		fy := float64(py) * sy
 		y0 := int(fy)
 		if y0 >= g.NY-1 {
 			y0 = g.NY - 2
@@ -142,9 +98,9 @@ func (rs *renderScratch) fill(py0, py1 int) {
 		r0 := g.Data[y0*gnx : y0*gnx+gnx]
 		r1 := g.Data[(y0+1)*gnx : (y0+1)*gnx+gnx]
 		off := img.PixOffset(0, py)
-		row := img.Pix[off : off+rs.width*4]
+		row := img.Pix[off : off+width*4]
 		o := 0
-		for px := 0; px < rs.width; px++ {
+		for px := 0; px < width; px++ {
 			x0 := int(colX[px])
 			wx := colW[px]
 			omwx := 1 - wx
@@ -201,10 +157,6 @@ type RenderOptions struct {
 	Isolines []float64
 	// IsolineColor is the overlay color (default white).
 	IsolineColor color.RGBA
-	// Workers caps how many par workers the fill and contour passes may
-	// use; 0 means GOMAXPROCS. Output bytes are identical at any
-	// setting.
-	Workers int
 }
 
 // DefaultRenderOptions returns the pipelines' 512×512 auto-scaled
@@ -243,37 +195,19 @@ func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	inv := 1 / (hi - lo)
 
 	img := acquireRGBA(opts.Width, opts.Height)
-	rs := acquireScratch()
-	rs.img, rs.g, rs.cm = img, g, cm
-	rs.lo, rs.inv = lo, inv
-	rs.sx = float64(g.NX-1) / float64(max(opts.Width-1, 1))
-	rs.sy = float64(g.NY-1) / float64(max(opts.Height-1, 1))
-	rs.width = opts.Width
-	rs.prepareColumns()
-
-	var stats RenderStats
-	par.ForLimit(opts.Workers, opts.Height, rowGrain, rs.fillRows)
-	stats.Pixels = opts.Width * opts.Height
+	rs := scratchPool.Get().(*renderScratch)
+	rs.prepareColumns(opts.Width, g.NX, float64(g.NX-1)/float64(max(opts.Width-1, 1)))
+	rs.fill(img, g, cm, lo, inv, float64(g.NY-1)/float64(max(opts.Height-1, 1)))
+	stats := RenderStats{Pixels: opts.Width * opts.Height}
 
 	lineColor := opts.IsolineColor
 	if lineColor.A == 0 {
 		lineColor = color.RGBA{255, 255, 255, 255}
 	}
-	cellRows := g.NY - 1
 	for _, level := range opts.Isolines {
-		count := par.Bands(opts.Workers, cellRows, rowGrain)
-		for len(rs.bands) < count {
-			rs.bands = append(rs.bands, nil)
-			rs.cells = append(rs.cells, 0)
-		}
-		rs.level = level
-		rs.segs = rs.segs[:0]
-		// The ordered merge concatenates band partials ascending, which
-		// is exactly the serial row-scan segment sequence.
-		par.Reduce(opts.Workers, cellRows, rowGrain, rs.march, func(band int) {
-			rs.segs = append(rs.segs, rs.bands[band]...)
-			stats.ContourCells += rs.cells[band]
-		})
+		var cells int
+		rs.segs, cells = MarchingSquaresInto(rs.segs[:0], g, level)
+		stats.ContourCells += cells
 		stats.Segments += len(rs.segs)
 		scaleX := float64(opts.Width-1) / float64(g.NX-1)
 		scaleY := float64(opts.Height-1) / float64(g.NY-1)
@@ -284,7 +218,7 @@ func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 				lineColor)
 		}
 	}
-	releaseScratch(rs)
+	scratchPool.Put(rs)
 	return img, stats
 }
 

@@ -1,7 +1,11 @@
 #!/bin/sh
 # bench.sh — run the repo benchmark set and record a JSON summary.
 #
-# Usage: scripts/bench.sh [output.json]
+# Usage: scripts/bench.sh output.json
+#
+# The output path is required and must not be a git-tracked file, so a
+# run never overwrites a committed BENCH_*.json baseline; name a new
+# ledger (BENCH_pr<N>.json) or a scratch file.
 #
 # Three passes feed one JSON file:
 #
@@ -23,21 +27,26 @@
 #   1b. The suite pass: the serial-vs-parallel full-suite pair, one
 #      iteration each (they run the whole 24-experiment registry,
 #      ~30 s/op).
-#   2. The kernel scaling pass: the par-engine kernels (heat/ocean
-#      BenchmarkStep128, viz BenchmarkRender512, BenchmarkCheckpointEncode,
-#      par BenchmarkFor) at -cpu 1,2,4, also min-of-COUNT. Names are
-#      recorded as pkg/Benchmark-N so the per-worker-count scaling is
-#      explicit. On a single-core host the -cpu 2/4 rows measure
-#      oversubscription, not scaling — the recorded "cores" field says
-#      whether scaling was measurable, and bench_compare treats the
-#      suffixed rows as informational.
+#   2. The kernel pass: the serial hot kernels (heat/ocean
+#      BenchmarkStep128, viz BenchmarkRender512, checkpoint
+#      BenchmarkCheckpointEncode) at -cpu 1, also min-of-COUNT. Names
+#      are recorded as pkg/Benchmark so kernels with equal benchmark
+#      names stay apart.
 #
-# Host details (cores, GOMAXPROCS) are recorded so single-core runs
-# are not mistaken for regressions.
+# Host details (CPU model, core count) are recorded so runs on
+# different hosts are not mistaken for regressions.
 set -eu
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_pr10.json}"
+if [ $# -ne 1 ]; then
+    echo "usage: scripts/bench.sh output.json" >&2
+    exit 2
+fi
+out="$1"
+if git ls-files --error-unmatch -- "$out" >/dev/null 2>&1; then
+    echo "bench.sh: $out is tracked by git; refusing to overwrite a committed ledger" >&2
+    exit 2
+fi
 raw="$(mktemp)"
 rawk="$(mktemp)"
 trap 'rm -f "$raw" "$rawk"' EXIT
@@ -53,10 +62,10 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkCheckpointEncode|BenchmarkFor)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkCheckpointEncode)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
-    -cpu 1,2,4 \
-    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/par | tee "$rawk"
+    -cpu 1 \
+    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint | tee "$rawk"
 
 awk -v ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" '
 BEGIN { n = 0; kernel = 0 }

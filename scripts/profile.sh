@@ -9,9 +9,8 @@
 #   scripts/profile.sh insitu         # profile one pipeline run
 #
 # Builds the real greenviz binary (profiles of `go run` attribute time
-# to the toolchain), runs the target serially (GOMAXPROCS=1
-# -kernel-workers 1 — the serial hot path is what the perf-ledger
-# gates), and writes:
+# to the toolchain), runs the target serially (GOMAXPROCS=1 — the
+# serial hot path is what the perf-ledger gates), and writes:
 #
 #   <outdir>/<target>.cpu.pprof    CPU profile of the run
 #   <outdir>/<target>.heap.pprof   allocation profile (alloc_space and
@@ -46,7 +45,7 @@ else
     mode="-pipeline"
 fi
 
-GOMAXPROCS=1 "$bin" "$mode" "$target" -kernel-workers 1 -quiet \
+GOMAXPROCS=1 "$bin" "$mode" "$target" -quiet \
     -cpuprofile "$cpu" -memprofile "$heap" >/dev/null
 
 echo "wrote $cpu"
