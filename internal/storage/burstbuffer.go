@@ -202,7 +202,7 @@ func (b *BurstBuffer) drainStep() {
 		b.draining = false
 		return
 	}
-	r := b.resident.Ranges()[0]
+	r := b.resident.First()
 	b.resident.Remove(r)
 	b.stats.DrainedBytes += r.Len()
 	b.backing.Submit(OpWrite, r.Start, r.Len(), func() {

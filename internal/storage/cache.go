@@ -234,15 +234,8 @@ func (c *PageCache) SyncRanges(ranges []Range) {
 
 // DropCaches evicts clean pages (echo 1 > drop_caches). Dirty pages
 // stay resident, as on Linux; call Sync first to empty the cache fully.
-func (c *PageCache) DropCaches() {
-	clean := c.cached.Clone()
-	for _, d := range c.dirty.Ranges() {
-		clean.Remove(d)
-	}
-	for _, r := range clean.Ranges() {
-		c.cached.Remove(r)
-	}
-}
+// Dirty pages are always cached, so what stays is exactly the dirty set.
+func (c *PageCache) DropCaches() { c.cached = *c.dirty.Clone() }
 
 // Invalidate drops a range from the cache entirely (file deletion).
 // Dirty data in the range is discarded without reaching media.

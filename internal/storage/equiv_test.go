@@ -1,0 +1,310 @@
+package storage
+
+import (
+	"sort"
+	"testing"
+
+	"repro/internal/units"
+	"repro/internal/xrand"
+)
+
+// flatSet is the range set as it was before the chunked layout: one
+// sorted slice edited in place, with Bytes summed on demand. The
+// chunked RangeSet must agree with it after every operation.
+type flatSet struct {
+	ranges []Range
+}
+
+func (s *flatSet) Bytes() units.Bytes {
+	var n units.Bytes
+	for _, r := range s.ranges {
+		n += r.Len()
+	}
+	return n
+}
+
+func (s *flatSet) firstAtOrAfter(off units.Bytes) int {
+	return sort.Search(len(s.ranges), func(i int) bool {
+		return s.ranges[i].End > off
+	})
+}
+
+func (s *flatSet) Add(r Range) {
+	if r.Empty() {
+		return
+	}
+	i := sort.Search(len(s.ranges), func(i int) bool {
+		return s.ranges[i].End >= r.Start
+	})
+	j := i
+	for j < len(s.ranges) && s.ranges[j].Start <= r.End {
+		if s.ranges[j].Start < r.Start {
+			r.Start = s.ranges[j].Start
+		}
+		if s.ranges[j].End > r.End {
+			r.End = s.ranges[j].End
+		}
+		j++
+	}
+	if i == j {
+		s.ranges = append(s.ranges, Range{})
+		copy(s.ranges[i+1:], s.ranges[i:])
+		s.ranges[i] = r
+		return
+	}
+	s.ranges[i] = r
+	s.ranges = append(s.ranges[:i+1], s.ranges[j:]...)
+}
+
+func (s *flatSet) Remove(r Range) {
+	if r.Empty() {
+		return
+	}
+	i := s.firstAtOrAfter(r.Start)
+	j := i
+	for j < len(s.ranges) && s.ranges[j].Start < r.End {
+		j++
+	}
+	if i == j {
+		return
+	}
+	left := Range{s.ranges[i].Start, r.Start}
+	right := Range{r.End, s.ranges[j-1].End}
+	frags := 0
+	if !left.Empty() {
+		frags++
+	}
+	if !right.Empty() {
+		frags++
+	}
+	switch d := (j - i) - frags; {
+	case d < 0:
+		s.ranges = append(s.ranges, Range{})
+		copy(s.ranges[j+1:], s.ranges[j:])
+	case d > 0:
+		s.ranges = append(s.ranges[:i+frags], s.ranges[j:]...)
+	}
+	k := i
+	if !left.Empty() {
+		s.ranges[k] = left
+		k++
+	}
+	if !right.Empty() {
+		s.ranges[k] = right
+	}
+}
+
+func (s *flatSet) Contains(r Range) bool {
+	if r.Empty() {
+		return true
+	}
+	i := s.firstAtOrAfter(r.Start)
+	return i < len(s.ranges) && s.ranges[i].Contains(r)
+}
+
+func (s *flatSet) Intersect(r Range) []Range {
+	var out []Range
+	if r.Empty() {
+		return out
+	}
+	for i := s.firstAtOrAfter(r.Start); i < len(s.ranges); i++ {
+		cur := s.ranges[i]
+		if cur.Start >= r.End {
+			break
+		}
+		seg := Range{max64(cur.Start, r.Start), min64(cur.End, r.End)}
+		if !seg.Empty() {
+			out = append(out, seg)
+		}
+	}
+	return out
+}
+
+func (s *flatSet) Gaps(r Range) []Range {
+	var out []Range
+	if r.Empty() {
+		return out
+	}
+	pos := r.Start
+	for _, seg := range s.Intersect(r) {
+		if seg.Start > pos {
+			out = append(out, Range{pos, seg.Start})
+		}
+		pos = seg.End
+	}
+	if pos < r.End {
+		out = append(out, Range{pos, r.End})
+	}
+	return out
+}
+
+func (s *flatSet) TakeFrom(from units.Bytes, budget units.Bytes) []Range {
+	if budget <= 0 || len(s.ranges) == 0 {
+		return nil
+	}
+	var taken []Range
+	start := s.firstAtOrAfter(from)
+	n := len(s.ranges)
+	for k := 0; k < n && budget > 0; k++ {
+		r := s.ranges[(start+k)%n]
+		if r.Len() > budget {
+			r = Range{r.Start, r.Start + budget}
+		}
+		taken = append(taken, r)
+		budget -= r.Len()
+	}
+	for _, r := range taken {
+		s.Remove(r)
+	}
+	sort.Slice(taken, func(i, j int) bool {
+		ai, aj := taken[i].Start >= from, taken[j].Start >= from
+		if ai != aj {
+			return ai
+		}
+		return taken[i].Start < taken[j].Start
+	})
+	return taken
+}
+
+// checkAgainstFlat asserts that s holds exactly ref's ranges in a
+// well-formed chunk list, and that its count and byte total match the
+// ranges it holds.
+func checkAgainstFlat(t *testing.T, step int, s *RangeSet, ref *flatSet) {
+	t.Helper()
+	k := 0
+	var sum units.Bytes
+	for c, ch := range s.chunks {
+		if len(ch) == 0 || len(ch) > 2*chunkRanges {
+			t.Fatalf("step %d: chunk %d holds %d ranges, want 1..%d", step, c, len(ch), 2*chunkRanges)
+		}
+		for _, r := range ch {
+			if k >= len(ref.ranges) {
+				t.Fatalf("step %d: set holds more than the reference's %d ranges", step, len(ref.ranges))
+			}
+			if r != ref.ranges[k] {
+				t.Fatalf("step %d: range %d (chunk %d) = %v, reference %v", step, k, c, r, ref.ranges[k])
+			}
+			sum += r.Len()
+			k++
+		}
+	}
+	if k != len(ref.ranges) || s.Len() != k {
+		t.Fatalf("step %d: set walks %d ranges, Len %d, reference %d", step, k, s.Len(), len(ref.ranges))
+	}
+	if s.Bytes() != sum || sum != ref.Bytes() {
+		t.Fatalf("step %d: Bytes %d, range sum %d, reference %d", step, s.Bytes(), sum, ref.Bytes())
+	}
+}
+
+// TestRangeSetMatchesFlatReference drives the chunked set and the flat
+// reference through the same randomized Add/Remove/TakeFrom sequence,
+// long enough to hold thousands of ranges, so windows cross many chunk
+// splits and drops. After every operation the sets must hold the same
+// ranges, and random Contains/Intersect/Gaps probes (some spanning
+// many chunks) must answer alike.
+func TestRangeSetMatchesFlatReference(t *testing.T) {
+	const universe = 1 << 24
+	rng := xrand.New(13)
+	s, ref := &RangeSet{}, &flatSet{}
+	randRange := func() Range {
+		start := units.Bytes(rng.Int64n(universe))
+		n := units.Bytes(rng.Int64n(256))
+		if rng.Intn(500) == 0 {
+			n = units.Bytes(rng.Int64n(universe / 32)) // bridges or cuts many chunks
+		}
+		return Range{start, start + n}
+	}
+	// straddle returns, one time in 50, a range from inside the last
+	// range of one chunk to inside the first range of a later one (as an
+	// add it bridges chunks, as a remove it cuts ranges at chunk edges),
+	// and otherwise a random range.
+	straddle := func() Range {
+		if len(s.chunks) < 2 || rng.Intn(50) != 0 {
+			return randRange()
+		}
+		c := rng.Intn(len(s.chunks) - 1)
+		d := c + 1
+		if rng.Intn(50) == 0 {
+			d = min(c+2, len(s.chunks)-1) // swallows a whole chunk
+		}
+		a, b := s.chunks[c][len(s.chunks[c])-1], s.chunks[d][0]
+		return Range{a.Start + units.Bytes(rng.Int64n(int64(a.Len()))), b.Start + 1 + units.Bytes(rng.Int64n(int64(b.Len())))}
+	}
+	step, peak, peakChunks := 0, 0, 0
+	for round := 0; round < 2; round++ {
+		for _, phase := range []struct{ add, remove, ops int }{
+			{add: 90, remove: 8, ops: 10000}, // grow to thousands of ranges
+			{add: 30, remove: 40, ops: 6000},
+			{add: 5, remove: 15, ops: 3000}, // drain chunk by chunk, as write-back does
+		} {
+			for i := 0; i < phase.ops; i++ {
+				step++
+				switch roll := rng.Intn(100); {
+				case roll < phase.add:
+					r := straddle()
+					s.Add(r)
+					ref.Add(r)
+				case roll < phase.add+phase.remove:
+					r := straddle()
+					s.Remove(r)
+					ref.Remove(r)
+				default:
+					from := units.Bytes(rng.Int64n(universe + 1024))
+					budget := units.Bytes(rng.Int64n(4 << 10))
+					got, want := s.TakeFrom(from, budget), ref.TakeFrom(from, budget)
+					if !equalRanges(got, want) {
+						t.Fatalf("step %d: TakeFrom(%d, %d) = %v, reference %v", step, from, budget, got, want)
+					}
+				}
+				checkAgainstFlat(t, step, s, ref)
+				peak, peakChunks = max(peak, s.Len()), max(peakChunks, len(s.chunks))
+				for p := 0; p < 3; p++ {
+					r := randRange()
+					if got, want := s.Contains(r), ref.Contains(r); got != want {
+						t.Fatalf("step %d: Contains(%v) = %v, reference %v", step, r, got, want)
+					}
+					if got, want := s.Intersect(r), ref.Intersect(r); !equalRanges(got, want) {
+						t.Fatalf("step %d: Intersect(%v) = %v, reference %v", step, r, got, want)
+					}
+					if got, want := s.Gaps(r), ref.Gaps(r); !equalRanges(got, want) {
+						t.Fatalf("step %d: Gaps(%v) = %v, reference %v", step, r, got, want)
+					}
+				}
+			}
+		}
+	}
+	if peak < 2000 || peakChunks < 10 {
+		t.Fatalf("sequence peaked at %d ranges in %d chunks: too few to cross chunk boundaries", peak, peakChunks)
+	}
+	t.Logf("%d steps, peak %d ranges in %d chunks", step, peak, peakChunks)
+}
+
+// TestRangeSetTakeFromWrapsPastLastChunk takes a budget that starts in
+// the last chunk and runs on through the first chunks, and checks the
+// taken ranges and what remains against the flat reference.
+func TestRangeSetTakeFromWrapsPastLastChunk(t *testing.T) {
+	s, ref := &RangeSet{}, &flatSet{}
+	for i := units.Bytes(0); i < 20*chunkRanges; i++ {
+		r := Range{i * 100, i*100 + 10}
+		s.Add(r)
+		ref.Add(r)
+	}
+	if len(s.chunks) < 4 {
+		t.Fatalf("%d ranges fill only %d chunks", s.Len(), len(s.chunks))
+	}
+	// Start inside a range halfway through the last chunk; the budget
+	// outlasts the last chunk by more than the first chunk.
+	last := s.chunks[len(s.chunks)-1]
+	from := last[len(last)/2].Start + 5
+	firstEnd := s.chunks[0][len(s.chunks[0])-1].End
+	budget := units.Bytes(3*chunkRanges) * 10
+	got, want := s.TakeFrom(from, budget), ref.TakeFrom(from, budget)
+	if !equalRanges(got, want) {
+		t.Fatalf("TakeFrom(%d, %d) = %v, reference %v", from, budget, got, want)
+	}
+	if got[0].Start < from || got[len(got)-2].End <= firstEnd {
+		t.Fatalf("TakeFrom(%d) = %v..%v, want a sweep from %d wrapping past offset %d",
+			from, got[0], got[len(got)-1], from, firstEnd)
+	}
+	checkAgainstFlat(t, 1, s, ref)
+}

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/units"
@@ -32,48 +33,87 @@ func (r Range) Contains(s Range) bool { return r.Start <= s.Start && s.End <= r.
 
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 
+// chunkRanges is how many ranges a chunk keeps when it splits; a chunk
+// splits once it holds more than twice this. An edit then copies a
+// bounded number of ranges, and the chunk list stays short enough that
+// inserting or dropping a chunk is cheap.
+const chunkRanges = 128
+
 // RangeSet is a set of byte offsets stored as sorted, non-overlapping,
 // non-adjacent ranges. It backs the page cache's cached/dirty tracking.
 // The zero value is an empty, ready-to-use set.
+//
+// The ranges live in an ascending list of chunks, each a sorted,
+// non-empty slice of at most 2*chunkRanges ranges that shares no memory
+// with another chunk. A lookup binary-searches the chunks by their last
+// End and then the chunk, so an edit costs O(log n) plus a copy bounded
+// by the chunk size. The set also keeps its range count and byte total,
+// so Len and Bytes are O(1): the page cache reads Bytes twice per write.
 type RangeSet struct {
-	ranges []Range
+	chunks [][]Range
+	n      int
+	bytes  units.Bytes
 }
+
+// loc addresses the range chunks[c][i]; {len(chunks), 0} is the end.
+type loc struct{ c, i int }
 
 // Len returns the number of maximal ranges in the set.
-func (s *RangeSet) Len() int { return len(s.ranges) }
+func (s *RangeSet) Len() int { return s.n }
 
 // Bytes returns the total number of bytes covered.
-func (s *RangeSet) Bytes() units.Bytes {
-	var n units.Bytes
-	for _, r := range s.ranges {
-		n += r.Len()
+func (s *RangeSet) Bytes() units.Bytes { return s.bytes }
+
+// Ranges returns a copy of the maximal ranges in ascending order.
+func (s *RangeSet) Ranges() []Range {
+	out := make([]Range, 0, s.n)
+	for _, ch := range s.chunks {
+		out = append(out, ch...)
 	}
-	return n
+	return out
 }
 
-// Ranges returns the maximal ranges in ascending order. The slice is
-// owned by the set; callers must not modify it.
-func (s *RangeSet) Ranges() []Range { return s.ranges }
+// First returns the lowest range. The set must not be empty.
+func (s *RangeSet) First() Range { return s.chunks[0][0] }
 
 // Empty reports whether the set covers no bytes.
-func (s *RangeSet) Empty() bool { return len(s.ranges) == 0 }
+func (s *RangeSet) Empty() bool { return s.n == 0 }
 
 // Clear removes all ranges.
-func (s *RangeSet) Clear() { s.ranges = s.ranges[:0] }
+func (s *RangeSet) Clear() { *s = RangeSet{} }
 
 // Clone returns an independent copy of the set.
 func (s *RangeSet) Clone() *RangeSet {
-	c := &RangeSet{ranges: make([]Range, len(s.ranges))}
-	copy(c.ranges, s.ranges)
+	c := &RangeSet{chunks: make([][]Range, len(s.chunks)), n: s.n, bytes: s.bytes}
+	for i, ch := range s.chunks {
+		c.chunks[i] = slices.Clone(ch)
+	}
 	return c
 }
 
-// firstAtOrAfter returns the index of the first range whose End is
+func (s *RangeSet) at(p loc) Range { return s.chunks[p.c][p.i] }
+
+// next returns the position after p, moving on to the next chunk at a
+// chunk's end.
+func (s *RangeSet) next(p loc) loc {
+	if p.i++; p.i == len(s.chunks[p.c]) {
+		return loc{p.c + 1, 0}
+	}
+	return p
+}
+
+// firstAtOrAfter returns the position of the first range whose End is
 // greater than off (the first range that could overlap or follow off).
-func (s *RangeSet) firstAtOrAfter(off units.Bytes) int {
-	return sort.Search(len(s.ranges), func(i int) bool {
-		return s.ranges[i].End > off
+func (s *RangeSet) firstAtOrAfter(off units.Bytes) loc {
+	c := sort.Search(len(s.chunks), func(c int) bool {
+		ch := s.chunks[c]
+		return ch[len(ch)-1].End > off
 	})
+	if c == len(s.chunks) {
+		return loc{c, 0}
+	}
+	ch := s.chunks[c]
+	return loc{c, sort.Search(len(ch), func(i int) bool { return ch[i].End > off })}
 }
 
 // Add inserts [r.Start, r.End), merging with overlapping or adjacent
@@ -82,75 +122,90 @@ func (s *RangeSet) Add(r Range) {
 	if r.Empty() {
 		return
 	}
-	// Find the window of existing ranges that touch [Start-0, End+0]
-	// (adjacency merges too, hence <=).
-	i := sort.Search(len(s.ranges), func(i int) bool {
-		return s.ranges[i].End >= r.Start
-	})
-	j := i
-	for j < len(s.ranges) && s.ranges[j].Start <= r.End {
-		if s.ranges[j].Start < r.Start {
-			r.Start = s.ranges[j].Start
-		}
-		if s.ranges[j].End > r.End {
-			r.End = s.ranges[j].End
-		}
-		j++
+	// Find the window of existing ranges that touch [Start-0, End+0]:
+	// adjacency merges too, so it starts at the first End >= r.Start.
+	p := s.firstAtOrAfter(r.Start - 1)
+	q := p
+	for ; q.c < len(s.chunks) && s.at(q).Start <= r.End; q = s.next(q) {
+		cur := s.at(q)
+		r = Range{min64(r.Start, cur.Start), max64(r.End, cur.End)}
 	}
-	if i == j {
-		s.ranges = append(s.ranges, Range{})
-		copy(s.ranges[i+1:], s.ranges[i:])
-		s.ranges[i] = r
-		return
-	}
-	s.ranges[i] = r
-	s.ranges = append(s.ranges[:i+1], s.ranges[j:]...)
+	s.replace(p, q, r)
 }
 
 // Remove deletes [r.Start, r.End) from the set, splitting ranges that
-// straddle the boundary. It edits the range slice in place: only the
-// first and last overlapped ranges can leave fragments behind, so a
-// removal is a bounded window rewrite plus one tail move, never a copy
-// of the whole set (this sits under every page-cache write-back).
+// straddle the boundary. Only the first and last overlapped ranges can
+// leave fragments behind.
 func (s *RangeSet) Remove(r Range) {
 	if r.Empty() {
 		return
 	}
-	i := s.firstAtOrAfter(r.Start)
-	j := i
-	for j < len(s.ranges) && s.ranges[j].Start < r.End {
-		j++
+	p := s.firstAtOrAfter(r.Start)
+	q := p
+	var last Range
+	for ; q.c < len(s.chunks) && s.at(q).Start < r.End; q = s.next(q) {
+		last = s.at(q)
 	}
-	if i == j {
+	if p == q {
 		return // nothing overlaps
 	}
-	// Every range in [i, j) overlaps r. Fragments survive only at the
-	// window edges.
-	left := Range{s.ranges[i].Start, r.Start}
-	right := Range{r.End, s.ranges[j-1].End}
-	frags := 0
-	if !left.Empty() {
-		frags++
+	var frags [2]Range
+	k := 0
+	for _, f := range [2]Range{{s.at(p).Start, r.Start}, {r.End, last.End}} {
+		if !f.Empty() {
+			frags[k] = f
+			k++
+		}
 	}
-	if !right.Empty() {
-		frags++
+	s.replace(p, q, frags[:k]...)
+}
+
+// replace rewrites the window [p, q) of ranges, which may cross chunk
+// boundaries, as repl, keeping the count and byte total in step. repl
+// must fit between the window's neighbours in order.
+func (s *RangeSet) replace(p, q loc, repl ...Range) {
+	for x := p; x != q; x = s.next(x) {
+		s.bytes -= s.at(x).Len()
+		s.n--
 	}
-	switch d := (j - i) - frags; {
-	case d < 0:
-		// One range splits into two: open one slot at j.
-		s.ranges = append(s.ranges, Range{})
-		copy(s.ranges[j+1:], s.ranges[j:])
-	case d > 0:
-		s.ranges = append(s.ranges[:i+frags], s.ranges[j:]...)
+	for _, r := range repl {
+		s.bytes += r.Len()
 	}
-	k := i
-	if !left.Empty() {
-		s.ranges[k] = left
-		k++
+	s.n += len(repl)
+
+	// Pin the window to chunks p.c..q.c, with q.i an end index in q.c.
+	switch {
+	case p.c == len(s.chunks) && p.c == 0:
+		s.chunks = append(s.chunks, nil)
+		q = p
+	case p.c == len(s.chunks):
+		p = loc{p.c - 1, len(s.chunks[p.c-1])}
+		q = p
+	case q.i == 0 && q.c > p.c:
+		q = loc{q.c - 1, len(s.chunks[q.c-1])}
 	}
-	if !right.Empty() {
-		s.ranges[k] = right
+	ch := s.chunks[p.c]
+	if p.c == q.c {
+		ch = slices.Replace(ch, p.i, q.i, repl...)
+	} else {
+		ch = append(slices.Replace(ch, p.i, len(ch), repl...), s.chunks[q.c][q.i:]...)
+		s.chunks = slices.Delete(s.chunks, p.c+1, q.c+1)
 	}
+	if len(ch) == 0 {
+		s.chunks = slices.Delete(s.chunks, p.c, p.c+1)
+		return
+	}
+	// Split an oversized chunk: the head keeps its memory, the rest
+	// moves to a fresh chunk.
+	c := p.c
+	for len(ch) > 2*chunkRanges {
+		rest := slices.Clone(ch[chunkRanges:])
+		s.chunks[c] = ch[:chunkRanges]
+		c++
+		s.chunks = slices.Insert(s.chunks, c, rest)
+		ch = rest
+	}
+	s.chunks[c] = ch
 }
 
 // Contains reports whether every byte of r is in the set.
@@ -158,8 +213,8 @@ func (s *RangeSet) Contains(r Range) bool {
 	if r.Empty() {
 		return true
 	}
-	i := s.firstAtOrAfter(r.Start)
-	return i < len(s.ranges) && s.ranges[i].Contains(r)
+	p := s.firstAtOrAfter(r.Start)
+	return p.c < len(s.chunks) && s.at(p).Contains(r)
 }
 
 // Intersect returns the portions of r covered by the set, in order.
@@ -168,8 +223,8 @@ func (s *RangeSet) Intersect(r Range) []Range {
 	if r.Empty() {
 		return out
 	}
-	for i := s.firstAtOrAfter(r.Start); i < len(s.ranges); i++ {
-		cur := s.ranges[i]
+	for p := s.firstAtOrAfter(r.Start); p.c < len(s.chunks); p = s.next(p) {
+		cur := s.at(p)
 		if cur.Start >= r.End {
 			break
 		}
@@ -205,19 +260,22 @@ func (s *RangeSet) Gaps(r Range) []Range {
 // elevator sweep order used by the write-back daemon. The final range
 // may be split to honor the budget exactly.
 func (s *RangeSet) TakeFrom(from units.Bytes, budget units.Bytes) []Range {
-	if budget <= 0 || len(s.ranges) == 0 {
+	if budget <= 0 || s.n == 0 {
 		return nil
 	}
 	var taken []Range
-	start := s.firstAtOrAfter(from)
-	n := len(s.ranges)
-	for k := 0; k < n && budget > 0; k++ {
-		r := s.ranges[(start+k)%n]
+	p := s.firstAtOrAfter(from)
+	for k := 0; k < s.n && budget > 0; k++ {
+		if p.c == len(s.chunks) {
+			p = loc{} // wrap around past the last chunk
+		}
+		r := s.at(p)
 		if r.Len() > budget {
 			r = Range{r.Start, r.Start + budget}
 		}
 		taken = append(taken, r)
 		budget -= r.Len()
+		p = s.next(p)
 	}
 	for _, r := range taken {
 		s.Remove(r)

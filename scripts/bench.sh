@@ -29,9 +29,11 @@
 #      ~30 s/op).
 #   2. The kernel pass: the serial hot kernels (heat/ocean
 #      BenchmarkStep128, viz BenchmarkRender512, checkpoint
-#      BenchmarkCheckpointEncode) at -cpu 1, also min-of-COUNT. Names
-#      are recorded as pkg/Benchmark so kernels with equal benchmark
-#      names stay apart.
+#      BenchmarkCheckpointEncode) and the storage layer (fio
+#      BenchmarkRandWrite: one 64 MiB random-write test, nearly all
+#      page-cache range bookkeeping) at -cpu 1, also min-of-COUNT.
+#      Names are recorded as pkg/Benchmark so kernels with equal
+#      benchmark names stay apart.
 #
 # Host details (CPU model, core count) are recorded so runs on
 # different hosts are not mistaken for regressions.
@@ -62,10 +64,10 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkCheckpointEncode)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
-    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint | tee "$rawk"
+    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
 
 awk -v ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" '
 BEGIN { n = 0; kernel = 0 }
