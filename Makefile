@@ -22,8 +22,9 @@ static:
 # report against the committed golden digest), the golden-output
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
-# they are skipped there and must run here explicitly), and a short
-# fuzz pass over the checkpoint decoder (seeds plus 10s of mutation).
+# they are skipped there and must run here explicitly), and short
+# fuzz passes over the checkpoint decoder and the PNG encoder (seeds
+# plus 10s of mutation each).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -32,6 +33,7 @@ check: static
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

@@ -28,6 +28,30 @@ func TestRenderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodePNGSteadyStateAllocs pins the encoder's budget: once its
+// pooled state is warm, a frame costs one allocation, the returned
+// blob.
+func TestEncodePNGSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, so steady-state allocation counts don't hold")
+	}
+	img := solverFrame("heat", 80)
+	defer ReleaseFrame(img)
+	for i := 0; i < 3; i++ { // warm the pool
+		if _, err := EncodePNG(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := EncodePNG(img); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 1 {
+		t.Errorf("steady-state EncodePNG allocates %.1f objects/frame, want <= 1", avg)
+	}
+}
+
 // TestRenderReusesReleasedFrame checks the pool actually hands a
 // released raster back for matching geometry.
 func TestRenderReusesReleasedFrame(t *testing.T) {

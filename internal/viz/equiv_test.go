@@ -1,13 +1,20 @@
 package viz
 
 import (
+	"bytes"
+	"compress/zlib"
+	"encoding/binary"
+	"image"
 	"image/color"
+	"image/png"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/heat"
+	"repro/internal/ocean"
 )
 
 // referenceMap is Colormap.Map as written before the lookup-table
@@ -207,4 +214,237 @@ func TestMarchingSquaresMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stdlibPNG is the reference encoder EncodePNG replaced: image/png at
+// BestSpeed.
+func stdlibPNG(tb testing.TB, img *image.RGBA) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := (&png.Encoder{CompressionLevel: png.BestSpeed}).Encode(&buf, img); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkEncodePNG fails unless EncodePNG writes image/png's bytes, and
+// returns them.
+func checkEncodePNG(tb testing.TB, name string, img *image.RGBA) []byte {
+	tb.Helper()
+	got, err := EncodePNG(img)
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	want := stdlibPNG(tb, img)
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		tb.Fatalf("%s (%v): %d bytes, image/png %d; first difference at byte %d", name, img.Rect, len(got), len(want), i)
+	}
+	return got
+}
+
+// countRowFilters adds the filter type of each row of an 8-bit RGB or
+// RGBA PNG to counts.
+func countRowFilters(tb testing.TB, data []byte, counts *[5]int) {
+	tb.Helper()
+	var idat []byte
+	var w, bpp int
+	for p := len(pngSignature); p+8 <= len(data); {
+		n := int(binary.BigEndian.Uint32(data[p:]))
+		body := data[p+8 : p+8+n]
+		switch string(data[p+4 : p+8]) {
+		case "IHDR":
+			w, bpp = int(binary.BigEndian.Uint32(body)), 3
+			if body[9] == ctTrueColorAlpha {
+				bpp = 4
+			}
+		case "IDAT":
+			idat = append(idat, body...)
+		}
+		p += 12 + n
+	}
+	zr, err := zlib.NewReader(bytes.NewReader(idat))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < len(raw); i += 1 + bpp*w {
+		counts[raw[i]]++
+	}
+}
+
+// solverFrame renders and annotates a default heat or ocean field
+// after steps solver steps, with the app's pipeline colormap and
+// isolines at 512×512.
+func solverFrame(app string, steps int) *image.RGBA {
+	var g *heat.Grid
+	opts := DefaultRenderOptions()
+	switch app {
+	case "heat":
+		s := heat.NewSolver(heat.DefaultParams())
+		s.Step(steps)
+		g = s.Field()
+		opts.Colormap, opts.Isolines = Inferno(), []float64{250, 500, 750}
+	case "ocean":
+		s := ocean.NewSolver(ocean.DefaultParams())
+		s.Step(steps)
+		g = s.Field()
+		opts.Colormap, opts.Isolines = CoolWarm(), []float64{0}
+	default:
+		panic("unknown app " + app)
+	}
+	img, _ := Render(g, opts)
+	lo, hi := g.MinMax()
+	Annotate(img, AnnotateOptions{Step: uint64(steps), SimTime: float64(steps) / 4, Colormap: opts.Colormap, Lo: lo, Hi: hi})
+	return img
+}
+
+// randomRaster fills a w×h raster. Opaque rasters get random colours;
+// translucent ones random alpha from 0, 255 and partial values, with
+// channels that may exceed alpha (image/png truncates those when it
+// un-premultiplies). smooth draws each byte near its upper and left
+// neighbours so the row filters compete closely.
+func randomRaster(rng *rand.Rand, w, h int, opaque, smooth bool) *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
+	for i := range img.Pix {
+		switch {
+		case i%4 == 3 && opaque:
+			img.Pix[i] = 0xff
+		case i%4 == 3:
+			img.Pix[i] = [...]uint8{0, 0xff, uint8(rng.Intn(256))}[rng.Intn(3)]
+		case smooth && i >= img.Stride && i%img.Stride >= 4:
+			img.Pix[i] = uint8((int(img.Pix[i-4])+int(img.Pix[i-img.Stride]))/2 + rng.Intn(7) - 3)
+		default:
+			img.Pix[i] = uint8(rng.Intn(256))
+		}
+	}
+	return img
+}
+
+// TestEncodePNGMatchesStdlib pins EncodePNG byte for byte to
+// image/png: real annotated frames, random rasters of every tail
+// length for 3 and 4 bytes per pixel and of rows too long for one
+// accumulator flush, flat and smooth rasters where filter sums tie,
+// and sub-images with an offset origin and a wide stride.
+func TestEncodePNGMatchesStdlib(t *testing.T) {
+	var filters [5]int // rows per filter type across the frames and random rasters
+	for _, app := range []string{"heat", "ocean"} {
+		for _, steps := range []int{1, 80, 640} {
+			img := solverFrame(app, steps)
+			countRowFilters(t, checkEncodePNG(t, app, img), &filters)
+			ReleaseFrame(img)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(14))
+	for w := 1; w <= 67; w++ {
+		h := 1 + rng.Intn(9)
+		for _, opaque := range []bool{true, false} {
+			for _, smooth := range []bool{false, true} {
+				countRowFilters(t, checkEncodePNG(t, "random", randomRaster(rng, w, h, opaque, smooth)), &filters)
+			}
+		}
+	}
+	// Rows longer than 255 words flush the chooser's 16-bit sums
+	// mid-row.
+	for _, w := range []int{683, 1366} {
+		for _, opaque := range []bool{true, false} {
+			countRowFilters(t, checkEncodePNG(t, "wide", randomRaster(rng, w, 3, opaque, false)), &filters)
+		}
+	}
+	for f, rows := range filters {
+		if rows == 0 {
+			t.Errorf("no row chose filter type %d (rows per type: %v); the suite must exercise every filter", f, filters)
+		}
+	}
+
+	for _, a := range []uint8{0xff, 0x80, 0} {
+		flat := image.NewRGBA(image.Rect(0, 0, 33, 7))
+		grad := image.NewRGBA(image.Rect(0, 0, 61, 19))
+		for i := range flat.Pix {
+			flat.Pix[i] = [...]uint8{0x40, 0x40, 0x40, a}[i%4]
+		}
+		for y := 0; y < 19; y++ {
+			for x := 0; x < 61; x++ {
+				grad.SetRGBA(x, y, color.RGBA{uint8(3 * x), uint8(5 * y), uint8(x + y), a})
+			}
+		}
+		checkEncodePNG(t, "flat", flat)
+		checkEncodePNG(t, "gradient", grad)
+	}
+
+	for _, opaque := range []bool{true, false} {
+		base := randomRaster(rng, 40, 30, opaque, true)
+		sub := base.SubImage(image.Rect(5, 7, 30, 20)).(*image.RGBA)
+		if sub.Rect.Min == (image.Point{}) || sub.Stride <= 4*sub.Rect.Dx() {
+			t.Fatalf("sub-image %v stride %d does not exercise an offset origin and wide stride", sub.Rect, sub.Stride)
+		}
+		checkEncodePNG(t, "sub-image", sub)
+	}
+}
+
+// referencePaeth is image/png's scalar Paeth predictor.
+func referencePaeth(a, b, c uint8) uint8 {
+	pc := int(c)
+	pa := int(b) - pc
+	pb := int(a) - pc
+	pc = abs(pa + pb)
+	pa = abs(pa)
+	pb = abs(pb)
+	if pa <= pb && pa <= pc {
+		return a
+	} else if pb <= pc {
+		return b
+	}
+	return c
+}
+
+// TestPaethSWARExhaustive checks chooseFilter's word-wide Paeth
+// residuals against the scalar predictor on all 2^24 (a, b, c)
+// triples. At 8 bytes per pixel a 16-byte row holds one word: a and c
+// are the first half of the current and previous rows, b the second
+// half of the previous one. Lane k of word w holds triple
+// (w + k·2^21)·0x9e3779 mod 2^24, a bijection that covers every triple
+// once and gives neighbouring lanes unrelated values, so a borrow or
+// carry leaking between lanes shows.
+func TestPaethSWARExhaustive(t *testing.T) {
+	var cd, pd, pth [16]byte
+	for w := uint32(0); w < 1<<21; w++ {
+		for k := 0; k < 8; k++ {
+			tr := (w + uint32(k)<<21) * 0x9e3779 & 0xffffff
+			cd[k], pd[8+k], pd[k] = uint8(tr>>16), uint8(tr>>8), uint8(tr)
+			cd[8+k] = uint8(tr >> 4) // x, the byte being filtered
+		}
+		chooseFilter(cd[:], pd[:], pth[:], 8)
+		for k := 0; k < 8; k++ {
+			a, b, c, x := cd[k], pd[8+k], pd[k], cd[8+k]
+			if got, want := x-pth[8+k], referencePaeth(a, b, c); got != want {
+				t.Fatalf("Paeth predictor in lane %d of (a=%d, b=%d, c=%d) = %d, want %d", k, a, b, c, got, want)
+			}
+		}
+	}
+}
+
+// FuzzEncodePNG compares EncodePNG with image/png on rasters of up to
+// 64×16 pixels whose bytes repeat the fuzzed data.
+func FuzzEncodePNG(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 255})
+	f.Add(uint8(2), uint8(3), []byte{7, 200, 13, 128, 40, 41, 42, 0})
+	f.Add(uint8(8), uint8(5), []byte{0x80, 0x7f, 0x01, 0xff, 0xfe})
+	f.Add(uint8(66), uint8(9), []byte{10, 20, 30, 255, 11, 21, 31, 255, 12, 22, 32, 255})
+	f.Fuzz(func(t *testing.T, wb, hb uint8, data []byte) {
+		img := image.NewRGBA(image.Rect(0, 0, 1+int(wb)%64, 1+int(hb)%16))
+		if len(data) > 0 {
+			for i := range img.Pix {
+				img.Pix[i] = data[i%len(data)]
+			}
+		}
+		checkEncodePNG(t, "fuzz", img)
+	})
 }

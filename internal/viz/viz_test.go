@@ -212,21 +212,39 @@ func TestMarchingSquaresEndpointsOnEdgesProperty(t *testing.T) {
 	}
 }
 
+// TestPNGRoundTrip decodes encoded frames and compares every pixel:
+// an opaque frame (colour type 2) and one with a translucent isoline
+// (colour type 6), whose partial-alpha pixels must decode
+// un-premultiplied. A wrong filter residual that still decodes fails
+// here.
 func TestPNGRoundTrip(t *testing.T) {
-	img, _ := Render(hotSpotGrid(), RenderOptions{Width: 32, Height: 32})
-	data, err := EncodePNG(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 100 {
-		t.Errorf("PNG suspiciously small: %d bytes", len(data))
-	}
-	back, err := DecodePNG(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Bounds() != img.Bounds() {
-		t.Errorf("round-trip bounds %v != %v", back.Bounds(), img.Bounds())
+	for _, line := range []color.RGBA{{}, {R: 128, G: 64, B: 0, A: 128}} {
+		img, _ := Render(hotSpotGrid(), RenderOptions{Width: 32, Height: 32, Isolines: []float64{50}, IsolineColor: line})
+		if img.Opaque() != (line.A == 0) {
+			t.Fatalf("isoline %v: frame opaque = %v", line, img.Opaque())
+		}
+		data, err := EncodePNG(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 100 {
+			t.Errorf("PNG suspiciously small: %d bytes", len(data))
+		}
+		back, err := DecodePNG(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Bounds() != img.Bounds() {
+			t.Fatalf("round-trip bounds %v != %v", back.Bounds(), img.Bounds())
+		}
+		for y := 0; y < 32; y++ {
+			for x := 0; x < 32; x++ {
+				want := color.NRGBAModel.Convert(img.RGBAAt(x, y))
+				if got := color.NRGBAModel.Convert(back.At(x, y)); got != want {
+					t.Fatalf("isoline %v: pixel (%d,%d) decodes to %v, want %v", line, x, y, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -240,5 +258,21 @@ func BenchmarkRender512(b *testing.B) {
 		// charges a fresh 1 MiB raster to every iteration and measures the
 		// allocator, not the renderer.
 		ReleaseFrame(img)
+	}
+}
+
+// pngSink keeps BenchmarkEncodePNG512's result live.
+var pngSink []byte
+
+// BenchmarkEncodePNG512 encodes one annotated 512×512 heat frame per
+// op, the visualization stage's encode.
+func BenchmarkEncodePNG512(b *testing.B) {
+	img := solverFrame("heat", 640)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if pngSink, err = EncodePNG(img); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,10 +1,11 @@
 #!/bin/sh
 # bench_compare.sh — fail on benchmark regressions against a baseline.
 #
-# Usage: scripts/bench_compare.sh [new.json] [baseline.json]
+# Usage: scripts/bench_compare.sh new.json [baseline.json]
 #
-# new.json defaults to BENCH_pr10.json; the baseline defaults to the
-# newest committed BENCH_*.json other than new.json (by PR number).
+# new.json, the ledger to check, is required (write it with
+# scripts/bench.sh). The baseline defaults to the newest committed
+# BENCH_*.json other than new.json (by PR number).
 # Benchmarks are matched by name; ones present in only one file are
 # reported but don't fail the check (new kernels have no baseline, and
 # retired benchmarks leave one behind). A matched benchmark fails when
@@ -21,7 +22,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-new="${1:-BENCH_pr10.json}"
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: scripts/bench_compare.sh new.json [baseline.json]" >&2
+    exit 2
+fi
+new="$1"
 base="${2:-}"
 threshold="${THRESHOLD:-10}"
 
