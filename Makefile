@@ -23,8 +23,8 @@ static:
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
 # they are skipped there and must run here explicitly), and short
-# fuzz passes over the checkpoint decoder and the PNG encoder (seeds
-# plus 10s of mutation each).
+# fuzz passes over the checkpoint decoder, the PNG encoder and the
+# job-spec decoder (seeds plus 10s of mutation each).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -34,6 +34,7 @@ check: static
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/service
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

@@ -8,6 +8,7 @@ package heat
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/field"
 )
@@ -98,17 +99,26 @@ type Solver struct {
 }
 
 // NewSolver builds a solver, validating parameters and applying the
-// initial condition. It panics on unstable DT or invalid geometry.
+// initial condition. It panics on unstable DT, invalid geometry, or a
+// non-finite or non-positive parameter, naming the field.
 func NewSolver(p Params) *Solver {
 	if p.NX < 3 || p.NY < 3 {
 		panic(fmt.Sprintf("heat: grid %dx%d too small for a stencil", p.NX, p.NY))
 	}
-	if p.Alpha <= 0 || p.DX <= 0 || p.DY <= 0 {
-		panic("heat: alpha, dx, dy must be positive")
-	}
+	positive("alpha", p.Alpha)
+	positive("dx", p.DX)
+	positive("dy", p.DY)
+	finite("boundary temp", p.BoundaryTemp)
+	finite("initial temp", p.InitialTemp)
 	limit := StabilityLimit(p.Alpha, p.DX, p.DY)
+	if !(limit > 0) || math.IsInf(limit, 1) {
+		panic(fmt.Sprintf("heat: alpha %g, dx %g, dy %g give FTCS stability limit %g", p.Alpha, p.DX, p.DY, limit))
+	}
 	if p.DT == 0 {
 		p.DT = 0.9 * limit
+	}
+	if !(p.DT > 0) {
+		panic(fmt.Sprintf("heat: dt %g must be positive (0 selects the default)", p.DT))
 	}
 	if p.DT > limit {
 		panic(fmt.Sprintf("heat: dt %g exceeds FTCS stability limit %g", p.DT, limit))
@@ -117,7 +127,8 @@ func NewSolver(p Params) *Solver {
 		if s.X0 < 0 || s.Y0 < 0 || s.X1 > p.NX || s.Y1 > p.NY || s.X0 >= s.X1 || s.Y0 >= s.Y1 {
 			panic(fmt.Sprintf("heat: source %+v outside %dx%d grid", s, p.NX, p.NY))
 		}
-		if s.PeriodSteps > 0 && (s.Duty <= 0 || s.Duty > 1) {
+		finite("source temp", s.Temp)
+		if s.PeriodSteps > 0 && !(s.Duty > 0 && s.Duty <= 1) {
 			panic(fmt.Sprintf("heat: pulsed source duty %v outside (0,1]", s.Duty))
 		}
 	}
@@ -128,6 +139,20 @@ func NewSolver(p Params) *Solver {
 	s.applyBoundary(s.cur)
 	s.applySources(s.cur)
 	return s
+}
+
+// positive panics unless v is positive and finite.
+func positive(name string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("heat: %s %v must be positive and finite", name, v))
+	}
+}
+
+// finite panics if v is NaN or infinite.
+func finite(name string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(fmt.Sprintf("heat: %s %v must be finite", name, v))
+	}
 }
 
 // Params returns the solver configuration (DT resolved).

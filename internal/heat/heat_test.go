@@ -1,7 +1,9 @@
 package heat
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,15 +68,50 @@ func TestStabilityLimit(t *testing.T) {
 	}
 }
 
+// TestUnstableDTPanics covers the non-geometry parameters NewSolver
+// rejects: an unstable or non-positive DT, and non-finite or
+// non-positive coefficients, temperatures and duty cycles. Each must
+// panic with a message naming the field, so no NaN field ever reaches
+// the renderer.
 func TestUnstableDTPanics(t *testing.T) {
-	p := smallParams()
-	p.DT = 0.3 // above the 0.25 limit
-	defer func() {
-		if recover() == nil {
-			t.Error("unstable DT did not panic")
-		}
-	}()
-	NewSolver(p)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name, field string
+		edit        func(*Params)
+	}{
+		{"dt above limit", "dt", func(p *Params) { p.DT = 0.3 }}, // limit 0.25
+		{"negative dt", "dt", func(p *Params) { p.DT = -0.2 }},
+		{"NaN dt", "dt", func(p *Params) { p.DT = nan }},
+		{"infinite dt", "dt", func(p *Params) { p.DT = inf }},
+		{"NaN alpha", "alpha", func(p *Params) { p.Alpha = nan }},
+		{"infinite alpha", "alpha", func(p *Params) { p.Alpha = inf }},
+		{"negative alpha", "alpha", func(p *Params) { p.Alpha = -1 }},
+		{"zero dx", "dx", func(p *Params) { p.DX = 0 }},
+		{"NaN dy", "dy", func(p *Params) { p.DY = nan }},
+		{"overflowing dx", "stability limit", func(p *Params) { p.DX = 1e200 }},
+		{"underflowing dy", "stability limit", func(p *Params) { p.DY = 1e-200 }},
+		{"infinite initial temp", "initial temp", func(p *Params) { p.InitialTemp = inf }},
+		{"NaN boundary temp", "boundary temp", func(p *Params) { p.BoundaryTemp = nan }},
+		{"NaN source temp", "source temp", func(p *Params) { p.Sources[0].Temp = nan }},
+		{"NaN duty", "duty", func(p *Params) { p.Sources[0].PeriodSteps, p.Sources[0].Duty = 10, nan }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallParams()
+			tc.edit(&p)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("NewSolver did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.field) {
+					t.Errorf("panic %q does not name %s", msg, tc.field)
+				}
+			}()
+			NewSolver(p)
+		})
+	}
+	NewSolver(DefaultParams())
+	NewSolver(smallParams())
 }
 
 func TestSourceOutsideGridPanics(t *testing.T) {

@@ -73,12 +73,28 @@ func NewSolver(p Params) *Solver {
 	if p.NX < 3 || p.NY < 3 {
 		panic(fmt.Sprintf("ocean: grid %dx%d too small", p.NX, p.NY))
 	}
-	if p.Depth <= 0 || p.Gravity <= 0 || p.DX <= 0 || p.DY <= 0 {
-		panic("ocean: depth, gravity, dx, dy must be positive")
+	positive("depth", p.Depth)
+	positive("gravity", p.Gravity)
+	positive("dx", p.DX)
+	positive("dy", p.DY)
+	finite("coriolis", p.Coriolis)
+	for _, d := range p.Drops {
+		finite("drop amplitude", d.Amplitude)
+		positive("drop sigma", d.Sigma)
+		// A sigma so small that 1/(2σ²) overflows puts NaN at the centre.
+		if math.IsInf(1/(2*d.Sigma*d.Sigma), 1) {
+			panic(fmt.Sprintf("ocean: drop sigma %g too small", d.Sigma))
+		}
 	}
 	limit := CFLLimit(p)
+	if !(limit > 0) || math.IsInf(limit, 1) {
+		panic(fmt.Sprintf("ocean: depth %g, gravity %g, dx %g, dy %g give CFL limit %g", p.Depth, p.Gravity, p.DX, p.DY, limit))
+	}
 	if p.DT == 0 {
 		p.DT = 0.45 * limit
+	}
+	if !(p.DT > 0) {
+		panic(fmt.Sprintf("ocean: dt %g must be positive (0 selects the default)", p.DT))
 	}
 	if p.DT > limit {
 		panic(fmt.Sprintf("ocean: dt %g exceeds CFL limit %g", p.DT, limit))
@@ -95,15 +111,26 @@ func NewSolver(p Params) *Solver {
 }
 
 func (s *Solver) applyDrop(d Drop) {
-	if d.Sigma <= 0 {
-		panic("ocean: drop needs positive sigma")
-	}
 	inv := 1 / (2 * d.Sigma * d.Sigma)
 	for y := 0; y < s.params.NY; y++ {
 		for x := 0; x < s.params.NX; x++ {
 			dx, dy := float64(x-d.CX), float64(y-d.CY)
 			s.h.Data[y*s.params.NX+x] += d.Amplitude * math.Exp(-(dx*dx+dy*dy)*inv)
 		}
+	}
+}
+
+// positive panics unless v is positive and finite.
+func positive(name string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		panic(fmt.Sprintf("ocean: %s %v must be positive and finite", name, v))
+	}
+}
+
+// finite panics if v is NaN or infinite.
+func finite(name string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		panic(fmt.Sprintf("ocean: %s %v must be finite", name, v))
 	}
 }
 

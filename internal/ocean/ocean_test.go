@@ -1,7 +1,9 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -22,15 +24,42 @@ func TestCFLLimit(t *testing.T) {
 	}
 }
 
+// validationRow is one rejected parameter: smallParams edited by edit
+// must make NewSolver panic with a message naming field.
+type validationRow struct {
+	name, field string
+	edit        func(*Params)
+}
+
+// mustPanicNaming fails unless NewSolver panics on every row as the
+// row says.
+func mustPanicNaming(t *testing.T, rows []validationRow) {
+	t.Helper()
+	for _, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) {
+			p := smallParams()
+			tc.edit(&p)
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("NewSolver did not panic")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.field) {
+					t.Errorf("panic %q does not name %s", msg, tc.field)
+				}
+			}()
+			NewSolver(p)
+		})
+	}
+}
+
 func TestUnstableDTPanics(t *testing.T) {
-	p := smallParams()
-	p.DT = CFLLimit(p) * 1.1
-	defer func() {
-		if recover() == nil {
-			t.Error("unstable DT did not panic")
-		}
-	}()
-	NewSolver(p)
+	mustPanicNaming(t, []validationRow{
+		{"dt above CFL", "dt", func(p *Params) { p.DT = CFLLimit(*p) * 1.1 }},
+		{"negative dt", "dt", func(p *Params) { p.DT = -1 }},
+		{"NaN dt", "dt", func(p *Params) { p.DT = math.NaN() }},
+		{"infinite dt", "dt", func(p *Params) { p.DT = math.Inf(1) }},
+	})
 }
 
 func TestInitialDropApplied(t *testing.T) {
@@ -137,15 +166,26 @@ func TestCellUpdates(t *testing.T) {
 	}
 }
 
+// TestValidation covers the non-finite and non-positive parameters
+// NewSolver rejects, so no NaN field ever reaches the renderer.
 func TestValidation(t *testing.T) {
-	bad := smallParams()
-	bad.Depth = -1
-	defer func() {
-		if recover() == nil {
-			t.Error("negative depth did not panic")
-		}
-	}()
-	NewSolver(bad)
+	nan, inf := math.NaN(), math.Inf(1)
+	mustPanicNaming(t, []validationRow{
+		{"negative depth", "depth", func(p *Params) { p.Depth = -1 }},
+		{"NaN depth", "depth", func(p *Params) { p.Depth = nan }},
+		{"infinite gravity", "gravity", func(p *Params) { p.Gravity = inf }},
+		{"zero dx", "dx", func(p *Params) { p.DX = 0 }},
+		{"NaN dy", "dy", func(p *Params) { p.DY = nan }},
+		{"overflowing depth", "CFL limit", func(p *Params) { p.Depth, p.Gravity = 1e200, 1e200 }},
+		{"NaN coriolis", "coriolis", func(p *Params) { p.Coriolis = nan }},
+		{"NaN drop amplitude", "drop amplitude", func(p *Params) { p.Drops[0].Amplitude = nan }},
+		{"infinite drop amplitude", "drop amplitude", func(p *Params) { p.Drops[0].Amplitude = -inf }},
+		{"zero drop sigma", "drop sigma", func(p *Params) { p.Drops[0].Sigma = 0 }},
+		{"NaN drop sigma", "drop sigma", func(p *Params) { p.Drops[0].Sigma = nan }},
+		{"tiny drop sigma", "drop sigma", func(p *Params) { p.Drops[0].Sigma = 1e-200 }},
+	})
+	NewSolver(DefaultParams())
+	NewSolver(smallParams())
 }
 
 func BenchmarkStep128(b *testing.B) {

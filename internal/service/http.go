@@ -58,24 +58,17 @@ func Handler(m *Manager) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// A spec is a few hundred bytes; cap the body so an oversized
-		// POST can't allocate unboundedly, and reject trailing data so
-		// a concatenated second object isn't silently ignored.
+		// POST can't allocate unboundedly.
 		r.Body = http.MaxBytesReader(w, r.Body, m.opts.MaxBodyBytes)
-		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeJobSpec(r.Body)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("spec body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
-			return
-		}
-		if dec.More() {
-			httpError(w, http.StatusBadRequest, errors.New("trailing data after spec object"))
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		job, err := m.Submit(spec)

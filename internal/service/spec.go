@@ -23,7 +23,10 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 
@@ -89,6 +92,23 @@ type JobSpec struct {
 	CinemaVariants int `json:"cinema_variants,omitempty"`
 }
 
+// decodeJobSpec reads the one JSON object of a POST /v1/jobs body.
+// Unknown fields are an error, and so is a second value after the
+// object, so a concatenated spec is not silently ignored. Read errors
+// come back wrapped, for the caller to map (an oversized body is 413).
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, fmt.Errorf("decode spec: %w", err)
+	}
+	if dec.More() {
+		return JobSpec{}, errors.New("trailing data after spec object")
+	}
+	return spec, nil
+}
+
 // Job kinds.
 const (
 	KindExperiment = "experiment"
@@ -128,8 +148,13 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	if _, err := fault.ParseSpec(n.Faults); err != nil {
 		return n, fmt.Errorf("faults: %w", err)
 	}
-	if n.PowerCapWatts < 0 || n.PowerCapWatts > 1e4 {
+	if !(n.PowerCapWatts >= 0 && n.PowerCapWatts <= 1e4) {
 		return n, fmt.Errorf("power_cap_watts %g out of range 0..10000", n.PowerCapWatts)
+	}
+	if n.PowerCapWatts == 0 {
+		// -0 is no cap as well; store +0 so both digest alike (and the
+		// JSON encoding, which omits either, round-trips the digest).
+		n.PowerCapWatts = 0
 	}
 	if n.CinemaVariants < 0 || n.CinemaVariants > 64 {
 		return n, fmt.Errorf("cinema_variants %d out of range 0..64", n.CinemaVariants)

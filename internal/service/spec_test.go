@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,7 @@ func TestNormalizedDefaults(t *testing.T) {
 }
 
 func TestNormalizedRejects(t *testing.T) {
+	nan := math.NaN()
 	bad := []JobSpec{
 		{},                                       // neither kind
 		{Experiment: "fig4", Pipeline: "insitu"}, // both
@@ -50,6 +52,7 @@ func TestNormalizedRejects(t *testing.T) {
 		{Experiment: "fig4", InsituNoSync: true}, // pipeline knob on experiment
 		{Pipeline: "post", PowerCapWatts: -1},    // negative cap
 		{Pipeline: "post", PowerCapWatts: 2e4},   // absurd cap
+		{Pipeline: "post", PowerCapWatts: nan},   // a campaign axis value can parse to NaN
 		{Pipeline: "insitu", CinemaVariants: 65}, // over variant cap
 	}
 	for _, s := range bad {
@@ -78,6 +81,15 @@ func TestDigestCanonical(t *testing.T) {
 	}
 	if len(zero) != 64 || strings.Trim(zero, "0123456789abcdef") != "" {
 		t.Errorf("digest %q is not hex sha256", zero)
+	}
+
+	// A -0 power cap is no cap, like 0.
+	noCap, err := JobSpec{Pipeline: "insitu"}.Digest()
+	if err != nil {
+		t.Fatalf("Digest: %v", err)
+	}
+	if negZero, err := (JobSpec{Pipeline: "insitu", PowerCapWatts: math.Copysign(0, -1)}).Digest(); err != nil || negZero != noCap {
+		t.Errorf("power cap -0 digest %s (%v) != no-cap digest %s", negZero, err, noCap)
 	}
 }
 

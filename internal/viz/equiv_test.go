@@ -8,6 +8,7 @@ import (
 	"image/color"
 	"image/png"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -39,24 +40,107 @@ func referenceMap(c *Colormap, t float64) color.RGBA {
 	}
 }
 
-// TestMapMatchesReference exercises the lut-accelerated Map against
-// the binary-search reference over randomized inputs, exact stop
-// values, and the lut bucket boundaries — the places an off-by-one in
-// the table would surface.
-func TestMapMatchesReference(t *testing.T) {
-	// A dense irregular map alongside the built-ins so lut buckets
-	// spanning several stops get exercised too.
-	stops := []float64{0, 0.001, 0.002, 0.1, 0.10001, 0.5, 0.73, 0.74, 0.999, 1}
-	colors := make([]color.RGBA, len(stops))
-	rng := rand.New(rand.NewSource(3))
+func lerp8(a, b uint8, f float64) uint8 {
+	return uint8(float64(a) + f*(float64(b)-float64(a)) + 0.5)
+}
+
+// randomColors returns n random opaque colors.
+func randomColors(rng *rand.Rand, n int) []color.RGBA {
+	colors := make([]color.RGBA, n)
 	for i := range colors {
 		colors[i] = color.RGBA{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), 255}
 	}
-	maps := []*Colormap{Inferno(), CoolWarm(), Grayscale(), NewColormap("dense", stops, colors)}
-	for _, cm := range maps {
-		if cm.lut == nil {
-			t.Fatalf("%s: expected lut acceleration", cm.Name())
+	return colors
+}
+
+// denseMap has stops closer together than a bucket and a translucent
+// first color, which only the t <= 0 clamp may return.
+func denseMap() *Colormap {
+	stops := []float64{0, 0.001, 0.002, 0.1, 0.10001, 0.5, 0.73, 0.74, 0.999, 1}
+	colors := randomColors(rand.New(rand.NewSource(3)), len(stops))
+	colors[0].A = 128
+	return NewColormap("dense", stops, colors)
+}
+
+// manyStopsMap has 300 irregular stops, so mixed entries hold indexes
+// above 255.
+func manyStopsMap() *Colormap {
+	rng := rand.New(rand.NewSource(5))
+	stops := make([]float64, 300)
+	for i := 1; i < len(stops)-1; i++ {
+		stops[i] = rng.Float64()
+	}
+	stops[len(stops)-1] = 1
+	sort.Float64s(stops)
+	return NewColormap("many", stops, randomColors(rng, len(stops)))
+}
+
+// spikeBucket is the bucket spikeMap hides its spike in.
+const spikeBucket = 5000
+
+// spikeMap puts three stops inside one bucket, colored X, Y, X over an
+// X background: both ends of the bucket map to X while its middle
+// reaches Y, so only the segment comparison marks it mixed.
+func spikeMap() *Colormap {
+	base := float64(spikeBucket) / tableSize
+	w := 1.0 / tableSize
+	x, y := color.RGBA{40, 90, 160, 255}, color.RGBA{250, 20, 5, 255}
+	return NewColormap("spike",
+		[]float64{0, base + w/4, base + w/2, base + 3*w/4, 1},
+		[]color.RGBA{x, x, y, x, x})
+}
+
+// bucketEnds returns the smallest and largest t in (0, 1) of bucket k.
+func bucketEnds(k int) (lo, hi float64) {
+	lo = float64(k) / tableSize
+	if k == 0 {
+		lo = math.SmallestNonzeroFloat64
+	}
+	return lo, math.Nextafter(float64(k+1)/tableSize, 0)
+}
+
+// TestColormapTableExact checks every bucket of the colour table. A
+// pure entry must be the reference color at both ends of its bucket
+// and at random t inside; a mixed entry must hold the segment search's
+// answer for the bucket's smallest t.
+func TestColormapTableExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, cm := range []*Colormap{Inferno(), CoolWarm(), Grayscale(), denseMap(), manyStopsMap(), spikeMap()} {
+		pure := 0
+		for k, e := range cm.table {
+			lo, hi := bucketEnds(k)
+			if e>>24 != 0 {
+				pure++
+				for _, v := range []float64{lo, hi, lo + rng.Float64()*(hi-lo), lo + rng.Float64()*(hi-lo)} {
+					if want := referenceMap(cm, v); e != pack(want) {
+						t.Fatalf("%s: bucket %d is pure %#08x, but t = %v maps to %v", cm.Name(), k, e, v, want)
+					}
+				}
+			} else if want := max(sort.SearchFloat64s(cm.stops, lo), 1); int(e) != want {
+				t.Fatalf("%s: mixed bucket %d holds index %d, want %d", cm.Name(), k, e, want)
+			}
 		}
+		switch cm.Name() {
+		case "inferno", "coolwarm", "gray":
+			// The render's speed rests on most buckets being one load.
+			if pure < tableSize*9/10 {
+				t.Errorf("%s: only %d of %d buckets are pure", cm.Name(), pure, tableSize)
+			}
+		case "spike":
+			if e := cm.table[spikeBucket]; e>>24 != 0 {
+				t.Errorf("spike bucket is pure %#08x; its middle maps to %v", e, cm.Map(cm.stops[2]))
+			}
+		}
+	}
+}
+
+// TestMapMatchesReference exercises the table-driven Map against the
+// binary-search reference over randomized inputs, exact stop values,
+// and every bucket edge with its two float neighbours — the places an
+// off-by-one in the table would surface.
+func TestMapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cm := range []*Colormap{Inferno(), CoolWarm(), Grayscale(), denseMap(), manyStopsMap(), spikeMap()} {
 		check := func(v float64) {
 			t.Helper()
 			if got, want := cm.Map(v), referenceMap(cm, v); got != want {
@@ -67,15 +151,142 @@ func TestMapMatchesReference(t *testing.T) {
 			check(rng.Float64()*1.2 - 0.1)
 		}
 		for _, s := range cm.stops {
+			check(math.Nextafter(s, -1))
 			check(s)
+			check(math.Nextafter(s, 2))
 		}
-		for b := 0; b <= 256; b++ {
-			v := float64(b) / 256
+		for k := 0; k <= tableSize; k++ {
+			v := float64(k) / tableSize
+			check(math.Nextafter(v, -1))
 			check(v)
-			check(v - 1e-16)
-			check(v + 1e-16)
+			check(math.Nextafter(v, 2))
 		}
 	}
+}
+
+// referenceRender is Render as written before the colour table: a
+// per-pixel bilinear resample in the same evaluation order, then
+// referenceMap, then the isoline overlay.
+func referenceRender(g *heat.Grid, opts RenderOptions) *image.RGBA {
+	cm := opts.Colormap
+	if cm == nil {
+		cm = Inferno()
+	}
+	lo, hi := opts.Lo, opts.Hi
+	if lo == hi {
+		lo, hi = g.MinMax()
+		if lo == hi {
+			hi = lo + 1
+		}
+	}
+	inv := 1 / (hi - lo)
+	img := image.NewRGBA(image.Rect(0, 0, opts.Width, opts.Height))
+	sx := float64(g.NX-1) / float64(max(opts.Width-1, 1))
+	sy := float64(g.NY-1) / float64(max(opts.Height-1, 1))
+	for py := 0; py < opts.Height; py++ {
+		fy := float64(py) * sy
+		y0 := min(int(fy), g.NY-2)
+		wy := fy - float64(y0)
+		for px := 0; px < opts.Width; px++ {
+			fx := float64(px) * sx
+			x0 := min(int(fx), g.NX-2)
+			wx := fx - float64(x0)
+			v := (1-wx)*(1-wy)*g.At(x0, y0) +
+				wx*(1-wy)*g.At(x0+1, y0) +
+				(1-wx)*wy*g.At(x0, y0+1) +
+				wx*wy*g.At(x0+1, y0+1)
+			img.SetRGBA(px, py, referenceMap(cm, (v-lo)*inv))
+		}
+	}
+	lineColor := opts.IsolineColor
+	if lineColor.A == 0 {
+		lineColor = color.RGBA{255, 255, 255, 255}
+	}
+	for _, level := range opts.Isolines {
+		segs, _ := MarchingSquares(g, level)
+		scaleX := float64(opts.Width-1) / float64(g.NX-1)
+		scaleY := float64(opts.Height-1) / float64(g.NY-1)
+		for _, s := range segs {
+			drawLine(img,
+				int(s.X0*scaleX+0.5), int(s.Y0*scaleY+0.5),
+				int(s.X1*scaleX+0.5), int(s.Y1*scaleY+0.5),
+				lineColor)
+		}
+	}
+	return img
+}
+
+// TestRenderMatchesReference compares Render's raster byte for byte
+// with the per-pixel reference, isolines off and on: heat and ocean
+// fields at several ages under every built-in map, random fields with
+// explicit scales narrower than the data (both clamps fire) and wider,
+// a flat field, degenerate and odd sizes, a downsampling render, and
+// the dense, many-stop and spike maps.
+func TestRenderMatchesReference(t *testing.T) {
+	check := func(name string, g *heat.Grid, opts RenderOptions) {
+		t.Helper()
+		for _, iso := range [][]float64{nil, opts.Isolines} {
+			o := opts
+			o.Isolines = iso
+			got, _ := Render(g, o)
+			want := referenceRender(g, o)
+			if !bytes.Equal(got.Pix, want.Pix) {
+				i := 0
+				for got.Pix[i] == want.Pix[i] {
+					i++
+				}
+				t.Fatalf("%s (%dx%d, %s, isolines %v): pixel %d differs: got %v, reference %v",
+					name, o.Width, o.Height, o.Colormap.Name(), iso, i/4, got.Pix[i&^3:i&^3+4], want.Pix[i&^3:i&^3+4])
+			}
+			ReleaseFrame(got)
+		}
+	}
+	builtins := []*Colormap{Inferno(), CoolWarm(), Grayscale()}
+	for _, steps := range []int{1, 80, 640} {
+		hs := heat.NewSolver(heat.DefaultParams())
+		hs.Step(steps)
+		os := ocean.NewSolver(ocean.DefaultParams())
+		os.Step(steps)
+		for _, cm := range builtins {
+			check("heat", hs.Field(), RenderOptions{Width: 512, Height: 512, Colormap: cm, Isolines: []float64{250, 500, 750}})
+			check("ocean", os.Field(), RenderOptions{Width: 512, Height: 512, Colormap: cm, Isolines: []float64{0}})
+		}
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	random := heat.NewGrid(37, 23)
+	for i := range random.Data {
+		random.Data[i] = rng.NormFloat64()
+	}
+	flat := heat.NewGrid(9, 9)
+	flat.Fill(42)
+	big := heat.NewGrid(128, 128)
+	for i := range big.Data {
+		big.Data[i] = rng.Float64()
+	}
+	custom := []*Colormap{denseMap(), manyStopsMap(), spikeMap()}
+	for _, cm := range append(builtins, custom...) {
+		iso := []float64{-0.5, 0, 0.7}
+		check("random", random, RenderOptions{Width: 200, Height: 150, Colormap: cm, Isolines: iso})
+		check("random narrow", random, RenderOptions{Width: 200, Height: 150, Colormap: cm, Lo: -0.8, Hi: 0.9, Isolines: iso})
+		check("random wide", random, RenderOptions{Width: 200, Height: 150, Colormap: cm, Lo: -20, Hi: 30, Isolines: iso})
+		check("flat", flat, RenderOptions{Width: 16, Height: 16, Colormap: cm, Isolines: []float64{42}})
+		for _, size := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {513, 3}} {
+			check("random", random, RenderOptions{Width: size[0], Height: size[1], Colormap: cm, Isolines: iso})
+		}
+		check("downsample", big, RenderOptions{Width: 64, Height: 64, Colormap: cm, Isolines: []float64{0.5}})
+	}
+
+	// A field that sweeps t finely across the spike bucket, so the
+	// spike's Y pixels appear in the frame.
+	sweep := heat.NewGrid(64, 2)
+	base := float64(spikeBucket) / tableSize
+	for x := 0; x < 64; x++ {
+		v := base + float64(x-16)/(32*tableSize)
+		sweep.Set(x, 0, v)
+		sweep.Set(x, 1, v)
+	}
+	check("spike sweep", sweep, RenderOptions{Width: 631, Height: 2, Colormap: spikeMap(), Lo: 0, Hi: 1, Isolines: []float64{base}})
 }
 
 // referenceMarchingSquares is the cell scan as written before the

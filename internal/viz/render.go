@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -76,17 +77,15 @@ func (rs *renderScratch) prepareColumns(width, nx int, sx float64) {
 
 // fill colormaps every pixel row of img: bilinear field resample at
 // the prepared columns and row step sy, then the colormap lookup of
-// (v-lo)*inv. The per-row field slices and direct Pix writes keep
-// the inner loop free of bounds checks and interface dispatch; the
-// blend expression is the exact left-to-right form of the naive
-// version, so output bytes are unchanged.
+// (v-lo)*inv, stored as one 32-bit word per pixel. The per-row field
+// and Pix slices keep the inner loop free of offset math and interface
+// dispatch; the blend expression is the exact left-to-right form of
+// the naive version, so output bytes are unchanged.
 func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, inv, sy float64) {
 	gnx := g.NX
 	colX, colW := rs.colX, rs.colW
 	width := len(colX)
-	lut, stops, seg := cm.lut, cm.stops, cm.seg
-	first := cm.colors[0]
-	last := cm.colors[len(cm.colors)-1]
+	first, last := cm.first, cm.last
 	for py := 0; py < img.Rect.Dy(); py++ {
 		fy := float64(py) * sy
 		y0 := int(fy)
@@ -99,7 +98,6 @@ func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, i
 		r1 := g.Data[(y0+1)*gnx : (y0+1)*gnx+gnx]
 		off := img.PixOffset(0, py)
 		row := img.Pix[off : off+width*4]
-		o := 0
 		for px := 0; px < width; px++ {
 			x0 := int(colX[px])
 			wx := colW[px]
@@ -108,38 +106,16 @@ func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, i
 				wx*omwy*r0[x0+1] +
 				omwx*wy*r1[x0] +
 				wx*wy*r1[x0+1]
-			// Manually inlined Colormap.Map (same expressions, same
-			// bits): the call and its uint8 widenings are the hot ~70 %
-			// of a frame otherwise.
-			t := (v - lo) * inv
-			var c color.RGBA
-			switch {
+			var c uint32
+			switch t := (v - lo) * inv; {
 			case t <= 0:
 				c = first
 			case t >= 1:
 				c = last
-			case lut != nil:
-				i := int(lut[int(t*256)])
-				for stops[i] < t {
-					i++
-				}
-				slo, shi := stops[i-1], stops[i]
-				f := (t - slo) / (shi - slo)
-				s := &seg[i-1]
-				c = color.RGBA{
-					R: uint8(s.r0 + f*s.dr + 0.5),
-					G: uint8(s.g0 + f*s.dg + 0.5),
-					B: uint8(s.b0 + f*s.db + 0.5),
-					A: 255,
-				}
 			default:
-				c = cm.Map(t)
+				c = cm.lookup(t)
 			}
-			row[o] = c.R
-			row[o+1] = c.G
-			row[o+2] = c.B
-			row[o+3] = c.A
-			o += 4
+			binary.LittleEndian.PutUint32(row[4*px:], c)
 		}
 	}
 }

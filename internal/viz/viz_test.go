@@ -55,6 +55,15 @@ func TestColormapValidation(t *testing.T) {
 	NewColormap("bad", []float64{0}, []color.RGBA{{}})
 }
 
+func TestColormapNaNPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Map(NaN) did not panic")
+		}
+	}()
+	Inferno().Map(math.NaN())
+}
+
 func TestByName(t *testing.T) {
 	for _, name := range []string{"inferno", "coolwarm", "gray"} {
 		cm, err := ByName(name)
