@@ -16,7 +16,10 @@ static:
 	$(GO) vet ./...
 
 # check is the full pre-merge gate: the static-analysis gate, build
-# (library, CLI, daemon, and examples), the test suite under the race
+# (library, CLI, daemon, and examples), vet and tests of the perfbench
+# module built against this checkout (it has its own go.mod, so
+# ./... above does not reach it, and a facade change could otherwise
+# break the benchmark unnoticed), the test suite under the race
 # detector (including the greenvizd API tests), the daemon smoke test
 # (builds the real binary, submits fig4 over HTTP, and diffs the served
 # report against the committed golden digest), the golden-output
@@ -28,6 +31,7 @@ static:
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -run '^TestDaemonSmoke$$' -timeout 10m ./cmd/greenvizd
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments

@@ -51,20 +51,11 @@ func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSub
 	if err != nil {
 		return err
 	}
-	var r *greenviz.Result
-	if p.Clustered() {
-		r = greenviz.RunOnCluster(greenviz.NewCluster(platform, greenviz.TenGigE(), seed), p, cs, cfg)
-	} else {
-		r = greenviz.Run(greenviz.NewNode(platform, seed), p, cs, cfg)
-	}
+	r := greenviz.RunOnCluster(greenviz.NewClusterFor(platform, p, seed), p, cs, cfg)
 
 	switch format {
 	case "", "text":
-		if p.Clustered() {
-			printClusterRun(r, cs, app, device)
-		} else {
-			printRun(r)
-		}
+		printRun(r)
 	case "json":
 		if err := r.EncodeJSON(os.Stdout); err != nil {
 			return err
@@ -85,38 +76,19 @@ func printStageTimes(r *greenviz.Result) {
 	}
 }
 
-func appName(app string) string {
-	if app == "" {
-		return "heat"
-	}
-	return app
-}
-
-// printClusterRun reports a clustered (in-transit or hybrid) run.
-func printClusterRun(r *greenviz.Result, cs greenviz.CaseStudy, app, device string) {
-	fmt.Printf("pipeline: %s (%s, %s, device %s)\n", r.Pipeline, cs.Name, appName(app), deviceName(device))
-	fmt.Printf("  makespan        %10.1f s\n", float64(r.ExecTime))
-	fmt.Printf("  sim-node energy %12s\n", r.SimEnergy)
-	fmt.Printf("  staging energy  %12s\n", r.StagingEnergy)
-	fmt.Printf("  cluster energy  %12s\n", r.Energy)
-	fmt.Printf("  network moved   %12s in %d transfers\n", r.BytesSent, r.Frames)
-	printStageTimes(r)
-}
-
-func deviceName(device string) string {
-	if device == "" {
-		return "hdd"
-	}
-	return device
-}
-
-// printRun reports a single-node run.
+// printRun reports a run. A run with a staging node adds the per-node
+// energy split and the network traffic.
 func printRun(r *greenviz.Result) {
 	fmt.Printf("pipeline: %s (%s)\n", r.Pipeline, r.Case.Name)
 	fmt.Printf("  execution time  %10.1f s\n", float64(r.ExecTime))
 	fmt.Printf("  average power   %12s\n", r.AvgPower)
 	fmt.Printf("  peak power      %12s\n", r.PeakPower)
 	fmt.Printf("  energy          %12s\n", r.Energy)
+	if r.StagingEnergy > 0 {
+		fmt.Printf("  sim-node energy %12s\n", r.SimEnergy)
+		fmt.Printf("  staging energy  %12s\n", r.StagingEnergy)
+		fmt.Printf("  network moved   %12s in %d transfers\n", r.BytesSent, r.Frames)
+	}
 	fmt.Printf("  frames          %12d (checksum %016x)\n", r.Frames, r.FrameChecksum)
 	printStageTimes(r)
 	if r.Faults.Total() > 0 || r.Recovery.Total() > 0 {

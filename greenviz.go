@@ -71,10 +71,10 @@ const (
 	// reduced data product.
 	InSitu = core.InSitu
 	// InTransit ships each event's data to a staging node that renders
-	// concurrently (needs a Cluster; use RunInTransit).
+	// concurrently (needs a two-node Cluster).
 	InTransit = core.InTransit
 	// Hybrid renders in situ and asynchronously offloads checkpoints to
-	// a staging node (needs a Cluster; use RunHybrid).
+	// a staging node (needs a two-node Cluster).
 	Hybrid = core.Hybrid
 )
 
@@ -129,7 +129,8 @@ func DefaultConfig() Config { return core.DefaultAppConfig() }
 // frame checksum.
 type Result = core.RunResult
 
-// Run executes one pipeline run on a (typically fresh) node.
+// Run executes one single-node pipeline run (PostProcessing or
+// InSitu) on a (typically fresh) node: a cluster of one.
 func Run(n *Node, p Pipeline, cs CaseStudy, cfg Config) *Result {
 	return core.Run(n, p, cs, cfg)
 }
@@ -215,8 +216,9 @@ type LinkParams = netio.LinkParams
 // TenGigE returns an effective 10 GbE link model.
 func TenGigE() LinkParams { return netio.TenGigE() }
 
-// Cluster is a two-node in-transit platform: a simulation node and a
-// visualization staging node on one virtual clock.
+// Cluster is the platform a pipeline runs on: one node, or a
+// simulation node and a visualization staging node on one virtual
+// clock joined by a link.
 type Cluster = core.Cluster
 
 // NewCluster builds a cluster of two identical nodes joined by a link.
@@ -224,25 +226,32 @@ func NewCluster(p Platform, link LinkParams, seed uint64) *Cluster {
 	return core.NewCluster(p, link, seed)
 }
 
-// RunOnCluster executes one clustered pipeline (InTransit or Hybrid)
-// on a cluster.
+// NewClusterFor builds the platform pipeline p runs on: one fresh node
+// for PostProcessing and InSitu, two nodes joined by 10 GbE for
+// InTransit and Hybrid.
+func NewClusterFor(p Platform, pipeline Pipeline, seed uint64) *Cluster {
+	return core.NewClusterFor(p, pipeline, seed)
+}
+
+// RunOnCluster executes any pipeline on a platform with the nodes it
+// needs (see NewClusterFor). A cluster run splits Energy across
+// SimEnergy/StagingEnergy and reports the link traffic in BytesSent.
 func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg Config) *Result {
 	return core.RunOnCluster(c, p, cs, cfg)
 }
 
 // RunInTransit executes the in-transit pipeline (Future Work): the
 // simulation ships each event's data over the network and the staging
-// node renders concurrently. The Result splits Energy across
-// SimEnergy/StagingEnergy and reports the link traffic in BytesSent.
+// node renders concurrently.
 func RunInTransit(c *Cluster, cs CaseStudy, cfg Config) *Result {
-	return core.RunInTransit(c, cs, cfg)
+	return core.RunOnCluster(c, core.InTransit, cs, cfg)
 }
 
 // RunHybrid executes the hybrid pipeline: in-situ rendering on the
 // simulation node plus asynchronous checkpoint offload over the link
 // to the staging node's disk.
 func RunHybrid(c *Cluster, cs CaseStudy, cfg Config) *Result {
-	return core.RunHybrid(c, cs, cfg)
+	return core.RunOnCluster(c, core.Hybrid, cs, cfg)
 }
 
 // NVRAMParams describes the burst-buffer tier (set Platform.NVRAM).

@@ -451,6 +451,14 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("bad spec status = %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+	// A valid spec followed by anything but whitespace is rejected.
+	for _, trailer := range []string{"}", "]", " {}", " 42"} {
+		body := append(append([]byte{}, specBody...), trailer...)
+		if resp, _ = http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec with trailer %q: status = %d, want 400", trailer, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
 }
 
 // benchSpec expands to 256 points without touching axis caps.

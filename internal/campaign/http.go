@@ -83,9 +83,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, maxSpecBytes)
 		var spec Spec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := service.DecodeStrict(r.Body, &spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge,
@@ -93,10 +91,6 @@ func (m *Manager) Register(mux *http.ServeMux) {
 				return
 			}
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
-			return
-		}
-		if dec.More() {
-			httpError(w, http.StatusBadRequest, errors.New("trailing data after campaign spec"))
 			return
 		}
 		known := false

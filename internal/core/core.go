@@ -91,8 +91,8 @@ func PipelineByFlag(name string) (Pipeline, error) {
 	return 0, fmt.Errorf("core: unknown pipeline %q (valid: %v)", name, flags)
 }
 
-// Clustered reports whether the pipeline needs a two-node Cluster
-// (RunOnCluster) rather than a single node (Run).
+// Clustered reports whether the pipeline needs a two-node Cluster (a
+// simulation and a staging node) rather than a cluster of one.
 func (p Pipeline) Clustered() bool { return p == InTransit || p == Hybrid }
 
 // Stage names used in phase annotations (Fig. 4's legend).

@@ -1,31 +1,31 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
-
 	"repro/internal/core/stagegraph"
 	"repro/internal/netio"
 	"repro/internal/node"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/viz"
 )
 
-// Cluster is the two-node platform of the Future Work multi-node
-// study: a simulation node and a visualization staging node sharing
-// one virtual clock, connected by a network link. The in-transit
-// pipeline ships each I/O event's data over the link; the staging node
-// renders and stores frames *concurrently* with the next simulation
-// iterations (Bennett et al. [10]; Gamell et al. [24]). The hybrid
-// pipeline renders in situ on the simulation node and uses the link
-// only to offload checkpoints to the staging disk asynchronously
+// Cluster is the platform a pipeline runs on: nodes sharing one
+// virtual clock. A cluster of one (Staging and Link nil) runs the
+// paper's single-node pipelines. The two-node platform of the Future
+// Work multi-node study adds a visualization staging node connected to
+// the simulation node by a network link. The in-transit pipeline ships
+// each I/O event's data over the link; the staging node renders and
+// stores frames *concurrently* with the next simulation iterations
+// (Bennett et al. [10]; Gamell et al. [24]). The hybrid pipeline
+// renders in situ on the simulation node and uses the link only to
+// offload checkpoints to the staging disk asynchronously
 // (Catalyst-ADIOS2 style).
 type Cluster struct {
-	Engine  *sim.Engine
+	Engine *sim.Engine
+	// Sim is the simulation node; every pipeline's "node" stages run
+	// on it, and the run's instruments meter it.
 	Sim     *node.Node
 	Staging *node.Node
 	Link    *netio.Link
@@ -34,8 +34,8 @@ type Cluster struct {
 	frameOff   units.Bytes
 }
 
-// NewCluster builds two nodes of the given profile on one engine and
-// connects them.
+// NewCluster builds two nodes of the given profile on one engine (the
+// staging node seeded seed+1) and connects them.
 func NewCluster(p node.Profile, link netio.LinkParams, seed uint64) *Cluster {
 	engine := sim.NewEngine()
 	c := &Cluster{
@@ -49,135 +49,46 @@ func NewCluster(p node.Profile, link netio.LinkParams, seed uint64) *Cluster {
 	return c
 }
 
-// StopNoise halts both nodes' OS-noise tickers.
-func (c *Cluster) StopNoise() {
-	c.Sim.StopNoise()
-	c.Staging.StopNoise()
+// NewClusterFor builds the platform pipeline p runs on: a cluster of
+// one fresh node for post-processing and in-situ, or two nodes joined
+// by 10 GbE for in-transit and hybrid.
+func NewClusterFor(profile node.Profile, p Pipeline, seed uint64) *Cluster {
+	if p.Clustered() {
+		return NewCluster(profile, netio.TenGigE(), seed)
+	}
+	n := node.New(profile, seed)
+	return &Cluster{Engine: n.Engine, Sim: n}
 }
 
-// clusterRunner extends the single-node runner with the cluster
-// substrate; the shared stage bodies (simulate, the in-situ viz event)
-// run unchanged with r.n bound to the cluster's simulation node.
-type clusterRunner struct {
-	runner
-	c *Cluster
-}
-
-// RunOnCluster executes one clustered pipeline (in-transit or hybrid)
-// and returns its measurements. Cluster runs are uninstrumented — no
-// meter is attached, so Profile stays nil and the meter-derived fields
-// (MeasuredEnergy, AvgPower, PeakPower) are zero — but the exact
-// power-bus energy is split per node in SimEnergy/StagingEnergy.
-func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResult {
-	if !p.Clustered() {
-		panic(fmt.Sprintf("core: pipeline %s runs on a single node; use Run", p))
+// nodes lists the platform's nodes, the simulation node first.
+func (c *Cluster) nodes() []*node.Node {
+	if c.Staging == nil {
+		return []*node.Node{c.Sim}
 	}
-	validate(cs, &cfg)
-	r := &clusterRunner{
-		runner: runner{
-			n:      c.Sim,
-			cfg:    cfg,
-			cs:     cs,
-			solver: newSimulator(cfg),
-			hash:   fnv.New64a(),
-		},
-		c: c,
-	}
-	// Cluster runs carry a telemetry bus too, but with no instruments
-	// attached: the ledger accounts stage time (and sim-node stage
-	// energy — the engine's clock is the sim node) and the caller's
-	// consumer streams progress; there is no recorder, so Profile stays
-	// nil as before.
-	tel := telemetry.NewBus()
-	ledger := stagegraph.NewLedger()
-	tel.Attach(ledger)
-	if cfg.Telemetry != nil {
-		tel.Attach(cfg.Telemetry)
-	}
-	r.res = &RunResult{
-		Pipeline:    p,
-		Case:        cs,
-		StageTime:   ledger.StageTime,
-		StageEnergy: ledger.StageEnergy,
-	}
-	eng := stagegraph.New(c.Sim, tel, cfg.Retry)
-
-	startT := c.Engine.Now()
-	simE0 := c.Sim.SystemEnergy()
-	stgE0 := c.Staging.SystemEnergy()
-
-	if err := eng.Run(r.spec(p)); err != nil {
-		panic(fmt.Sprintf("core: invalid %s spec: %v", p, err))
-	}
-
-	// Drain the staging side.
-	c.drain()
-
-	res := r.res
-	res.ExecTime = c.Engine.Now() - startT
-	res.SimEnergy = c.Sim.SystemEnergy() - simE0
-	res.StagingEnergy = c.Staging.SystemEnergy() - stgE0
-	res.Energy = res.SimEnergy + res.StagingEnergy
-	res.FrameChecksum = r.hash.Sum64()
-	res.StagingBusy = c.stagingCPU.BusyTime()
-	res.Faults = r.faults.Stats()
-	res.Recovery = ledger.Recovery
-	return res
-}
-
-// RunInTransit executes the in-transit pipeline on a cluster: simulate
-// on the sim node; per I/O event ship the full checkpoint payload to
-// the staging node, which renders and stores the frame asynchronously.
-// The simulation blocks only for the network transfer.
-func RunInTransit(c *Cluster, cs CaseStudy, cfg AppConfig) *RunResult {
-	return RunOnCluster(c, InTransit, cs, cfg)
-}
-
-// RunHybrid executes the hybrid pipeline on a cluster: render in situ
-// on the simulation node (the full in-situ visualization event,
-// unchanged), and additionally offload each event's checkpoint payload
-// over the link to the staging node's disk, asynchronously — in-situ
-// monitoring with post-hoc restart data, without the local ~188 MiB
-// round trip the post-processing pipeline pays.
-func RunHybrid(c *Cluster, cs CaseStudy, cfg AppConfig) *RunResult {
-	return RunOnCluster(c, Hybrid, cs, cfg)
-}
-
-// spec returns clustered pipeline p's declarative spec bound to this
-// runner.
-func (r *clusterRunner) spec(p Pipeline) stagegraph.Spec {
-	switch p {
-	case InTransit:
-		return r.intransitSpec()
-	case Hybrid:
-		return r.hybridSpec()
-	default:
-		panic(fmt.Sprintf("core: unknown clustered pipeline %d", p))
-	}
+	return []*node.Node{c.Sim, c.Staging}
 }
 
 // intransitSpec ships every event's data to the staging node, which
-// renders asynchronously.
-func (r *clusterRunner) intransitSpec() stagegraph.Spec {
+// renders asynchronously: the simulation blocks only for the network
+// transfer.
+func (r *runner) intransitSpec() stagegraph.Spec {
 	return stagegraph.Spec{
 		Name:   "in-transit",
 		Inputs: []string{"solver", "config"},
 		Stages: []stagegraph.Stage{
-			onNode(stgSimulate, bindSim, bindSimDisk),
-			stgEncodeHost, stgNetTransfer, stgStageRender, stgStageFlush,
+			stgSimulate, stgEncodeHost, stgNetTransfer, stgStageRender, stgStageFlush,
 		},
 		Program: r.intransitProgram,
 	}
 }
 
-func (r *clusterRunner) intransitProgram(x *stagegraph.Exec) {
+func (r *runner) intransitProgram(x *stagegraph.Exec) {
 	c, cfg, cs := r.c, r.cfg, r.cs
 	payload := TotalSizeForGrid(cfg)
-	simStage := onNode(stgSimulate, bindSim, bindSimDisk)
 	for i := 1; i <= cs.Iterations; i++ {
 		// Simulate on the sim node (foreground; staging events fire
 		// underneath).
-		r.simulateIteration(x, simStage)
+		r.simulateIteration(x)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
@@ -191,77 +102,50 @@ func (r *clusterRunner) intransitProgram(x *stagegraph.Exec) {
 			r.hash.Write(png) //nolint:errcheck // fnv cannot fail
 			r.res.Frames++
 		})
-
-		// Ship the event's data; the simulation blocks only for the
-		// serialized transfer.
-		x.Do(stgNetTransfer, func() {
-			c.Sim.SetLoad(c.Sim.Profile.IOCores, power.IntensityIO, c.Sim.Profile.IODRAMGBs)
-			end := c.Link.Send(payload, func() {
-				c.stageRender(stats, units.Bytes(len(png)))
-			})
-			c.Engine.AdvanceTo(end)
-			c.Sim.SetIdle()
-			r.res.BytesSent += payload
-		})
+		r.ship(x, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })
 	}
 }
 
-// simInsituStages is the in-situ event vocabulary rebound to the
-// cluster's simulation node, so the hybrid pipeline runs the exact
-// single-node visualization event there.
-func simInsituStages() insituStages {
-	return insituStages{
-		render:   onNode(stgRenderLive, bindSim, bindSimDisk),
-		variants: onNode(stgRenderVariants, bindSim, bindSimDisk),
-		compress: onNode(stgCompress, bindSim, bindSimDisk),
-		flush:    onNode(stgFrameFlush, bindSim, bindSimDisk),
-	}
-}
-
-// hybridSpec renders in situ on the simulation node and offloads each
-// event's checkpoint payload to the staging disk over the link.
-func (r *clusterRunner) hybridSpec() stagegraph.Spec {
-	st := simInsituStages()
+// hybridSpec renders in situ on the simulation node — the full in-situ
+// visualization event, unchanged — and offloads each event's
+// checkpoint payload over the link to the staging node's disk,
+// asynchronously: in-situ monitoring with post-hoc restart data,
+// without the local ~188 MiB round trip the post-processing pipeline
+// pays.
+func (r *runner) hybridSpec() stagegraph.Spec {
 	return stagegraph.Spec{
 		Name:   "hybrid",
 		Inputs: []string{"solver", "config"},
 		Stages: []stagegraph.Stage{
-			onNode(stgSimulate, bindSim, bindSimDisk),
-			st.render, st.variants, st.compress, st.flush,
-			stgNetTransfer, stgStageCkpt,
-			onNode(stgBarrier, bindSim, bindSimDisk),
+			stgSimulate, stgRenderLive, stgRenderVariants, stgCompress, stgFrameFlush,
+			stgNetTransfer, stgStageCkpt, stgBarrier,
 		},
 		Program: r.hybridProgram,
 	}
 }
 
-func (r *clusterRunner) hybridProgram(x *stagegraph.Exec) {
-	c, cs := r.c, r.cs
+func (r *runner) hybridProgram(x *stagegraph.Exec) {
+	c, n, cs := r.c, r.n, r.cs
 	payload := TotalSizeForGrid(r.cfg)
-	simStage := onNode(stgSimulate, bindSim, bindSimDisk)
-	st := simInsituStages()
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x, simStage)
+		r.simulateIteration(x)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
-		// The unchanged in-situ visualization event, on the sim node.
-		r.insituVizEvent(x, st, i)
-		// Offload the checkpoint payload; the simulation blocks only
-		// for the serialized transfer, the staging disk absorbs the
-		// write asynchronously.
-		x.Do(stgNetTransfer, func() {
-			c.Sim.SetLoad(c.Sim.Profile.IOCores, power.IntensityIO, c.Sim.Profile.IODRAMGBs)
-			end := c.Link.Send(payload, func() {
-				c.offloadCheckpoint(payload)
-			})
-			c.Engine.AdvanceTo(end)
-			c.Sim.SetIdle()
-			r.res.BytesSent += payload
-		})
+		r.insituVizEvent(x, i)
+		// The staging disk absorbs the write asynchronously.
+		r.ship(x, payload, func() { c.offloadCheckpoint(payload) })
 	}
-	x.Do(onNode(stgBarrier, bindSim, bindSimDisk), func() {
-		c.Sim.WithIO(func() { c.Sim.FS.Sync() })
+	x.Do(stgBarrier, func() { n.WithIO(func() { n.FS.Sync() }) })
+}
+
+// ship sends one event's payload over the link; the simulation blocks
+// only for the serialized transfer, and deliver fires on arrival at
+// the staging node.
+func (r *runner) ship(x *stagegraph.Exec, payload units.Bytes, deliver func()) {
+	x.Do(stgNetTransfer, func() {
+		r.n.WithIO(func() { r.c.Engine.AdvanceTo(r.c.Link.Send(payload, deliver)) })
+		r.res.BytesSent += payload
 	})
 }
 
@@ -316,23 +200,22 @@ func (c *Cluster) offloadCheckpoint(payload units.Bytes) {
 	})
 }
 
-// drain advances until the link, staging CPU, and staging disk are all
-// quiet.
+// drain advances until the platform is quiet: the link and the staging
+// CPU free, and every node's storage idle. Draining one node's disk can
+// deliver work to another's, so it repeats until a pass leaves the
+// clock where it was. On a cluster of one it is the node's
+// WaitDiskIdle.
 func (c *Cluster) drain() {
 	for {
-		next := c.Engine.Now()
-		if t := c.Link.FreeAt(); t > next {
-			next = t
+		t := c.Engine.Now()
+		if c.Link != nil {
+			c.Engine.AdvanceTo(max(c.Link.FreeAt(), c.stagingCPU.FreeAt()))
 		}
-		if t := c.stagingCPU.FreeAt(); t > next {
-			next = t
+		for _, n := range c.nodes() {
+			n.WaitDiskIdle()
 		}
-		if t := c.Staging.Device.FreeAt(); t > next {
-			next = t
-		}
-		if next <= c.Engine.Now() {
+		if c.Engine.Now() == t {
 			return
 		}
-		c.Engine.AdvanceTo(next)
 	}
 }

@@ -51,7 +51,7 @@ func TestOceanFramesDifferFromHeatFrames(t *testing.T) {
 
 func TestOceanInTransit(t *testing.T) {
 	cs := CaseStudy{Name: "ocean-it", Iterations: 5, IOInterval: 1}
-	r := RunInTransit(testCluster(45), cs, oceanConfig())
+	r := RunOnCluster(testCluster(45), InTransit, cs, oceanConfig())
 	if r.Frames != 5 || r.StagingBusy <= 0 {
 		t.Errorf("ocean in-transit: frames=%d busy=%v", r.Frames, r.StagingBusy)
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
+	"repro/internal/node"
 )
 
 // faultyConfig arms the injector at rates high enough that a case-1
@@ -91,22 +93,29 @@ func TestUnrecoverableWritesResimulate(t *testing.T) {
 }
 
 // TestDisabledFaultsAreFree: a zero-rate fault config and a nil one
-// must produce bit-identical runs — the injection hooks may not perturb
-// timing, energy, or output when disabled.
+// must produce byte-identical reports on every pipeline — the injection
+// hooks may not perturb timing, energy, or output when disabled.
 func TestDisabledFaultsAreFree(t *testing.T) {
 	cs := CaseStudies()[2]
-	nilCfg := testConfig()
-	zeroCfg := testConfig()
-	zeroCfg.Faults = &fault.Config{}
-
-	a := Run(testNode(5), PostProcessing, cs, nilCfg)
-	b := Run(testNode(5), PostProcessing, cs, zeroCfg)
-	if a.ExecTime != b.ExecTime || a.Energy != b.Energy || a.FrameChecksum != b.FrameChecksum {
-		t.Errorf("zero-rate faults changed the run: time %v/%v energy %v/%v checksum %x/%x",
-			a.ExecTime, b.ExecTime, a.Energy, b.Energy, a.FrameChecksum, b.FrameChecksum)
+	report := func(p Pipeline, faults *fault.Config) (*RunResult, []byte) {
+		cfg := testConfig()
+		cfg.Faults = faults
+		r := RunOnCluster(NewClusterFor(node.SandyBridge(), p, 5), p, cs, cfg)
+		var buf bytes.Buffer
+		if err := r.EncodeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return r, buf.Bytes()
 	}
-	if b.Faults.Total() != 0 || b.Recovery.Total() != 0 {
-		t.Errorf("disabled run reported activity: faults %+v recovery %+v", b.Faults, b.Recovery)
+	for _, p := range Pipelines() {
+		_, a := report(p, nil)
+		b, zero := report(p, &fault.Config{})
+		if !bytes.Equal(a, zero) {
+			t.Errorf("%s: zero-rate faults changed the report:\n%s\nvs\n%s", p, a, zero)
+		}
+		if b.Faults.Total() != 0 || b.Recovery.Total() != 0 {
+			t.Errorf("%s: disabled run reported activity: faults %+v recovery %+v", p, b.Faults, b.Recovery)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // RunResult captures everything the paper measures for one run — of
-// any pipeline. Single-node runs (post-processing, in-situ) fill the
-// instrumented fields; cluster runs (in-transit, hybrid) additionally
+// any pipeline. Every run fills the instrumented fields, which meter
+// the simulation node; cluster runs (in-transit, hybrid) additionally
 // split Energy across the two nodes and account the network.
 //
 // The struct is JSON-serializable (EncodeJSON): the CLI's -format
@@ -20,15 +20,15 @@ type RunResult struct {
 	Case     CaseStudy `json:"case"`
 
 	// Profile holds the instrument series (system, rapl.PKG,
-	// rapl.DRAM) and stage phase annotations. Cluster runs are
-	// uninstrumented (no meter attached) and leave it nil.
+	// rapl.DRAM) of the simulation node and the stage phase
+	// annotations.
 	Profile *trace.Profile `json:"-"`
 
 	// ExecTime is the wall (virtual) duration of the run (Fig. 7).
 	ExecTime units.Seconds `json:"exec_seconds"`
 	// Energy is the exact full-system energy from the power bus
 	// (Fig. 10) — for cluster runs, summed over both nodes;
-	// MeasuredEnergy integrates the 1 Hz meter.
+	// MeasuredEnergy integrates the simulation node's 1 Hz meter.
 	Energy         units.Joules `json:"energy_joules"`
 	MeasuredEnergy units.Joules `json:"measured_energy_joules"`
 	// AvgPower and PeakPower come from the meter series (Figs. 8-9).
@@ -53,7 +53,8 @@ type RunResult struct {
 	// FramePNGs holds the encoded frames when RetainFrames is set.
 	FramePNGs [][]byte `json:"-"`
 
-	// BytesToDisk is total media traffic (for attribution).
+	// BytesWritten and BytesRead are total media traffic, summed over
+	// the nodes (for attribution).
 	BytesWritten units.Bytes `json:"bytes_written"`
 	BytesRead    units.Bytes `json:"bytes_read"`
 

@@ -20,7 +20,8 @@ import (
 // stagegraph engine now; the runner holds only the application state
 // the stage bodies close over.
 type runner struct {
-	n      *node.Node
+	c      *Cluster
+	n      *node.Node // c.Sim: the node every pipeline's "node" stages run on
 	cfg    AppConfig
 	cs     CaseStudy
 	solver Simulator
@@ -34,17 +35,32 @@ type runner struct {
 	faults *fault.Injector
 }
 
-// Run executes one single-node pipeline on a node and returns its
-// measurements. The node should be freshly created (or at least
-// disk-quiet); a run leaves its checkpoint and frame files on the
-// node's filesystem. Clustered pipelines (in-transit, hybrid) need a
-// Cluster — use RunOnCluster.
+// Run executes one single-node pipeline (post-processing or in-situ)
+// on a node — a cluster of one — and returns its measurements. The
+// node should be freshly created (or at least disk-quiet); a run
+// leaves its checkpoint and frame files on the node's filesystem.
 func Run(n *node.Node, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResult {
-	if p.Clustered() {
-		panic(fmt.Sprintf("core: pipeline %s runs on a cluster; use RunOnCluster", p))
+	return RunOnCluster(&Cluster{Engine: n.Engine, Sim: n}, p, cs, cfg)
+}
+
+// RunOnCluster executes pipeline p on platform c and returns its
+// measurements. The platform must have the nodes p needs: one for
+// post-processing and in-situ, two (a simulation and a staging node)
+// for in-transit and hybrid; NewClusterFor builds the right one.
+//
+// Every run is observed the same way: one telemetry bus, one stage
+// ledger, the wall meter and RAPL on the simulation node, and one
+// fault injector shared by every node. Energy and disk traffic sum
+// over the nodes.
+func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResult {
+	nodes := c.nodes()
+	if p.Clustered() != (len(nodes) == 2) {
+		panic(fmt.Sprintf("core: pipeline %s cannot run on a %d-node platform", p, len(nodes)))
 	}
 	validate(cs, &cfg)
+	n := c.Sim
 	r := &runner{
+		c:      c,
 		n:      n,
 		cfg:    cfg,
 		cs:     cs,
@@ -58,7 +74,9 @@ func Run(n *node.Node, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResult {
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		r.faults = fault.New(*cfg.Faults)
 		r.faults.AttachTelemetry(tel)
-		n.InstallFaults(r.faults)
+		for _, nd := range nodes {
+			nd.InstallFaults(r.faults)
+		}
 		if sink, ok := cfg.Store.(FaultSink); ok {
 			sink.SetFaults(r.faults)
 		}
@@ -84,37 +102,46 @@ func Run(n *node.Node, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResult {
 	}
 	eng := stagegraph.New(n, tel, cfg.Retry)
 
-	startT := n.Now()
-	startE := n.SystemEnergy()
-	d0 := n.DiskStats()
+	startT := c.Engine.Now()
+	e0 := make([]units.Joules, len(nodes))
+	d0 := make([]storage.DiskStats, len(nodes))
+	for i, nd := range nodes {
+		e0[i], d0[i] = nd.SystemEnergy(), nd.DiskStats()
+	}
 	inst.Start()
 
 	if err := eng.Run(r.spec(p)); err != nil {
 		panic(fmt.Sprintf("core: invalid %s spec: %v", p, err))
 	}
 
-	n.WaitDiskIdle()
+	c.drain()
 	inst.Stop()
 
 	res := r.res
-	res.ExecTime = n.Now() - startT
-	res.Energy = n.SystemEnergy() - startE
+	res.ExecTime = c.Engine.Now() - startT
+	energy := make([]units.Joules, len(nodes))
+	for i, nd := range nodes {
+		energy[i] = nd.SystemEnergy() - e0[i]
+		res.Energy += energy[i]
+		d1 := nd.DiskStats()
+		res.BytesWritten += d1.BytesWritten - d0[i].BytesWritten
+		res.BytesRead += d1.BytesRead - d0[i].BytesRead
+	}
+	if c.Staging != nil {
+		res.SimEnergy, res.StagingEnergy = energy[0], energy[1]
+		res.StagingBusy = c.stagingCPU.BusyTime()
+	}
 	res.MeasuredEnergy, res.AvgPower, res.PeakPower = meter.summary()
 	res.FrameChecksum = r.hash.Sum64()
-	d1 := n.DiskStats()
-	res.BytesWritten = d1.BytesWritten - d0.BytesWritten
-	res.BytesRead = d1.BytesRead - d0.BytesRead
 	res.Faults = r.faults.Stats()
 	res.Recovery = ledger.Recovery
 	return res
 }
 
 // simulateIteration advances one output iteration: RealSubsteps of real
-// physics, the full SubstepsPerIteration of charged compute. sim is the
-// spec's Simulate stage (bound to the node, or to a cluster's sim
-// node).
-func (r *runner) simulateIteration(x *stagegraph.Exec, sim stagegraph.Stage) {
-	x.Do(sim, func() {
+// physics, the full SubstepsPerIteration of charged compute.
+func (r *runner) simulateIteration(x *stagegraph.Exec) {
+	x.Do(stgSimulate, func() {
 		r.solver.Step(r.cfg.RealSubsteps)
 		r.n.Compute(r.solver.CellUpdates(r.cfg.SubstepsPerIteration))
 	})
@@ -184,15 +211,15 @@ func (r *runner) resimulate(iter int) (*field.Grid, uint64, float64) {
 // renderCinemaVariants renders the image-database views of one event
 // (Ahrens et al. [12]): real renders under varied visualization
 // parameters, stored alongside the primary frame. They restore post-hoc
-// exploration without shipping the raw data. variants is the spec's
-// (untimed) variant-render stage; it nests inside the visualization
-// stage like the renders themselves do.
-func (r *runner) renderCinemaVariants(x *stagegraph.Exec, variants stagegraph.Stage, event int) {
+// exploration without shipping the raw data. The (untimed)
+// variant-render stage nests inside the visualization stage like the
+// renders themselves do.
+func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
 	cfg := r.cfg
 	if cfg.CinemaVariants <= 0 {
 		return
 	}
-	x.Do(variants, func() {
+	x.Do(stgRenderVariants, func() {
 		g := r.solver.Field()
 		lo, hi := g.MinMax()
 		if lo == hi {

@@ -28,8 +28,12 @@ func (r *runner) spec(p Pipeline) stagegraph.Spec {
 		return r.postSpec()
 	case InSitu:
 		return r.insituSpec()
+	case InTransit:
+		return r.intransitSpec()
+	case Hybrid:
+		return r.hybridSpec()
 	default:
-		panic(fmt.Sprintf("core: unknown single-node pipeline %d", p))
+		panic(fmt.Sprintf("core: unknown pipeline %d", p))
 	}
 }
 
@@ -73,7 +77,7 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 	}
 	var ckpts []ckptRef
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x, stgSimulate)
+		r.simulateIteration(x)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
@@ -122,23 +126,6 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 	x.Do(stgBarrier, func() { n.WithIO(func() { n.FS.Sync() }) })
 }
 
-// insituStages names the stages one in-situ visualization event
-// executes, so the event body is shared verbatim between the in-situ
-// spec (stages bound to the single node) and the hybrid spec (the same
-// stages rebound to the cluster's simulation node).
-type insituStages struct {
-	render, variants, compress, flush stagegraph.Stage
-}
-
-func nodeInsituStages() insituStages {
-	return insituStages{
-		render:   stgRenderLive,
-		variants: stgRenderVariants,
-		compress: stgCompress,
-		flush:    stgFrameFlush,
-	}
-}
-
 // insituSpec is the coupled pipeline: each I/O event renders directly
 // from the live field and synchronously flushes the frame plus a
 // reduced data product so the scientist can monitor the run.
@@ -156,30 +143,30 @@ func (r *runner) insituSpec() stagegraph.Spec {
 
 func (r *runner) insituProgram(x *stagegraph.Exec) {
 	n, cs := r.n, r.cs
-	st := nodeInsituStages()
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x, stgSimulate)
+		r.simulateIteration(x)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
-		r.insituVizEvent(x, st, i)
+		r.insituVizEvent(x, i)
 	}
 	x.Do(stgBarrier, func() { n.WithIO(func() { n.FS.Sync() }) })
 }
 
 // insituVizEvent is one in-situ visualization event: render from the
 // live field, optional cinema variants and compression, then
-// synchronously flush the frame plus the reduced data product.
-func (r *runner) insituVizEvent(x *stagegraph.Exec, st insituStages, i int) {
+// synchronously flush the frame plus the reduced data product. The
+// in-situ and hybrid pipelines share it verbatim.
+func (r *runner) insituVizEvent(x *stagegraph.Exec, i int) {
 	n, cfg := r.n, r.cfg
-	x.Do(st.render, func() {
+	x.Do(stgRenderLive, func() {
 		png := r.renderFrame(r.solver.Field(), r.solver.Steps(), r.solver.Time())
-		r.renderCinemaVariants(x, st.variants, i)
+		r.renderCinemaVariants(x, i)
 		payload := cfg.InsituPayload
 		if cfg.CompressInsitu {
 			// Measure the real compression ratio on this event's
 			// field and charge the compression pass.
-			x.Do(st.compress, func() {
+			x.Do(stgCompress, func() {
 				ratio, err := viz.CompressionRatio(r.solver.Field())
 				if err != nil {
 					panic(fmt.Sprintf("core: compression failed: %v", err))
@@ -191,7 +178,7 @@ func (r *runner) insituVizEvent(x *stagegraph.Exec, st insituStages, i int) {
 				r.res.CompressionRatio = ratio
 			})
 		}
-		x.Do(st.flush, func() {
+		x.Do(stgFrameFlush, func() {
 			n.WithIO(func() {
 				f := r.writeFrameFile(x, png)
 				reduced := n.FS.Create(fmt.Sprintf("reduced-%04d", i), storage.AllocContiguous)

@@ -65,8 +65,9 @@ func (k ResourceKind) String() string {
 }
 
 // Binding names the resource a stage runs against: the kind of
-// resource and the logical instance ("node" for single-node runs,
-// "sim"/"staging" on a cluster, "link" for the interconnect).
+// resource and the logical instance ("node" for the simulation node,
+// "staging" for a cluster's staging node, "link" for the
+// interconnect).
 type Binding struct {
 	Kind ResourceKind
 	On   string

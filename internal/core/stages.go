@@ -16,31 +16,17 @@ import "repro/internal/core/stagegraph"
 // PNG; "reduced" the in-situ reduced data product; "shipped" an event
 // payload delivered over the link.
 
-// Resource bindings. Single-node pipelines run on "node"; cluster
-// pipelines distinguish the "sim" and "staging" nodes and the "link".
+// Resource bindings. The simulation node binds as "node" in every
+// pipeline; clustered pipelines add the "staging" node and the "link".
 var (
 	bindNode        = stagegraph.Binding{Kind: stagegraph.ResNode, On: "node"}
 	bindDisk        = stagegraph.Binding{Kind: stagegraph.ResDisk, On: "node"}
-	bindSim         = stagegraph.Binding{Kind: stagegraph.ResNode, On: "sim"}
-	bindSimDisk     = stagegraph.Binding{Kind: stagegraph.ResDisk, On: "sim"}
 	bindStaging     = stagegraph.Binding{Kind: stagegraph.ResNode, On: "staging"}
 	bindStagingDisk = stagegraph.Binding{Kind: stagegraph.ResDisk, On: "staging"}
 	bindLink        = stagegraph.Binding{Kind: stagegraph.ResLink, On: "link"}
 )
 
-// onNode rebinds a node-bound stage to another logical node, so the
-// single-node vocabulary reuses verbatim on the cluster's sim node.
-func onNode(st stagegraph.Stage, node, disk stagegraph.Binding) stagegraph.Stage {
-	switch st.Binding.Kind {
-	case stagegraph.ResDisk:
-		st.Binding = disk
-	case stagegraph.ResNode:
-		st.Binding = node
-	}
-	return st
-}
-
-// The single-node stage vocabulary.
+// The simulation-node stage vocabulary every pipeline draws on.
 var (
 	// stgSimulate advances one output iteration of the solver and
 	// charges the full virtual compute cost.
@@ -113,7 +99,7 @@ var (
 	}
 )
 
-// The cluster stage vocabulary (in-transit and hybrid).
+// The link and staging-node stage vocabulary (in-transit and hybrid).
 var (
 	// stgEncodeHost renders and PNG-encodes the frame on the
 	// simulation host; its virtual render cost is charged on the
@@ -121,7 +107,7 @@ var (
 	stgEncodeHost = stagegraph.Stage{
 		Kind: stagegraph.Encode,
 		Uses: []string{"field"}, Yields: []string{"frame"},
-		Binding: bindSim,
+		Binding: bindNode,
 	}
 	// stgNetTransfer ships one event's payload over the link; the
 	// simulation blocks only for the serialized transfer.

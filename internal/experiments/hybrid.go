@@ -20,7 +20,7 @@ func (s *Suite) Hybrid() Report {
 	ins := s.run(core.InSitu, cs)
 
 	cluster := core.NewCluster(node.SandyBridge(), netio.TenGigE(), s.seedFor("hybrid/cluster"))
-	hy := core.RunHybrid(cluster, cs, s.Config)
+	hy := core.RunOnCluster(cluster, core.Hybrid, cs, s.Config)
 
 	var b strings.Builder
 	rows := [][]string{

@@ -18,7 +18,7 @@ func (s *Suite) InTransit() Report {
 	ins := s.run(core.InSitu, cs)
 
 	cluster := core.NewCluster(node.SandyBridge(), netio.TenGigE(), s.seedFor("intransit/cluster"))
-	it := core.RunInTransit(cluster, cs, s.Config)
+	it := core.RunOnCluster(cluster, core.InTransit, cs, s.Config)
 
 	var b strings.Builder
 	rows := [][]string{

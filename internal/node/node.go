@@ -353,8 +353,10 @@ func (n *Node) WaitDiskIdle() {
 
 // InstallFaults attaches a fault injector to the node's whole storage
 // stack — the block device (latency spikes) and the filesystem
-// (transient errors, bit-rot). Pass nil to detach. One injector per
-// node: its decision stream is part of the node's deterministic state.
+// (transient errors, bit-rot). Pass nil to detach. A run builds one
+// injector and installs it on every node; nodes sharing one engine
+// fire their storage events in a deterministic order, so the shared
+// decision stream is part of the run's deterministic state.
 func (n *Node) InstallFaults(inj *fault.Injector) {
 	switch d := n.Device.(type) {
 	case *storage.Disk:

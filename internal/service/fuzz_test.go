@@ -8,10 +8,11 @@ import (
 
 // FuzzJobSpec drives arbitrary POST /v1/jobs bodies through the
 // handler's decoder, then Normalized and Digest. Whatever the body,
-// nothing panics; a spec that normalizes is a fixed point of
-// Normalized; Digest equals DigestNormalized of the normalized form;
-// and the normalized spec re-encoded as JSON decodes to the same
-// digest, so a client echoing a spec back cannot change its address.
+// nothing panics; an accepted body with a stray "}" appended is
+// rejected; a spec that normalizes is a fixed point of Normalized;
+// Digest equals DigestNormalized of the normalized form; and the
+// normalized spec re-encoded as JSON decodes to the same digest, so a
+// client echoing a spec back cannot change its address.
 func FuzzJobSpec(f *testing.F) {
 	for _, body := range []string{
 		`{"experiment":"fig4"}`,
@@ -24,6 +25,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"pipeline":"insitu","case":3,"power_cap_watts":80,"insitu_nosync":true,"compress_insitu":true,"async_checkpoint":true,"cinema_variants":2}`,
 		`{"pipeline":"hybrid","app":"heat","device":"nvram","case":2}`,
 		`{"experiment":"fig4"}{"experiment":"table1"}`,
+		`{"experiment":"fig4"}}`,
+		`{"experiment":"fig4"}]`,
 		`{"experimnt":"fig4"}`,
 		`{"experiment":"fig4","kernel_workers":2}`,
 		`{"experiment":"fig4","pipeline":"post"}`,
@@ -34,9 +37,13 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spec, err := decodeJobSpec(bytes.NewReader(body))
-		if err != nil {
+		var spec JobSpec
+		if err := DecodeStrict(bytes.NewReader(body), &spec); err != nil {
 			return
+		}
+		var again JobSpec
+		if err := DecodeStrict(bytes.NewReader(append(body[:len(body):len(body)], '}')), &again); err == nil {
+			t.Fatalf("%q accepted with a stray '}' appended", body)
 		}
 		n, err := spec.Normalized()
 		if err != nil {
@@ -56,8 +63,8 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%+v: encode: %v", n, err)
 		}
-		decoded, err := decodeJobSpec(bytes.NewReader(encoded))
-		if err != nil {
+		var decoded JobSpec
+		if err := DecodeStrict(bytes.NewReader(encoded), &decoded); err != nil {
 			t.Fatalf("re-decoding %s: %v", encoded, err)
 		}
 		if d, err := decoded.Digest(); err != nil || d != digest {

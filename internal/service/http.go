@@ -60,15 +60,15 @@ func Handler(m *Manager) *http.ServeMux {
 		// A spec is a few hundred bytes; cap the body so an oversized
 		// POST can't allocate unboundedly.
 		r.Body = http.MaxBytesReader(w, r.Body, m.opts.MaxBodyBytes)
-		spec, err := decodeJobSpec(r.Body)
-		if err != nil {
+		var spec JobSpec
+		if err := DecodeStrict(r.Body, &spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("spec body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, err)
+			httpError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 			return
 		}
 		job, err := m.Submit(spec)

@@ -43,7 +43,8 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 
 // TestSubmitTrailingGarbage: bytes after the spec object are an
 // error, not silently discarded — a concatenated second spec would
-// otherwise look accepted while never being submitted.
+// otherwise look accepted while never being submitted, and a stray
+// closing bracket would pass for a well-formed body.
 func TestSubmitTrailingGarbage(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1})
 
@@ -51,6 +52,8 @@ func TestSubmitTrailingGarbage(t *testing.T) {
 		`{"experiment":"fig4"}{"experiment":"table1"}`,
 		`{"experiment":"fig4"} garbage`,
 		`{"experiment":"fig4"} 42`,
+		`{"experiment":"fig4"}}`,
+		`{"experiment":"fig4"}]`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/netio"
-	"repro/internal/node"
 	"repro/internal/units"
 )
 
@@ -63,12 +61,7 @@ func runSpec(ctx context.Context, spec JobSpec, tel *jobTelemetry) ([]byte, erro
 			platform.PackagePowerCap = units.Watts(spec.PowerCapWatts)
 		}
 		cs := core.CaseStudies()[spec.Case-1]
-		var result *core.RunResult
-		if p.Clustered() {
-			result = core.RunOnCluster(core.NewCluster(platform, netio.TenGigE(), spec.Seed), p, cs, cfg)
-		} else {
-			result = core.Run(node.New(platform, spec.Seed), p, cs, cfg)
-		}
+		result := core.RunOnCluster(core.NewClusterFor(platform, p, spec.Seed), p, cs, cfg)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

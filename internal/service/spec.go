@@ -92,21 +92,26 @@ type JobSpec struct {
 	CinemaVariants int `json:"cinema_variants,omitempty"`
 }
 
-// decodeJobSpec reads the one JSON object of a POST /v1/jobs body.
-// Unknown fields are an error, and so is a second value after the
-// object, so a concatenated spec is not silently ignored. Read errors
-// come back wrapped, for the caller to map (an oversized body is 413).
-func decodeJobSpec(r io.Reader) (JobSpec, error) {
-	var spec JobSpec
+// DecodeStrict decodes the one JSON value of a request body into v.
+// Unknown object fields are an error, and so is anything after the
+// value but whitespace — a second value or a stray closing bracket —
+// so a concatenated body is never half-accepted. A read error stays
+// matchable with errors.As, for the caller to map (an oversized body
+// is 413).
+func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return JobSpec{}, fmt.Errorf("decode spec: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	if dec.More() {
-		return JobSpec{}, errors.New("trailing data after spec object")
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err == nil:
+		return errors.New("trailing data after the JSON value")
+	default:
+		return fmt.Errorf("trailing data after the JSON value: %w", err)
 	}
-	return spec, nil
 }
 
 // Job kinds.

@@ -127,7 +127,8 @@ type Event struct {
 	Run string
 	// Stage is the stage's phase name; StageKind its vocabulary kind
 	// ("Simulate", "Render", ...); On the resource instance it ran
-	// against ("node", "sim", "staging", "link").
+	// against: "node" (the simulation node, in every pipeline), or
+	// "staging" and "link" on a two-node cluster.
 	Stage     string
 	StageKind string
 	On        string
