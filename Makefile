@@ -26,8 +26,9 @@ static:
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
 # they are skipped there and must run here explicitly), and short
-# fuzz passes over the checkpoint decoder, the PNG encoder and the
-# job-spec decoder (seeds plus 10s of mutation each).
+# fuzz passes over the checkpoint decoder, the PNG encoder, the
+# job-spec decoder and the campaign-spec decoder and expander (seeds
+# plus 10s of mutation each).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -39,17 +40,20 @@ check: static
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpec$$' -fuzztime 10s ./internal/campaign
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after
-# an intentional output change.
+# an intentional output change. go test hands every argument after a
+# flag it does not know (-update) to the test binary, so the package
+# comes first there.
 .PHONY: golden golden-update
 golden:
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 golden-update:
-	$(GO) test -run '^TestGolden' -timeout 30m -update ./internal/experiments
-	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m -update ./internal/campaign
+	$(GO) test ./internal/experiments -run '^TestGolden' -timeout 30m -update
+	$(GO) test ./internal/campaign -run '^TestGoldenCampaignReport$$' -timeout 10m -update
 
 # bench records the benchmark set into OUT, which is required and must
 # not be a committed ledger: make bench OUT=BENCH_pr13.json

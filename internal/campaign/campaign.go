@@ -8,12 +8,12 @@
 // sweep declaratively: a base job, a list of axes (pipeline, device,
 // power cap, fault spec, any swept AppConfig knob), and an objective.
 // The engine expands the cross-product in a deterministic order,
-// content-addresses the whole campaign (SHA-256 over the canonical
-// spec plus every point's job digest, which itself reuses
-// AppConfig.WriteCanonical), and executes points through the existing
-// service manager — so identical points dedupe onto the memory and
-// disk result caches, and resubmitting a half-finished campaign after
-// a daemon restart re-runs only the points whose reports were lost.
+// content-addresses the whole campaign (SHA-256 over what its report
+// prints of the spec plus every point's job digest), and executes
+// points through the existing service manager — so identical points
+// dedupe onto the memory and disk result caches, and resubmitting a
+// half-finished campaign after a daemon restart re-runs only the
+// points whose reports were lost.
 //
 // As points complete, a streaming aggregator folds each RunResult into
 // a comparative report: per-axis marginal tables, the energy-vs-time
@@ -273,11 +273,6 @@ func Expand(s Spec) ([]Point, error) {
 		if norm.Kind != service.KindPipeline {
 			return nil, fmt.Errorf("point %d (%s): campaigns sweep pipeline jobs, got kind %q", i, label.String(), norm.Kind)
 		}
-		// The spec was just normalized, so skip Digest's re-validation.
-		digest, err := norm.DigestNormalized()
-		if err != nil {
-			return nil, fmt.Errorf("point %d (%s): %w", i, label.String(), err)
-		}
 		start := len(flat)
 		flat = append(flat, values...)
 		points = append(points, Point{
@@ -285,34 +280,33 @@ func Expand(s Spec) ([]Point, error) {
 			Label:  label.String(),
 			Values: flat[start:len(flat):len(flat)],
 			Spec:   norm,
-			Digest: digest,
+			// The spec was just normalized, so skip Digest's re-validation.
+			Digest: norm.DigestNormalized(),
 		})
 	}
 	return points, nil
 }
 
-// appendCanonical appends the campaign's canonical form: the
-// normalized sweep declaration plus every expanded point's job digest.
-// Each job digest already covers the canonical form of the AppConfig
-// the point derives (AppConfig.WriteCanonical), so the campaign
-// address commits to the exact run identities, not just the surface
-// spelling of the spec. The strconv appends produce byte-for-byte the
-// fmt form they replaced (campaign_test.go keeps the fmt version as
-// the reference):
+// appendCanonical appends the campaign's canonical form (v2): what
+// the report prints of the normalized spec — name, objective, axes —
+// plus every expanded point's job digest, which commits to the exact
+// job each point runs (the base spec reaches the address only through
+// them):
 //
-//	campaign v1 name:%q objective:%s maxpoints:%d\n
-//	base:%+v\n
-//	axis %s:%q\n   (per axis)
-//	point %d %s\n  (per point)
+//	campaign v2 name:%q objective:%s\n
+//	axis %s:[%q ...]\n   (per axis)
+//	point %d %s\n        (per point)
+//
+// A change to any point's report re-keys the campaign through that
+// point's digest. The leading version is bumped by a change that
+// alters the report of an unchanged campaign otherwise — a change to
+// how the report is rendered — so a persisted state record is never
+// served stale.
 func appendCanonical(b []byte, s Spec, points []Point) []byte {
-	b = append(b, "campaign v1 name:"...)
+	b = append(b, "campaign v2 name:"...)
 	b = strconv.AppendQuote(b, s.Name)
 	b = append(b, " objective:"...)
 	b = append(b, s.Objective...)
-	b = append(b, " maxpoints:"...)
-	b = strconv.AppendInt(b, int64(s.MaxPoints), 10)
-	b = append(b, "\nbase:"...)
-	b = appendJobSpec(b, s.Base)
 	b = append(b, '\n')
 	for _, ax := range s.Axes {
 		b = append(b, "axis "...)
@@ -334,49 +328,6 @@ func appendCanonical(b []byte, s Spec, points []Point) []byte {
 		b = append(b, '\n')
 	}
 	return b
-}
-
-// jobSpecKernelWorkersV1 is the v1 token of the removed
-// JobSpec.KernelWorkers field, still written so campaign IDs do not
-// change.
-const jobSpecKernelWorkersV1 = " KernelWorkers:0"
-
-// appendJobSpec appends the %+v form of a service.JobSpec value (flat
-// struct of strings, ints, bools — field order as declared), as of
-// campaign canonical form v1.
-func appendJobSpec(b []byte, s service.JobSpec) []byte {
-	b = append(b, "{Kind:"...)
-	b = append(b, s.Kind...)
-	b = append(b, " Experiment:"...)
-	b = append(b, s.Experiment...)
-	b = append(b, " Pipeline:"...)
-	b = append(b, s.Pipeline...)
-	b = append(b, " App:"...)
-	b = append(b, s.App...)
-	b = append(b, " Device:"...)
-	b = append(b, s.Device...)
-	b = append(b, " Case:"...)
-	b = strconv.AppendInt(b, int64(s.Case), 10)
-	b = append(b, " Seed:"...)
-	b = strconv.AppendUint(b, s.Seed, 10)
-	b = append(b, " RealSubsteps:"...)
-	b = strconv.AppendInt(b, int64(s.RealSubsteps), 10)
-	b = append(b, " FioGiB:"...)
-	b = strconv.AppendInt(b, int64(s.FioGiB), 10)
-	b = append(b, " Faults:"...)
-	b = append(b, s.Faults...)
-	b = append(b, jobSpecKernelWorkersV1...)
-	b = append(b, " PowerCapWatts:"...)
-	b = strconv.AppendFloat(b, s.PowerCapWatts, 'g', -1, 64)
-	b = append(b, " InsituNoSync:"...)
-	b = strconv.AppendBool(b, s.InsituNoSync)
-	b = append(b, " CompressInsitu:"...)
-	b = strconv.AppendBool(b, s.CompressInsitu)
-	b = append(b, " AsyncCheckpoint:"...)
-	b = strconv.AppendBool(b, s.AsyncCheckpoint)
-	b = append(b, " CinemaVariants:"...)
-	b = strconv.AppendInt(b, int64(s.CinemaVariants), 10)
-	return append(b, '}')
 }
 
 // Digest content-addresses a normalized, expanded campaign: a hex

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,22 +174,58 @@ func TestDigestSensitivity(t *testing.T) {
 	}
 }
 
-// TestDigestMatchesFmtReference pins the campaign canonical form to
-// the fmt.Fprintf formulation the strconv appender replaced: any
-// textual drift would silently re-key every persisted campaign.
+// TestDigestMatchesFmtReference pins the campaign digest to its
+// reference format: the exact v2 preimage, header, axes and point job
+// lines spelled out as literal strings rather than re-derived. Any
+// drift would silently re-key every persisted campaign.
 func TestDigestMatchesFmtReference(t *testing.T) {
-	specs := []Spec{
-		testSpec(),
-		func() Spec {
-			s := testSpec()
-			s.Objective = ObjectiveTime
-			s.Base.Faults = "bitrot=0.01"
-			s.Axes = append(s.Axes, Axis{Name: "power_cap_watts", Values: []string{"0", "80"}})
-			return s
-		}(),
+	sha := func(s string) string {
+		sum := sha256.Sum256([]byte(s))
+		return hex.EncodeToString(sum[:])
 	}
-	for _, spec := range specs {
-		norm, err := spec.Normalized()
+	pins := []struct {
+		spec   Spec
+		header string
+		jobs   []string // the job line each point's digest hashes
+	}{
+		{
+			testSpec(),
+			"campaign v2 name:\"test-sweep\" objective:energy\n" +
+				"axis pipeline:[\"post\" \"insitu\"]\n" +
+				"axis device:[\"hdd\" \"ssd\"]\n",
+			[]string{
+				`v2 kind:pipeline exp: pipe:post app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:post app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0`,
+			},
+		},
+		{
+			func() Spec {
+				s := testSpec()
+				s.Objective = ObjectiveTime
+				s.Base.Faults = "bitrot=0.01"
+				s.Axes = append(s.Axes, Axis{Name: "power_cap_watts", Values: []string{"0", "80"}})
+				return s
+			}(),
+			"campaign v2 name:\"test-sweep\" objective:time\n" +
+				"axis pipeline:[\"post\" \"insitu\"]\n" +
+				"axis device:[\"hdd\" \"ssd\"]\n" +
+				"axis power_cap_watts:[\"0\" \"80\"]\n",
+			[]string{
+				`v2 kind:pipeline exp: pipe:post app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:post app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:80 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:post app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:post app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:80 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:hdd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:80 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:0 nosync:false compress:false async:false cinema:0`,
+				`v2 kind:pipeline exp: pipe:insitu app:heat dev:ssd case:1 seed:1 real:2 fio:4 faults:"bitrot=0.01" pcap:80 nosync:false compress:false async:false cinema:0`,
+			},
+		},
+	}
+	for _, pin := range pins {
+		norm, err := pin.spec.Normalized()
 		if err != nil {
 			t.Fatalf("Normalized: %v", err)
 		}
@@ -196,24 +233,41 @@ func TestDigestMatchesFmtReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Expand: %v", err)
 		}
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "campaign v1 name:%q objective:%s maxpoints:%d\n",
-			norm.Name, norm.Objective, norm.MaxPoints)
-		// JobSpec has since lost its KernelWorkers field, so its v1
-		// token is spliced back where %+v printed it.
-		base := strings.Replace(fmt.Sprintf("%+v", norm.Base), " PowerCapWatts:", jobSpecKernelWorkersV1+" PowerCapWatts:", 1)
-		fmt.Fprintf(&buf, "base:%s\n", base)
-		for _, ax := range norm.Axes {
-			fmt.Fprintf(&buf, "axis %s:%q\n", ax.Name, ax.Values)
+		if len(points) != len(pin.jobs) {
+			t.Fatalf("campaign %q: %d points, want %d", norm.Name, len(points), len(pin.jobs))
 		}
-		for _, p := range points {
-			fmt.Fprintf(&buf, "point %d %s\n", p.Index, p.Digest)
+		preimage := pin.header
+		for i, line := range pin.jobs {
+			if got, want := points[i].Digest, sha(line+"\n"); got != want {
+				t.Errorf("campaign %q point %d: digest %s, want sha256 of %q", norm.Name, i, got, line)
+			}
+			preimage += fmt.Sprintf("point %d %s\n", i, sha(line+"\n"))
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		want := hex.EncodeToString(sum[:])
-		if got := Digest(norm, points); got != want {
-			t.Errorf("campaign %q: digest %s != fmt reference %s", norm.Name, got, want)
+		if got, want := Digest(norm, points), sha(preimage); got != want {
+			t.Errorf("campaign %q: digest %s, want sha256 of\n%s", norm.Name, got, preimage)
 		}
+	}
+}
+
+// TestDigestIgnoresUnprintedFields: the campaign address covers what
+// the report prints plus the point digests. A base field every point
+// overrides, and max_points, are in neither, so changing them keeps
+// the ID and the report bytes.
+func TestDigestIgnoresUnprintedFields(t *testing.T) {
+	jobs := newJobManager(t, nil)
+	_, plain := runCampaign(t, jobs, testSpec(), 4)
+	spec := testSpec()
+	spec.Base.Pipeline = "hybrid" // every point sets pipeline
+	spec.Base.Device = "nvram"    // and device
+	spec.MaxPoints = 4
+	_, varied := runCampaign(t, jobs, spec, 4)
+	if plain.ID != varied.ID || plain.Digest != varied.Digest {
+		t.Errorf("campaign ID %s (%s) != %s (%s)", varied.ID, varied.Digest, plain.ID, plain.Digest)
+	}
+	a, _ := plain.Report()
+	b, _ := varied.Report()
+	if !bytes.Equal(a, b) {
+		t.Errorf("reports differ:\n%s\n---\n%s", a, b)
 	}
 }
 
@@ -458,6 +512,79 @@ func TestHTTPAPI(t *testing.T) {
 			t.Fatalf("spec with trailer %q: status = %d, want 400", trailer, resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestHTTPConcurrentFirstPosts: of N concurrent first POSTs of one
+// spec, exactly one is told it created the campaign (202); the rest
+// get 200, and all name the same campaign.
+func TestHTTPConcurrentFirstPosts(t *testing.T) {
+	jobs := newJobManager(t, nil)
+	cm := NewManager(jobs, Options{})
+	t.Cleanup(cm.Close)
+	mux := service.Handler(jobs)
+	cm.Register(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	const posts = 8
+	specBody, _ := json.Marshal(testSpec())
+	statuses := make([]int, posts)
+	ids := make([]string, posts)
+	errs := make([]error, posts)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < posts; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(specBody))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			var view struct {
+				ID string `json:"id"`
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&view)
+			statuses[i], ids[i] = resp.StatusCode, view.ID
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	created := 0
+	for i := 0; i < posts; i++ {
+		if errs[i] != nil {
+			t.Fatalf("POST %d: %v", i, errs[i])
+		}
+		switch statuses[i] {
+		case http.StatusAccepted:
+			created++
+		case http.StatusOK:
+		default:
+			t.Fatalf("POST %d: status %d", i, statuses[i])
+		}
+		if ids[i] != ids[0] {
+			t.Errorf("POST %d named campaign %q, POST 0 %q", i, ids[i], ids[0])
+		}
+	}
+	if created != 1 {
+		t.Errorf("%d of %d concurrent first POSTs got 202, want exactly 1", created, posts)
+	}
+	if got := len(cm.List()); got != 1 {
+		t.Errorf("%d campaigns registered, want 1", got)
+	}
+	c, err := cm.Get(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if st := c.Wait(ctx); st != service.StateDone {
+		t.Fatalf("campaign state = %s, want done", st)
 	}
 }
 

@@ -161,13 +161,23 @@ func (m *Manager) List() []*Campaign {
 // manager's caches, so resubmitting a half-finished campaign after a
 // crash re-runs only the points whose reports were lost.
 func (m *Manager) Start(spec Spec) (*Campaign, error) {
+	c, _, err := m.start(spec)
+	return c, err
+}
+
+// start is Start that also reports whether the campaign's address was
+// already in the table. The lookup and the registration share one
+// critical section, so of N concurrent first submits of a spec exactly
+// one sees known == false. A campaign restored from its persisted
+// state is new to the table, so it is not known.
+func (m *Manager) start(spec Spec) (c *Campaign, known bool, err error) {
 	norm, err := spec.Normalized()
 	if err != nil {
-		return nil, &service.BadSpecError{Err: err}
+		return nil, false, &service.BadSpecError{Err: err}
 	}
 	points, err := Expand(norm)
 	if err != nil {
-		return nil, &service.BadSpecError{Err: err}
+		return nil, false, &service.BadSpecError{Err: err}
 	}
 	digest := Digest(norm, points)
 	id := IDFromDigest(digest)
@@ -175,13 +185,13 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 	m.mu.Lock()
 	if c, ok := m.byID[id]; ok {
 		m.mu.Unlock()
-		return c, nil
+		return c, true, nil
 	}
 	if m.ctx.Err() != nil {
 		m.mu.Unlock()
-		return nil, errors.New("campaign: manager closed")
+		return nil, false, errors.New("campaign: manager closed")
 	}
-	c := &Campaign{
+	c = &Campaign{
 		ID:       id,
 		Digest:   digest,
 		Spec:     norm,
@@ -207,7 +217,7 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 		c.log.Emit(Event{Type: "done"})
 		m.register(c)
 		m.mu.Unlock()
-		return c, nil
+		return c, false, nil
 	}
 	m.register(c)
 	m.mu.Unlock()
@@ -215,7 +225,7 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 	m.jobs.Metrics.CampaignsActive.Add(1)
 	m.wg.Add(1)
 	go m.run(c)
-	return c, nil
+	return c, false, nil
 }
 
 // register adds a campaign to the table; m.mu must be held.

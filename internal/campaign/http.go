@@ -93,14 +93,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
 			return
 		}
-		known := false
-		if norm, err := spec.Normalized(); err == nil {
-			if points, err := Expand(norm); err == nil {
-				_, lookupErr := m.Get(IDFromDigest(Digest(norm, points)))
-				known = lookupErr == nil
-			}
-		}
-		c, err := m.Start(spec)
+		c, known, err := m.start(spec)
 		if err != nil {
 			var bad *service.BadSpecError
 			if errors.As(err, &bad) {

@@ -228,9 +228,8 @@ type AppConfig struct {
 	// after the stock accountants — and receives the full event stream:
 	// run and stage boundaries, energy samples, fault injections, and
 	// retry attempts (the service daemon streams these as per-stage job
-	// events and metrics). Nil — the default — is zero-cost and
-	// side-effect-free; like NewSimulator and Store it is excluded from
-	// CanonicalDigest.
+	// events and metrics). Nil — the default — is zero-cost, and a
+	// consumer never changes a run's output.
 	Telemetry telemetry.Consumer
 }
 

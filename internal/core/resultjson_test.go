@@ -111,7 +111,4 @@ func TestPresets(t *testing.T) {
 	if ocean.NewSimulator == nil {
 		t.Error("ocean app did not install a simulator")
 	}
-	if ocean.CanonicalDigest() == DefaultAppConfig().CanonicalDigest() {
-		t.Error("ocean config digests equal to heat config")
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/rapl"
 	"repro/internal/units"
 )
 
@@ -147,6 +148,38 @@ func TestOSNoisePerturbsPackage(t *testing.T) {
 	}
 	if math.Abs(st.Mean-104.7) > 1.0 { // +0.2 W RAPL overhead
 		t.Errorf("noisy idle mean = %v, want ~104.7", st.Mean)
+	}
+}
+
+// TestMonitorOverheadSurvivesLoadChanges: a running RAPL monitor adds
+// its 0.2 W to the package for as long as it runs, across the load
+// changes of every Compute. The fans see it like any package draw: the
+// package and DRAM stay at or above FanRef throughout, so the wall
+// pays FanCoeff on top.
+func TestMonitorOverheadSurvivesLoadChanges(t *testing.T) {
+	run := func(metered bool) (pkg, wall units.Joules, elapsed units.Seconds) {
+		n := quiet(1)
+		dom := n.Bus.Domain("package")
+		mon := rapl.NewMonitor(n.Engine, n.MSR, nil, dom, rapl.DefaultMonitorConfig())
+		if metered {
+			mon.Start()
+		}
+		start, p0, w0 := n.Now(), dom.Energy(), n.SystemEnergy()
+		for i := 0; i < 100; i++ {
+			n.Compute(uint64(n.Profile.CellUpdateRate))
+		}
+		mon.Stop()
+		return dom.Energy() - p0, n.SystemEnergy() - w0, units.Seconds(n.Now() - start)
+	}
+	barePkg, bareWall, elapsed := run(false)
+	pkg, wall, _ := run(true)
+	overhead := float64(rapl.DefaultMonitorConfig().Overhead) * float64(elapsed)
+	if got := float64(pkg - barePkg); math.Abs(got-overhead) > 1e-6 {
+		t.Errorf("package energy with monitor - without = %.6f J, want %.6f J", got, overhead)
+	}
+	want := overhead * (1 + quiet(1).Profile.FanCoeff)
+	if got := float64(wall - bareWall); math.Abs(got-want) > 1e-6 {
+		t.Errorf("wall energy with monitor - without = %.6f J, want %.6f J (bare %.6f J)", got, want, float64(bareWall))
 	}
 }
 

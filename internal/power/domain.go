@@ -21,6 +21,7 @@ type Domain struct {
 	name    string
 	engine  *sim.Engine
 	level   units.Watts
+	offset  units.Watts  // sum of Add deltas, kept across SetLevel
 	since   sim.Time     // when the current level was set
 	energy  units.Joules // integrated up to 'since'
 	peak    units.Watts
@@ -56,9 +57,20 @@ func (d *Domain) settle() {
 	}
 }
 
-// SetLevel changes the domain's power level as of the current virtual
-// time. Negative levels panic: power draw is never negative.
-func (d *Domain) SetLevel(w units.Watts) {
+// SetLevel sets the domain's power level as of the current virtual
+// time to w plus the offset Add has stacked on it. A negative
+// resulting level panics: power draw is never negative.
+func (d *Domain) SetLevel(w units.Watts) { d.setLevel(w + d.offset) }
+
+// Add stacks an additive contribution on the level, such as a meter's
+// monitoring overhead or an OS-noise term. It persists across later
+// SetLevel calls until a matching Add removes it.
+func (d *Domain) Add(delta units.Watts) {
+	d.offset += delta
+	d.setLevel(d.level + delta)
+}
+
+func (d *Domain) setLevel(w units.Watts) {
 	if w < 0 {
 		panic(fmt.Sprintf("power: domain %q level %v is negative", d.name, w))
 	}
@@ -68,10 +80,6 @@ func (d *Domain) SetLevel(w units.Watts) {
 		d.peak = w
 	}
 }
-
-// Add changes the level by a delta; convenient for models that stack
-// independent contributions.
-func (d *Domain) Add(delta units.Watts) { d.SetLevel(d.level + delta) }
 
 // Level returns the instantaneous power draw.
 func (d *Domain) Level() units.Watts { return d.level }

@@ -61,9 +61,21 @@ func TestDomainAdd(t *testing.T) {
 	if got := d.Level(); !almostEqual(float64(got), 13.5, 1e-9) {
 		t.Errorf("Level after Add = %v, want 13.5", got)
 	}
+	// The added contribution survives the model setting a new level.
+	d.SetLevel(20)
+	if got := d.Level(); !almostEqual(float64(got), 28.5, 1e-9) {
+		t.Errorf("Level after SetLevel(20) = %v, want 28.5", got)
+	}
+	if got := d.Peak(); !almostEqual(float64(got), 28.5, 1e-9) {
+		t.Errorf("Peak = %v, want 28.5", got)
+	}
 	d.Add(-8.5)
+	if got := d.Level(); !almostEqual(float64(got), 20, 1e-9) {
+		t.Errorf("Level after -Add = %v, want 20", got)
+	}
+	d.SetLevel(5)
 	if got := d.Level(); !almostEqual(float64(got), 5, 1e-9) {
-		t.Errorf("Level after -Add = %v, want 5", got)
+		t.Errorf("Level after SetLevel(5) = %v, want 5", got)
 	}
 }
 

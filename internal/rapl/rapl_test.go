@@ -107,9 +107,15 @@ func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 	if math.Abs(float64(pkg.Level())-42.2) > 1e-9 {
 		t.Errorf("package with monitor = %v, want 42.2", pkg.Level())
 	}
+	// The CPU model sets the package level absolutely on every load
+	// change; the overhead must outlive that.
+	pkg.SetLevel(50)
+	if math.Abs(float64(pkg.Level())-50.2) > 1e-9 {
+		t.Errorf("package after SetLevel(50) with monitor = %v, want 50.2", pkg.Level())
+	}
 	mon.Stop()
-	if math.Abs(float64(pkg.Level())-42) > 1e-9 {
-		t.Errorf("package after stop = %v, want 42", pkg.Level())
+	if math.Abs(float64(pkg.Level())-50) > 1e-9 {
+		t.Errorf("package after stop = %v, want 50", pkg.Level())
 	}
 	mon.Stop() // idempotent
 }

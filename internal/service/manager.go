@@ -254,11 +254,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		m.Metrics.Rejected.Add(1)
 		return nil, &BadSpecError{err}
 	}
-	digest, err := norm.Digest()
-	if err != nil {
-		m.Metrics.Rejected.Add(1)
-		return nil, &BadSpecError{err}
-	}
+	digest := norm.DigestNormalized()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -78,7 +77,7 @@ type JobSpec struct {
 
 	// The ablation knobs below map one-to-one onto AppConfig fields
 	// (pipeline jobs only) so campaigns can sweep them; all are part of
-	// the content address via the config's canonical form.
+	// the content address.
 	//
 	// InsituNoSync skips the in-situ pipeline's per-frame fsync.
 	InsituNoSync bool `json:"insitu_nosync,omitempty"`
@@ -233,40 +232,36 @@ func (s JobSpec) Config() (core.AppConfig, error) {
 	return cfg, nil
 }
 
-// digestBufPool recycles the canonical-form buffer across Digest
-// calls: every submit, cache probe, and dedup check digests a spec, so
-// the normalization scratch should not be rebuilt per call.
-var digestBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// Digest returns the job's content address: a hex SHA-256 over the
-// normalized spec's canonical form plus the canonical form of the
-// config it derives. Identical digests mean identical report bytes, so
+// Digest returns the job's content address: Normalized followed by
+// DigestNormalized. Identical digests mean identical report bytes, so
 // the manager serves N equal submits from one execution.
 func (s JobSpec) Digest() (string, error) {
 	n, err := s.Normalized()
 	if err != nil {
 		return "", err
 	}
-	return n.DigestNormalized()
+	return n.DigestNormalized(), nil
 }
 
 // DigestNormalized is Digest for a spec that is already in normalized
-// form, skipping the re-validation pass. Callers that hold the output
-// of Normalized — the campaign expander digests thousands of points
-// per submit — use this; anyone else wants Digest.
-func (s JobSpec) DigestNormalized() (string, error) {
-	cfg, err := s.Config()
-	if err != nil {
-		return "", err
-	}
-	bp := digestBufPool.Get().(*[]byte)
-	// The header is built with strconv appends producing byte-for-byte
-	// the fmt form it replaced (spec_test.go pins the exact bytes):
-	//   v1 kind:%s exp:%s pipe:%s app:%s dev:%s case:%d seed:%d real:%d fio:%d faults:%q pcap:%g\n
-	// The ablation knobs (nosync, compress, async, cinema) reach the
-	// digest through cfg's canonical form below; PowerCapWatts modifies
-	// the platform rather than the config, so it is written explicitly.
-	b := append((*bp)[:0], "v1 kind:"...)
+// form, skipping the re-validation pass. The address is a hex SHA-256
+// over one line of the spec's fields (form v2):
+//
+//	v2 kind:%s exp:%s pipe:%s app:%s dev:%s case:%d seed:%d real:%d fio:%d faults:%q pcap:%g nosync:%t compress:%t async:%t cinema:%d\n
+//
+// The line is unambiguous: faults is quoted, and every other string
+// comes from a closed set once normalized. It needs nothing else: the
+// run configuration (Config) is a pure function of these fields and
+// the build, so within one build two specs share a report exactly when
+// they share this line.
+//
+// Across builds the address holds only while the reports do. The
+// leading version is therefore bumped by any change that alters the
+// report of an unchanged spec — any golden -update — so a durable
+// store never serves a report the current build would not produce.
+func (s JobSpec) DigestNormalized() string {
+	var buf [256]byte
+	b := append(buf[:0], "v2 kind:"...)
 	b = append(b, s.Kind...)
 	b = append(b, " exp:"...)
 	b = append(b, s.Experiment...)
@@ -288,12 +283,17 @@ func (s JobSpec) DigestNormalized() (string, error) {
 	b = strconv.AppendQuote(b, s.Faults)
 	b = append(b, " pcap:"...)
 	b = strconv.AppendFloat(b, s.PowerCapWatts, 'g', -1, 64)
-	b = append(b, "\ncfg:"...)
-	b = cfg.AppendCanonical(b)
+	b = append(b, " nosync:"...)
+	b = strconv.AppendBool(b, s.InsituNoSync)
+	b = append(b, " compress:"...)
+	b = strconv.AppendBool(b, s.CompressInsitu)
+	b = append(b, " async:"...)
+	b = strconv.AppendBool(b, s.AsyncCheckpoint)
+	b = append(b, " cinema:"...)
+	b = strconv.AppendInt(b, int64(s.CinemaVariants), 10)
+	b = append(b, '\n')
 	sum := sha256.Sum256(b)
-	*bp = b
-	digestBufPool.Put(bp)
-	return hex.EncodeToString(sum[:]), nil
+	return hex.EncodeToString(sum[:])
 }
 
 // Describe returns a short human label for logs and listings.

@@ -1,11 +1,10 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -93,85 +92,91 @@ func TestDigestCanonical(t *testing.T) {
 	}
 }
 
-// TestDigestSensitivity: every spec knob that changes the run must
-// change the address.
+// TestDigestSensitivity: every spec field changes the address. The
+// map is keyed by JSON field name and must name every field of
+// JobSpec, so a field added later without a token in the digest line
+// fails here.
 func TestDigestSensitivity(t *testing.T) {
-	base := JobSpec{Pipeline: "insitu", Case: 3}
-	baseDigest, err := base.Digest()
-	if err != nil {
-		t.Fatalf("Digest: %v", err)
+	pipe := JobSpec{Pipeline: "insitu", Case: 3}
+	exp := JobSpec{Experiment: "table3"}
+	variants := map[string][2]JobSpec{ // field → {base, variant}
+		"kind":             {pipe, {Experiment: "fig4"}},
+		"experiment":       {exp, {Experiment: "fig4"}},
+		"pipeline":         {pipe, {Pipeline: "post", Case: 3}},
+		"app":              {pipe, {Pipeline: "insitu", Case: 3, App: "ocean"}},
+		"device":           {pipe, {Pipeline: "insitu", Case: 3, Device: "ssd"}},
+		"case":             {pipe, {Pipeline: "insitu", Case: 2}},
+		"seed":             {pipe, {Pipeline: "insitu", Case: 3, Seed: 7}},
+		"real_substeps":    {pipe, {Pipeline: "insitu", Case: 3, RealSubsteps: 2}},
+		"fio_gib":          {exp, {Experiment: "table3", FioGiB: 1}},
+		"faults":           {pipe, {Pipeline: "insitu", Case: 3, Faults: "bitrot=1e-9"}},
+		"power_cap_watts":  {pipe, {Pipeline: "insitu", Case: 3, PowerCapWatts: 80}},
+		"insitu_nosync":    {pipe, {Pipeline: "insitu", Case: 3, InsituNoSync: true}},
+		"compress_insitu":  {pipe, {Pipeline: "insitu", Case: 3, CompressInsitu: true}},
+		"async_checkpoint": {pipe, {Pipeline: "insitu", Case: 3, AsyncCheckpoint: true}},
+		"cinema_variants":  {pipe, {Pipeline: "insitu", Case: 3, CinemaVariants: 2}},
 	}
-	variants := map[string]JobSpec{
-		"pipeline": {Pipeline: "post", Case: 3},
-		"case":     {Pipeline: "insitu", Case: 2},
-		"app":      {Pipeline: "insitu", Case: 3, App: "ocean"},
-		"device":   {Pipeline: "insitu", Case: 3, Device: "ssd"},
-		"seed":     {Pipeline: "insitu", Case: 3, Seed: 7},
-		"substeps": {Pipeline: "insitu", Case: 3, RealSubsteps: 2},
-		"faults":   {Pipeline: "insitu", Case: 3, Faults: "bitrot=1e-9"},
-		"kind":     {Experiment: "fig4"},
-		// The campaign sweep knobs are all digest-affecting: the power
-		// cap via its explicit canonical line, the ablation knobs via the
-		// config's canonical "knobs" form.
-		"power_cap":        {Pipeline: "insitu", Case: 3, PowerCapWatts: 80},
-		"insitu_nosync":    {Pipeline: "insitu", Case: 3, InsituNoSync: true},
-		"compress_insitu":  {Pipeline: "insitu", Case: 3, CompressInsitu: true},
-		"async_checkpoint": {Pipeline: "insitu", Case: 3, AsyncCheckpoint: true},
-		"cinema_variants":  {Pipeline: "insitu", Case: 3, CinemaVariants: 2},
+	fields := reflect.TypeOf(JobSpec{})
+	for i := 0; i < fields.NumField(); i++ {
+		name, _, _ := strings.Cut(fields.Field(i).Tag.Get("json"), ",")
+		if _, ok := variants[name]; !ok {
+			t.Errorf("JobSpec field %q has no digest-sensitivity variant", name)
+		}
+	}
+	if len(variants) != fields.NumField() {
+		t.Errorf("%d variants for %d JobSpec fields", len(variants), fields.NumField())
 	}
 	for name, v := range variants {
-		d, err := v.Digest()
+		base, err := v[0].Digest()
+		if err != nil {
+			t.Fatalf("%s: base Digest: %v", name, err)
+		}
+		d, err := v[1].Digest()
 		if err != nil {
 			t.Fatalf("%s: Digest: %v", name, err)
 		}
-		if d == baseDigest {
+		if d == base {
 			t.Errorf("changing %s did not change the digest", name)
 		}
 	}
 }
 
-// TestDigestMatchesFmtReference pins the digest preimage to the
-// fmt.Fprintf formulation the strconv appender replaced: any textual
-// drift in the header or canonical form would silently re-key the
-// whole result cache.
+// TestDigestMatchesFmtReference pins the job digest to its reference
+// format: the exact v2 line it hashes, spelled out as literal strings
+// rather than re-derived. Any change to the line re-keys every stored
+// report, and so does bumping its version; both are deliberate acts,
+// never a side effect.
 func TestDigestMatchesFmtReference(t *testing.T) {
-	specs := []JobSpec{
-		{Pipeline: "insitu", Case: 3},
-		{Pipeline: "post", App: "ocean", Device: "ssd", Seed: 7, PowerCapWatts: 42.5},
-		{Pipeline: "hybrid", Faults: "bitrot=0.01,readerr=0.001", CinemaVariants: 3},
-		{Experiment: "fig4"},
-		{Pipeline: "intransit", InsituNoSync: true, CompressInsitu: true, AsyncCheckpoint: true},
+	pins := []struct {
+		spec     JobSpec
+		preimage string
+	}{
+		{
+			JobSpec{Experiment: "fig4"},
+			`v2 kind:experiment exp:fig4 pipe: app: dev: case:0 seed:1 real:16 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0` + "\n",
+		},
+		{
+			JobSpec{Pipeline: "insitu", Case: 3},
+			`v2 kind:pipeline exp: pipe:insitu app:heat dev:hdd case:3 seed:1 real:16 fio:4 faults:"" pcap:0 nosync:false compress:false async:false cinema:0` + "\n",
+		},
+		{
+			JobSpec{
+				Pipeline: "hybrid", App: "ocean", Device: "nvram", Case: 2, Seed: 7, RealSubsteps: 4,
+				Faults: "bitrot=0.01,readerr=0.001", PowerCapWatts: 42.5,
+				InsituNoSync: true, CompressInsitu: true, AsyncCheckpoint: true, CinemaVariants: 3,
+			},
+			`v2 kind:pipeline exp: pipe:hybrid app:ocean dev:nvram case:2 seed:7 real:4 fio:4 faults:"bitrot=0.01,readerr=0.001" pcap:42.5 nosync:true compress:true async:true cinema:3` + "\n",
+		},
 	}
-	for _, s := range specs {
-		n, err := s.Normalized()
-		if err != nil {
-			t.Fatalf("%+v: %v", s, err)
-		}
-		cfg, err := n.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "v1 kind:%s exp:%s pipe:%s app:%s dev:%s case:%d seed:%d real:%d fio:%d faults:%q pcap:%g\n",
-			n.Kind, n.Experiment, n.Pipeline, n.App, n.Device, n.Case, n.Seed, n.RealSubsteps, n.FioGiB, n.Faults, n.PowerCapWatts)
-		buf.WriteString("cfg:")
-		cfg.WriteCanonical(&buf)
-		sum := sha256.Sum256(buf.Bytes())
+	for _, p := range pins {
+		sum := sha256.Sum256([]byte(p.preimage))
 		want := hex.EncodeToString(sum[:])
-
-		got, err := s.Digest()
+		got, err := p.spec.Digest()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%+v: %v", p.spec, err)
 		}
 		if got != want {
-			t.Errorf("spec %+v: digest %s != fmt reference %s", s, got, want)
-		}
-		gotN, err := n.DigestNormalized()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotN != want {
-			t.Errorf("spec %+v: DigestNormalized %s != fmt reference %s", s, gotN, want)
+			t.Errorf("spec %+v: digest %s, want sha256 of %q (%s)", p.spec, got, p.preimage, want)
 		}
 	}
 }
