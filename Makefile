@@ -27,8 +27,9 @@ static:
 # the campaign report golden are infeasible under the detector, so
 # they are skipped there and must run here explicitly), and short
 # fuzz passes over the checkpoint decoder, the PNG encoder, the
-# job-spec decoder and the campaign-spec decoder and expander (seeds
-# plus 10s of mutation each).
+# job-spec decoder, the campaign-spec decoder and expander, the
+# deflate port (against compress/flate), the GET /v1/jobs cursor and
+# the result-store record decoder (seeds plus 10s of mutation each).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -41,6 +42,9 @@ check: static
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpec$$' -fuzztime 10s ./internal/campaign
+	$(GO) test -run '^$$' -fuzz '^FuzzDeflate$$' -fuzztime 10s ./internal/deflate
+	$(GO) test -run '^$$' -fuzz '^FuzzJobsCursor$$' -fuzztime 10s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/resultstore
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

@@ -3,6 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -69,6 +75,107 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if d, err := decoded.Digest(); err != nil || d != digest {
 			t.Fatalf("%s: re-encoded digest %q (%v), want %q", encoded, d, err, digest)
+		}
+	})
+}
+
+// cursorBefore reports whether cursor c lists before job ID id,
+// worked out apart from jobIDLess: the digits after "job-" compare as
+// numbers of any length (more significant digits is larger), a string
+// with no such digits counts as 0, and equal numbers fall back to
+// byte order.
+func cursorBefore(c, id string) bool {
+	digits := func(s string) string {
+		d, ok := strings.CutPrefix(s, "job-")
+		if !ok {
+			return ""
+		}
+		n := 0
+		for n < len(d) && '0' <= d[n] && d[n] <= '9' {
+			n++
+		}
+		return strings.TrimLeft(d[:n], "0")
+	}
+	a, b := digits(c), digits(id)
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	if a != b {
+		return a < b
+	}
+	return c < id
+}
+
+// FuzzJobsCursor drives GET /v1/jobs with fuzzed after and limit
+// strings over 600 jobs whose IDs straddle job-999999. A limit that
+// is not a positive integer gives 400. Otherwise the page is the run
+// of jobs, in submission order, that follows the cursor, at most
+// min(limit, 500) long (100 with no limit), and next names the page's
+// last job exactly when more jobs follow.
+func FuzzJobsCursor(f *testing.F) {
+	m := newStubManager(f, Options{Workers: 2, QueueDepth: 600}, &stubRunner{report: []byte("r")})
+	m.mu.Lock()
+	m.nextID = 999700
+	m.mu.Unlock()
+	ids := submitN(f, m, 600)
+	h := Handler(m)
+	for _, c := range [][2]string{
+		{"", ""},
+		{"job-999999", "2"},
+		{"job-1000000", "1"},
+		{"job-999999zzz", "3"},
+		{ids[0], "600"},
+		{"", "0"},
+		{"job-1000300", "many"},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, after, limit string) {
+		q := url.Values{"after": {after}, "limit": {limit}}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs?"+q.Encode(), nil))
+
+		want := defaultJobsPageLimit
+		if limit != "" {
+			n, err := strconv.Atoi(limit)
+			if err != nil || n <= 0 {
+				if rec.Code != http.StatusBadRequest {
+					t.Fatalf("limit %q: status %d, want 400", limit, rec.Code)
+				}
+				return
+			}
+			want = min(n, maxJobsPageLimit)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("after %q limit %q: status %d: %s", after, limit, rec.Code, rec.Body)
+		}
+		var page struct {
+			Jobs []struct {
+				ID string `json:"id"`
+			} `json:"jobs"`
+			Next string `json:"next"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(page.Jobs))
+		for i, j := range page.Jobs {
+			got[i] = j.ID
+		}
+		start := 0
+		for start < len(ids) && !cursorBefore(after, ids[start]) {
+			start++
+		}
+		end := min(start+want, len(ids))
+		if !slices.Equal(got, ids[start:end]) {
+			t.Fatalf("after %q limit %q: page %v, want ids[%d:%d] = %v", after, limit, got, start, end, ids[start:end])
+		}
+		wantNext := ""
+		if end < len(ids) && end > start {
+			wantNext = ids[end-1]
+		}
+		if page.Next != wantNext {
+			t.Fatalf("after %q limit %q: next %q, want %q", after, limit, page.Next, wantNext)
 		}
 	})
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -382,15 +384,16 @@ func (m *Manager) Jobs() []*Job {
 // JobsPage returns up to limit jobs in submission order, starting
 // after the job with ID after ("" starts at the beginning), plus the
 // cursor to pass as after for the following page ("" when this page
-// exhausts the table). Job IDs are monotonic and the order slice is
-// sorted, so the cursor is stable even as retention GC prunes old
-// entries. limit <= 0 means no limit.
+// exhausts the table). The order slice is sorted by jobIDLess, so the
+// cursor is stable even as retention GC prunes old entries, and a
+// cursor naming no job (retired, or between two IDs) resumes at the
+// next newer one. limit <= 0 means no limit.
 func (m *Manager) JobsPage(after string, limit int) ([]*Job, string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := 0
 	if after != "" {
-		start = sort.SearchStrings(m.order, after)
+		start = sort.Search(len(m.order), func(i int) bool { return !jobIDLess(m.order[i], after) })
 		if start < len(m.order) && m.order[start] == after {
 			start++
 		}
@@ -408,6 +411,35 @@ func (m *Manager) JobsPage(after string, limit int) ([]*Job, string) {
 		next = m.order[end-1]
 	}
 	return out, next
+}
+
+// jobIDLess orders job IDs and cursors by sequence number, then byte
+// by byte. IDs are "job-%06d" in submission order, so a plain string
+// order would put job-1000000 before job-999999; the sequence number
+// keeps submission order past six digits.
+func jobIDLess(a, b string) bool {
+	if sa, sb := jobSeq(a), jobSeq(b); sa != sb {
+		return sa < sb
+	}
+	return a < b
+}
+
+// jobSeq is the value of the decimal digits that follow "job-" in a
+// job ID or cursor, saturating at math.MaxInt, and 0 if there are
+// none.
+func jobSeq(id string) int {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok {
+		return 0
+	}
+	n := 0
+	for i := 0; i < len(digits) && '0' <= digits[i] && digits[i] <= '9'; i++ {
+		if n > (math.MaxInt-9)/10 {
+			return math.MaxInt
+		}
+		n = n*10 + int(digits[i]-'0')
+	}
+	return n
 }
 
 // Cancel cancels one job. If other jobs share its execution the run

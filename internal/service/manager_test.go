@@ -47,7 +47,7 @@ func (s *stubRunner) callCount() int {
 // newStubManager builds a manager whose runner is the stub. Replacing
 // m.run before any Submit is safe: workers observe it through the
 // queue-channel happens-before edge.
-func newStubManager(t *testing.T, opts Options, stub *stubRunner) *Manager {
+func newStubManager(t testing.TB, opts Options, stub *stubRunner) *Manager {
 	t.Helper()
 	m := NewManager(opts)
 	m.run = stub.run

@@ -14,7 +14,7 @@ import (
 
 // submitN submits n distinct quick jobs and returns their IDs in
 // submission order.
-func submitN(t *testing.T, m *Manager, n int) []string {
+func submitN(t testing.TB, m *Manager, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -72,6 +72,54 @@ func TestJobsPage(t *testing.T) {
 	tail, _ := m.JobsPage(ids[1]+"zzz", 10)
 	if len(tail) != 3 || tail[0].ID != ids[2] {
 		t.Fatalf("mid-cursor page starts at %v, want %s", tail, ids[2])
+	}
+}
+
+// TestJobsPageStraddlesMillion pages across job-999999 →
+// job-1000000, where string order and submission order part: every
+// job must come back, in submission order, and a cursor between or
+// after the seven-digit IDs must resume at the next newer job.
+func TestJobsPageStraddlesMillion(t *testing.T) {
+	stub := &stubRunner{report: []byte("r")}
+	m := newStubManager(t, Options{Workers: 2}, stub)
+	m.mu.Lock()
+	m.nextID = 999997
+	m.mu.Unlock()
+	ids := submitN(t, m, 5)
+	if want := "[job-999998 job-999999 job-1000000 job-1000001 job-1000002]"; fmt.Sprint(ids) != want {
+		t.Fatalf("IDs %v, want %s", ids, want)
+	}
+	var got []string
+	after := ""
+	for pages := 0; ; pages++ {
+		if pages > 10 {
+			t.Fatal("cursor did not terminate")
+		}
+		jobs, next := m.JobsPage(after, 2)
+		for _, j := range jobs {
+			got = append(got, j.ID)
+		}
+		if next == "" {
+			break
+		}
+		after = next
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ids) {
+		t.Fatalf("paged IDs %v != submitted %v", got, ids)
+	}
+	for _, c := range []struct{ after, first string }{
+		{"job-999999", "job-1000000"},
+		{"job-999999zzz", "job-1000000"},
+		{"job-1000000", "job-1000001"},
+		{"job-0999999", "job-999999"},
+	} {
+		page, _ := m.JobsPage(c.after, 1)
+		if len(page) != 1 || page[0].ID != c.first {
+			t.Errorf("JobsPage(%q) starts at %v, want %s", c.after, page, c.first)
+		}
+	}
+	if page, next := m.JobsPage("job-1000002", 2); len(page) != 0 || next != "" {
+		t.Errorf("page after the newest job = %d jobs, next %q", len(page), next)
 	}
 }
 

@@ -1,10 +1,15 @@
 package viz
 
 import (
+	"bytes"
+	"compress/flate"
+	"io"
 	"math"
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/heat"
+	"repro/internal/ocean"
 )
 
 func TestCompressRoundTrip(t *testing.T) {
@@ -95,5 +100,76 @@ func TestCompressedRenderVisuallyClose(t *testing.T) {
 	b, _ := Render(back, opts)
 	if p := PSNR(a, b); p < 45 {
 		t.Errorf("16-bit quantization PSNR = %.1f dB, want >= 45 (visually lossless)", p)
+	}
+}
+
+// TestCompressFieldMatchesFlate pins CompressField's blob to
+// compress/flate's BestSpeed bytes: inflated and deflated again by
+// compress/flate, it must come back unchanged. The fields are heat and
+// ocean solver fields at several ages (a 128×128 field quantizes to 32
+// KiB, 512×512 to eight 64 KiB blocks), noise and a flat field.
+func TestCompressFieldMatchesFlate(t *testing.T) {
+	var grids []*field.Grid
+	for _, steps := range []int{0, 50, 500} {
+		h := heat.NewSolver(heat.DefaultParams())
+		h.Step(steps)
+		o := ocean.NewSolver(ocean.DefaultParams())
+		o.Step(steps)
+		grids = append(grids, h.Field(), o.Field())
+	}
+	big := heat.DefaultParams()
+	big.NX, big.NY = 512, 512
+	bs := heat.NewSolver(big)
+	bs.Step(50)
+	grids = append(grids, bs.Field())
+	noise := heat.NewGrid(200, 200)
+	x := uint64(7)
+	for i := range noise.Data {
+		x = x*6364136223846793005 + 1442695040888963407
+		noise.Data[i] = float64(x >> 40)
+	}
+	flat := heat.NewGrid(50, 50)
+	flat.Fill(3)
+	grids = append(grids, noise, flat)
+	for i, g := range grids {
+		got, err := CompressField(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(got)))
+		if err != nil {
+			t.Fatalf("grid %d: inflate: %v", i, err)
+		}
+		var want bytes.Buffer
+		fw, err := flate.NewWriter(&want, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(raw)
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("grid %d (%dx%d): %d bytes, compress/flate %d", i, g.NX, g.NY, len(got), want.Len())
+		}
+	}
+}
+
+// fieldSink keeps BenchmarkCompressField's result live.
+var fieldSink []byte
+
+// BenchmarkCompressField compresses one 128×128 heat field per op, the
+// in-situ reduction path's payload.
+func BenchmarkCompressField(b *testing.B) {
+	s := heat.NewSolver(heat.DefaultParams())
+	s.Step(500)
+	g := s.Field()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if fieldSink, err = CompressField(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

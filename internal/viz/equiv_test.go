@@ -600,6 +600,107 @@ func TestEncodePNGMatchesStdlib(t *testing.T) {
 	}
 }
 
+// idatChunks returns the data lengths of a PNG's IDAT chunks in order.
+func idatChunks(tb testing.TB, data []byte) []int {
+	tb.Helper()
+	var sizes []int
+	for p := len(pngSignature); p+8 <= len(data); {
+		n := int(binary.BigEndian.Uint32(data[p:]))
+		if string(data[p+4:p+8]) == "IDAT" {
+			sizes = append(sizes, n)
+		}
+		p += 12 + n
+	}
+	return sizes
+}
+
+// noiseRaster is a w×h raster of uniformly random bytes. Alpha is 255
+// when opaque and drawn from 1–255 otherwise, so the un-premultiplied
+// rows stay incompressible too.
+func noiseRaster(rng *rand.Rand, w, h int, opaque bool) *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
+	for i := range img.Pix {
+		switch {
+		case i%4 == 3 && opaque:
+			img.Pix[i] = 0xff
+		case i%4 == 3:
+			img.Pix[i] = uint8(1 + rng.Intn(255))
+		default:
+			img.Pix[i] = uint8(rng.Intn(256))
+		}
+	}
+	return img
+}
+
+// bandedRaster is a w×h raster of one colour down to row flat and
+// of noise below it, each colour byte drawn from [0x20, 0x20+amp).
+// Every pixel has alpha a.
+func bandedRaster(rng *rand.Rand, w, h, flat, amp int, a uint8) *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, w, h))
+	for i := range img.Pix {
+		switch {
+		case i%4 == 3:
+			img.Pix[i] = a
+		case i < flat*img.Stride:
+			img.Pix[i] = 0x40
+		default:
+			img.Pix[i] = uint8(0x20 + rng.Intn(amp))
+		}
+	}
+	return img
+}
+
+// TestEncodePNGPastOneBlock compares EncodePNG with image/png where
+// the filtered rows outgrow one 65535-byte deflate block, each case
+// opaque and translucent: noise that deflate stores, in blocks longer
+// than the 32 KiB bufio.Writer, which writes them through as IDAT
+// chunks of other sizes; a flat band over low-amplitude noise, so
+// Huffman-only blocks follow a dynamic one; and sizes whose filtered
+// stream ends 1–16 bytes (a stored final block) or 17–127 bytes
+// (Huffman-coded, or stored where that saves too little) past whole
+// blocks.
+func TestEncodePNGPastOneBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const block = 65535
+	odd := 0 // non-final IDAT chunks of other than 32768 bytes
+	for _, c := range []struct {
+		name string
+		img  *image.RGBA
+		tail [2]int // the range the filtered length's excess over whole blocks must fall in, if set
+	}{
+		{"opaque noise", noiseRaster(rng, 200, 200, true), [2]int{}},
+		{"translucent noise", noiseRaster(rng, 150, 150, false), [2]int{}},
+		{"opaque band over noise", bandedRaster(rng, 256, 256, 90, 16, 0xff), [2]int{}},
+		{"translucent band over noise", bandedRaster(rng, 200, 240, 90, 16, 0x80), [2]int{}},
+		{"opaque, 5-byte tail", randomRaster(rng, 178, 245, true, true), [2]int{1, 16}},
+		{"translucent, 15-byte tail", randomRaster(rng, 109, 150, false, true), [2]int{1, 16}},
+		{"opaque, 112-byte tail", randomRaster(rng, 204, 214, true, true), [2]int{17, 127}},
+		{"translucent, 126-byte tail", randomRaster(rng, 127, 129, false, true), [2]int{17, 127}},
+	} {
+		w, h := c.img.Rect.Dx(), c.img.Rect.Dy()
+		bpp := 4
+		if c.img.Opaque() {
+			bpp = 3
+		}
+		n := h * (1 + bpp*w)
+		if n <= block {
+			t.Fatalf("%s: %d filtered bytes fit one block", c.name, n)
+		}
+		if c.tail != [2]int{} && (n%block < c.tail[0] || n%block > c.tail[1]) {
+			t.Fatalf("%s: %d filtered bytes end %d past whole blocks, want %d–%d", c.name, n, n%block, c.tail[0], c.tail[1])
+		}
+		chunks := idatChunks(t, checkEncodePNG(t, c.name, c.img))
+		for _, size := range chunks[:len(chunks)-1] {
+			if size != 32768 {
+				odd++
+			}
+		}
+	}
+	if odd == 0 {
+		t.Error("every non-final IDAT chunk holds 32768 bytes; no stored block was written through bufio whole")
+	}
+}
+
 // referencePaeth is image/png's scalar Paeth predictor.
 func referencePaeth(a, b, c uint8) uint8 {
 	pc := int(c)

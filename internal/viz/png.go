@@ -3,13 +3,16 @@ package viz
 import (
 	"bufio"
 	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/adler32"
 	"hash/crc32"
 	"image"
 	"image/png"
 	"sync"
+
+	"repro/internal/deflate"
 )
 
 // PNG filter types (PNG spec §9.2) and the IHDR colour types EncodePNG
@@ -25,6 +28,10 @@ const (
 	ctTrueColorAlpha = 6
 
 	pngSignature = "\x89PNG\r\n\x1a\n"
+
+	// zlibHeader is the RFC 1950 header compress/zlib writes at
+	// BestSpeed: deflate with a 32 KiB window, FLEVEL 0, no dictionary.
+	zlibHeader = "\x78\x01"
 )
 
 // pngEncoder is the working state of one frame encode, pooled so that
@@ -32,12 +39,16 @@ const (
 // hold the unfiltered current and previous rows, paeth the Paeth
 // residuals the filter chooser writes while it sums, and alt any other
 // winning filter's residuals; each starts with its filter-type byte.
-// The deflate stack is image/png's: a zlib writer at BestSpeed feeding
-// a 32 KiB bufio.Writer whose every flush becomes one IDAT chunk, so
-// chunk boundaries and the zlib stream come out the same.
+// The zlib stream is image/png's: the zlib header, deflate.Writer
+// (compress/flate's BestSpeed bytes) and the Adler-32 trailer, fed to
+// a 32 KiB bufio.Writer whose every flush becomes one IDAT chunk.
+// deflate.Writer hands each stored block over in one Write, as
+// compress/flate does, so chunk boundaries come out the same.
 type pngEncoder struct {
 	cur, prev, paeth, alt []byte
-	zw                    *zlib.Writer
+	dw                    *deflate.Writer
+	sum                   hash.Hash32 // Adler-32 of the filtered rows
+	trailer               [4]byte     // the zlib stream's Adler-32, big-endian
 	bw                    *bufio.Writer
 	out                   []byte // the PNG being assembled
 }
@@ -45,7 +56,8 @@ type pngEncoder struct {
 var pngEncoders = sync.Pool{New: func() any {
 	e := new(pngEncoder)
 	e.bw = bufio.NewWriterSize(e, 1<<15)
-	e.zw, _ = zlib.NewWriterLevel(e.bw, zlib.BestSpeed) // a valid level never errors
+	e.dw = deflate.NewWriter(e.bw)
+	e.sum = adler32.New()
 	return e
 }}
 
@@ -85,8 +97,12 @@ func (e *pngEncoder) encode(img *image.RGBA, w, h int) ([]byte, error) {
 	ihdr[9] = colorType
 	e.writeChunk("IHDR", ihdr[:])
 
+	// e.Write never fails, and bufio would keep an error for Flush, so
+	// the direct writes to e.bw below go unchecked.
 	e.bw.Reset(e)
-	e.zw.Reset(e.bw)
+	e.bw.WriteString(zlibHeader)
+	e.dw.Reset(e.bw)
+	e.sum.Reset()
 	for y := 0; y < h; y++ {
 		src := img.Pix[y*img.Stride : y*img.Stride+4*w]
 		if bpp == 3 {
@@ -94,14 +110,18 @@ func (e *pngEncoder) encode(img *image.RGBA, w, h int) ([]byte, error) {
 		} else {
 			unpremultiply(e.cur[1:], src)
 		}
-		if _, err := e.zw.Write(e.filter(bpp)); err != nil {
+		row := e.filter(bpp)
+		e.sum.Write(row) // a hash.Hash never returns an error
+		if _, err := e.dw.Write(row); err != nil {
 			return nil, err
 		}
 		e.cur, e.prev = e.prev, e.cur
 	}
-	if err := e.zw.Close(); err != nil {
+	if err := e.dw.Close(); err != nil {
 		return nil, err
 	}
+	binary.BigEndian.PutUint32(e.trailer[:], e.sum.Sum32())
+	e.bw.Write(e.trailer[:])
 	if err := e.bw.Flush(); err != nil {
 		return nil, err
 	}

@@ -28,8 +28,9 @@
 #      iteration each (they run the whole 24-experiment registry,
 #      ~30 s/op).
 #   2. The kernel pass: the serial hot kernels (heat/ocean
-#      BenchmarkStep128, viz BenchmarkRender512 and
-#      BenchmarkEncodePNG512, checkpoint BenchmarkCheckpointEncode)
+#      BenchmarkStep128, viz BenchmarkRender512, BenchmarkEncodePNG512
+#      and BenchmarkCompressField, checkpoint
+#      BenchmarkCheckpointEncode)
 #      and the storage layer (fio
 #      BenchmarkRandWrite: one 64 MiB random-write test, nearly all
 #      page-cache range bookkeeping) at -cpu 1, also min-of-COUNT.
@@ -65,7 +66,7 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkEncodePNG512|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkEncodePNG512|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
     ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
