@@ -52,6 +52,29 @@ func TestEncodePNGSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestCompressFieldSteadyStateAllocs pins CompressField's budget: once
+// its pooled scratch is warm, a call costs one allocation, the
+// returned blob.
+func TestCompressFieldSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, so steady-state allocation counts don't hold")
+	}
+	g := hotSpotGrid()
+	for i := 0; i < 3; i++ { // warm the pool
+		if _, err := CompressField(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := CompressField(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 1 {
+		t.Errorf("steady-state CompressField allocates %.1f objects/call, want <= 1", avg)
+	}
+}
+
 // TestRenderReusesReleasedFrame checks the pool actually hands a
 // released raster back for matching geometry.
 func TestRenderReusesReleasedFrame(t *testing.T) {

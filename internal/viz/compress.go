@@ -13,12 +13,15 @@ import (
 	"repro/internal/field"
 )
 
-// compressScratch recycles the per-call quantization buffer and the
-// DEFLATE writer: in-situ compression runs once per visualization
-// event, and a fresh deflate.Writer is a ~460 KiB allocation. A Reset
-// writer produces byte-identical output to a fresh one.
+// compressScratch recycles the per-call quantization buffer, the
+// DEFLATE writer and its output buffer: in-situ compression runs once
+// per visualization event, and a fresh deflate.Writer is a ~460 KiB
+// allocation. A Reset writer produces byte-identical output to a fresh
+// one. The writer only ever points at out, so it holds on to no blob
+// a caller was given.
 type compressScratch struct {
 	raw []byte
+	out bytes.Buffer
 	dw  *deflate.Writer
 }
 
@@ -57,11 +60,11 @@ func CompressField(g *field.Grid) ([]byte, error) {
 		binary.LittleEndian.PutUint16(raw[24+i*2:], q-prev)
 		prev = q
 	}
-	var buf bytes.Buffer
+	sc.out.Reset()
 	if sc.dw == nil {
-		sc.dw = deflate.NewWriter(&buf)
+		sc.dw = deflate.NewWriter(&sc.out)
 	} else {
-		sc.dw.Reset(&buf)
+		sc.dw.Reset(&sc.out)
 	}
 	if _, err := sc.dw.Write(raw); err != nil {
 		return nil, err
@@ -69,7 +72,7 @@ func CompressField(g *field.Grid) ([]byte, error) {
 	if err := sc.dw.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(sc.out.Bytes()), nil
 }
 
 // DecompressField reverses CompressField, returning the quantized field

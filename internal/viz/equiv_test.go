@@ -717,30 +717,173 @@ func referencePaeth(a, b, c uint8) uint8 {
 	return c
 }
 
-// TestPaethSWARExhaustive checks chooseFilter's word-wide Paeth
-// residuals against the scalar predictor on all 2^24 (a, b, c)
-// triples. At 8 bytes per pixel a 16-byte row holds one word: a and c
-// are the first half of the current and previous rows, b the second
-// half of the previous one. Lane k of word w holds triple
-// (w + k·2^21)·0x9e3779 mod 2^24, a bijection that covers every triple
-// once and gives neighbouring lanes unrelated values, so a borrow or
-// carry leaking between lanes shows.
+// wordLoop is the signature sumWords and sumWordsSWAR share.
+type wordLoop = func(cd, pd, pth []byte, bpp int, sums *[5]int) int
+
+// wordLoops are the word loops under test: the build's sumWords (the
+// SSE2 kernel on amd64) and the portable SWAR loop.
+var wordLoops = []struct {
+	name string
+	f    wordLoop
+}{{"sumWords", sumWords}, {"sumWordsSWAR", sumWordsSWAR}}
+
+// TestPaethSWARExhaustive checks both word loops' Paeth residuals
+// against the scalar predictor on all 2^24 (a, b, c) triples. At 16
+// bytes per pixel a 32-byte row holds one 16-byte block, two words,
+// from index 16: a and c are the first half of the current and
+// previous rows, b the second half of the previous one. Lane k of
+// block w holds triple (w + k·2^20)·0x9e3779 mod 2^24, a bijection
+// that covers every triple once and gives neighbouring lanes unrelated
+// values, so a borrow or carry leaking between lanes shows.
 func TestPaethSWARExhaustive(t *testing.T) {
-	var cd, pd, pth [16]byte
-	for w := uint32(0); w < 1<<21; w++ {
-		for k := 0; k < 8; k++ {
-			tr := (w + uint32(k)<<21) * 0x9e3779 & 0xffffff
-			cd[k], pd[8+k], pd[k] = uint8(tr>>16), uint8(tr>>8), uint8(tr)
-			cd[8+k] = uint8(tr >> 4) // x, the byte being filtered
-		}
-		chooseFilter(cd[:], pd[:], pth[:], 8)
-		for k := 0; k < 8; k++ {
-			a, b, c, x := cd[k], pd[8+k], pd[k], cd[8+k]
-			if got, want := x-pth[8+k], referencePaeth(a, b, c); got != want {
-				t.Fatalf("Paeth predictor in lane %d of (a=%d, b=%d, c=%d) = %d, want %d", k, a, b, c, got, want)
+	var cd, pd, pth [32]byte
+	for _, loop := range wordLoops {
+		for w := uint32(0); w < 1<<20; w++ {
+			for k := 0; k < 16; k++ {
+				tr := (w + uint32(k)<<20) * 0x9e3779 & 0xffffff
+				cd[k], pd[16+k], pd[k] = uint8(tr>>16), uint8(tr>>8), uint8(tr)
+				cd[16+k] = uint8(tr >> 4) // x, the byte being filtered
+			}
+			var sums [5]int
+			if next := loop.f(cd[:], pd[:], pth[:], 16, &sums); next != 32 {
+				t.Fatalf("%s stopped at %d of a 32-byte row at 16 bytes per pixel, want 32", loop.name, next)
+			}
+			for k := 0; k < 16; k++ {
+				a, b, c, x := cd[k], pd[16+k], pd[k], cd[16+k]
+				if got, want := x-pth[16+k], referencePaeth(a, b, c); got != want {
+					t.Fatalf("%s: Paeth predictor in lane %d of (a=%d, b=%d, c=%d) = %d, want %d", loop.name, k, a, b, c, got, want)
+				}
 			}
 		}
 	}
+}
+
+// rowSums returns the five filters' sums of |int8| residuals of row
+// cd under pd, by filter type, and its Paeth residual row, with loop
+// taking whatever whole words it takes from index bpp on and scalar
+// code the rest; a nil loop leaves every byte to scalar code. pth
+// carries guard bytes past the row that loop must leave alone.
+func rowSums(tb testing.TB, loop wordLoop, cd, pd []byte, bpp int) ([5]int, []byte) {
+	tb.Helper()
+	n := len(cd)
+	pth := bytes.Repeat([]byte{0xa5}, n+16)
+	var sums [5]int
+	next := bpp
+	if loop != nil {
+		next = loop(cd, pd, pth[:n], bpp, &sums)
+	}
+	if next < bpp || next > n {
+		tb.Fatalf("%d-byte row at %d bytes per pixel: word loop returned %d", n, bpp, next)
+	}
+	for i := 0; i < n; i++ {
+		if i >= bpp && i < next {
+			continue
+		}
+		var a, c uint8
+		if i >= bpp {
+			a, c = cd[i-bpp], pd[i-bpp]
+		}
+		r := residuals(cd[i], a, pd[i], c)
+		pth[i] = r[ftPaeth]
+		for f, v := range r {
+			sums[f] += absInt8(v)
+		}
+	}
+	if !bytes.Equal(pth[n:], bytes.Repeat([]byte{0xa5}, 16)) {
+		tb.Fatalf("%d-byte row at %d bytes per pixel: word loop wrote past the row: % x", n, bpp, pth[n:])
+	}
+	return sums, pth[:n]
+}
+
+// TestSumWordsMatchesSWAR compares the five sums and the Paeth
+// residual row of sumWords (on amd64, the SSE2 kernel) and of the
+// portable SWAR loop with scalar residuals, on rows of every length
+// from bpp to bpp+80 bytes at 3 and 4 bytes per pixel: noisy rows,
+// smooth rows where the filters compete closely, and rows of extreme
+// bytes (0, 1, 127, 128, 129, 254, 255) where signs, saturation and
+// rounding sit at their edges.
+func TestSumWordsMatchesSWAR(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	extremes := []uint8{0, 1, 127, 128, 129, 254, 255}
+	for _, bpp := range []int{3, 4} {
+		for n := bpp; n <= bpp+80; n++ {
+			for _, kind := range []string{"noisy", "smooth", "extreme"} {
+				for trial := 0; trial < 40; trial++ {
+					cd, pd := make([]byte, n), make([]byte, n)
+					for i := range cd {
+						switch kind {
+						case "noisy":
+							cd[i], pd[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+						case "extreme":
+							cd[i], pd[i] = extremes[rng.Intn(len(extremes))], extremes[rng.Intn(len(extremes))]
+						default:
+							pd[i] = uint8(0x80 + rng.Intn(9) - 4)
+							if i >= bpp {
+								pd[i] = uint8(int(pd[i-bpp]) + rng.Intn(9) - 4)
+							}
+							cd[i] = uint8(int(pd[i]) + rng.Intn(9) - 4)
+							if i >= bpp {
+								cd[i] = uint8((int(cd[i-bpp])+int(pd[i]))/2 + rng.Intn(9) - 4)
+							}
+						}
+					}
+					want, wantPth := rowSums(t, nil, cd, pd, bpp)
+					for _, loop := range wordLoops {
+						got, gotPth := rowSums(t, loop.f, cd, pd, bpp)
+						if got != want || !bytes.Equal(gotPth, wantPth) {
+							t.Fatalf("%s, %s %d-byte row at %d bytes per pixel: sums %v, Paeth row % x; scalar sums %v, Paeth row % x\ncd % x\npd % x",
+								loop.name, kind, n, bpp, got, gotPth, want, wantPth, cd, pd)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOpaqueMatchesStdlib puts one translucent pixel at each position,
+// tail pixels included, of small rasters and of an offset sub-image
+// with a wide stride whose parent is translucent outside it. opaque
+// must answer as image.RGBA.Opaque does, and EncodePNG must write
+// image/png's bytes, colour type included.
+func TestOpaqueMatchesStdlib(t *testing.T) {
+	check := func(name string, img *image.RGBA) {
+		t.Helper()
+		if got, want := opaque(img), img.Opaque(); got != want {
+			t.Fatalf("%s (%v, stride %d): opaque = %v, Opaque() = %v", name, img.Rect, img.Stride, got, want)
+		}
+		checkEncodePNG(t, name, img)
+	}
+	alphas := []uint8{0xfe, 0x80, 0}
+	eachPixel := func(name string, img *image.RGBA) {
+		t.Helper()
+		check(name, img)
+		for y := img.Rect.Min.Y; y < img.Rect.Max.Y; y++ {
+			for x := img.Rect.Min.X; x < img.Rect.Max.X; x++ {
+				p := img.PixOffset(x, y) + 3
+				img.Pix[p] = alphas[(x+y)%len(alphas)]
+				check(name+", one translucent pixel", img)
+				img.Pix[p] = 0xff
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for w := 1; w <= 17; w++ {
+		for h := 1; h <= 3; h++ {
+			eachPixel("small", randomRaster(rng, w, h, true, false))
+		}
+	}
+	base := randomRaster(rng, 40, 30, false, false)
+	for i := 3; i < len(base.Pix); i += 4 {
+		base.Pix[i] = alphas[i/4%len(alphas)]
+	}
+	sub := base.SubImage(image.Rect(5, 7, 30, 20)).(*image.RGBA)
+	for y := sub.Rect.Min.Y; y < sub.Rect.Max.Y; y++ {
+		for x := sub.Rect.Min.X; x < sub.Rect.Max.X; x++ {
+			sub.Pix[sub.PixOffset(x, y)+3] = 0xff
+		}
+	}
+	eachPixel("sub-image", sub)
 }
 
 // FuzzEncodePNG compares EncodePNG with image/png on rasters of up to
