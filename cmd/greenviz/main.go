@@ -20,6 +20,11 @@
 // for external plotting. In pipeline mode, -format json emits the
 // canonical RunResult encoding — the same bytes the greenvizd service
 // serves for an identical job.
+//
+// The run flags fill a service.JobSpec, which resolves them as the
+// daemon resolves a job's fields: a zero value takes the default
+// (-seed 0 runs seed 1, -real-substeps 0 computes 16 sub-steps), and an
+// out-of-range value is an error, as the daemon answers it with 400.
 package main
 
 import (
@@ -35,7 +40,7 @@ import (
 
 	greenviz "repro"
 	"repro/internal/core"
-	"repro/internal/units"
+	"repro/internal/service"
 )
 
 // main defers all work to run so the profile writers flush on every
@@ -48,9 +53,9 @@ func run() int {
 	var (
 		expID        = flag.String("experiment", "", "experiment id (see -list), or \"all\"")
 		list         = flag.Bool("list", false, "list available experiments")
-		seed         = flag.Uint64("seed", 1, "master seed; equal seeds give identical output")
-		realSubsteps = flag.Int("real-substeps", 16, "solver sub-steps computed per iteration (<= 1536); higher is more faithful, slower")
-		fioGiB       = flag.Int("fio-gib", 4, "fio test file size in GiB (Table III uses 4)")
+		seed         = flag.Uint64("seed", 1, "master seed; equal seeds give identical output (0 means 1)")
+		realSubsteps = flag.Int("real-substeps", 16, "solver sub-steps computed per iteration (1..1536, 0 means 16); higher is more faithful, slower")
+		fioGiB       = flag.Int("fio-gib", 4, "fio test file size in GiB (1..1024, 0 means 4; Table III uses 4)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent experiment drivers for -experiment all")
 		csvDir       = flag.String("csv", "", "directory to dump case-study power profiles as CSV")
 		faults       = flag.String("faults", "", "inject storage faults: comma-separated bitrot=,readerr=,writeerr=,latency=,drop= (probabilities), spike=,timeout= (seconds), seed= — empty disables injection (byte-identical output)")
@@ -60,7 +65,7 @@ func run() int {
 		pipeline  = flag.String("pipeline", "", "run one pipeline instead of an experiment: "+strings.Join(pipelineFlags(), ", "))
 		app       = flag.String("app", "heat", "proxy application: "+strings.Join(greenviz.AppFlags(), ", "))
 		device    = flag.String("device", "hdd", "storage device: "+strings.Join(greenviz.DeviceFlags(), ", "))
-		caseIdx   = flag.Int("case", 1, "case study number (1..3)")
+		caseIdx   = flag.Int("case", 1, "case study number (1..3, 0 means 1)")
 		framesDir = flag.String("frames", "", "directory to dump rendered PNG frames (pipeline mode)")
 		events    = flag.Bool("events", false, "narrate the run's telemetry stream (stages, retries, faults) on stderr (pipeline mode)")
 		format    = flag.String("format", "text", "pipeline-mode output format: text, json (the service's report encoding)")
@@ -112,12 +117,6 @@ func run() int {
 		}()
 	}
 
-	faultCfg, err := greenviz.ParseFaultSpec(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "greenviz: %v\n", err)
-		return 2
-	}
-
 	if *campaignPath != "" {
 		if err := runCampaign(*campaignPath, *workers, *quiet); err != nil {
 			fmt.Fprintf(os.Stderr, "greenviz: %v\n", err)
@@ -126,8 +125,10 @@ func run() int {
 		return 0
 	}
 
+	spec := service.JobSpec{Seed: *seed, RealSubsteps: *realSubsteps, FioGiB: *fioGiB, Faults: *faults}
 	if *pipeline != "" {
-		if err := runPipeline(*pipeline, *app, *device, *caseIdx, *seed, *realSubsteps, *framesDir, *format, faultCfg, *events); err != nil {
+		spec.Pipeline, spec.App, spec.Device, spec.Case = *pipeline, *app, *device, *caseIdx
+		if err := runPipeline(spec, *framesDir, *format, *events); err != nil {
 			fmt.Fprintf(os.Stderr, "greenviz: %v\n", err)
 			return 1
 		}
@@ -145,19 +146,11 @@ func run() int {
 		return 2
 	}
 
-	cfg := greenviz.DefaultConfig()
-	if *realSubsteps > 0 {
-		if *realSubsteps > cfg.SubstepsPerIteration {
-			*realSubsteps = cfg.SubstepsPerIteration
-		}
-		cfg.RealSubsteps = *realSubsteps
+	suite, err := experimentSuite(spec, *expID)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "greenviz: %v\n", err)
+		return 1
 	}
-	// A -faults spec applies to every pipeline run the experiments
-	// perform; left empty, all report bodies are byte-identical to a
-	// fault-free build.
-	cfg.Faults = faultCfg
-	suite := greenviz.NewSuite(*seed, &cfg)
-	suite.Fio.FileSize = units.Bytes(*fioGiB) * units.GiB
 	// The suite itself is quiet by default (library and daemon embeds
 	// stay silent); the CLI opts into live wall-time lines on stderr
 	// unless -quiet. Stdout stays byte-identical either way.
@@ -197,6 +190,35 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// experimentSuite normalizes the job spec of every experiment id names
+// (each registry ID for "all") and builds the suite they run on. The
+// specs differ only in the experiment, so they share one config and
+// suite. A -faults spec applies to every pipeline run the experiments
+// perform; left empty, all report bodies are byte-identical to a
+// fault-free build.
+func experimentSuite(spec service.JobSpec, id string) (*greenviz.Suite, error) {
+	ids := []string{id}
+	if id == "all" {
+		ids = ids[:0]
+		for _, e := range greenviz.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	}
+	var norm service.JobSpec
+	for _, id := range ids {
+		spec.Experiment = id
+		var err error
+		if norm, err = spec.Normalized(); err != nil {
+			return nil, err
+		}
+	}
+	cfg, err := norm.Config()
+	if err != nil {
+		return nil, err
+	}
+	return norm.Suite(cfg), nil
 }
 
 // pipelineFlags lists the -pipeline names from the core registry.

@@ -6,52 +6,33 @@ import (
 	"path/filepath"
 
 	greenviz "repro"
+	"repro/internal/service"
 )
 
 // runPipeline executes one explicit pipeline configuration (the CLI's
 // -pipeline mode) and prints its measurements: human-readable text by
 // default, or (-format json) the canonical RunResult encoding — the
-// same bytes the greenvizd service serves as a pipeline job's report.
-func runPipeline(pipeline, app, device string, caseIdx int, seed uint64, realSubsteps int, framesDir, format string, faults *greenviz.FaultConfig, events bool) error {
-	// Device and app names resolve through the same presets the service
-	// uses, so CLI and API runs of equal configurations are identical.
-	platform, err := greenviz.PlatformByFlag(device)
+// same bytes the greenvizd service serves as the report of spec. The
+// CLI attaches only its observers to the spec's config: -frames keeps
+// the frames, -events narrates the telemetry stream to stderr. Neither
+// changes the stdout bytes.
+func runPipeline(spec service.JobSpec, framesDir, format string, events bool) error {
+	norm, err := spec.Normalized()
 	if err != nil {
 		return err
 	}
-
-	cfg := greenviz.DefaultConfig()
-	if realSubsteps > 0 {
-		if realSubsteps > cfg.SubstepsPerIteration {
-			realSubsteps = cfg.SubstepsPerIteration
-		}
-		cfg.RealSubsteps = realSubsteps
-	}
-	cfg.RetainFrames = framesDir != ""
-	cfg.Faults = faults
-	if err := greenviz.ConfigureApp(&cfg, app); err != nil {
+	cfg, err := norm.Config()
+	if err != nil {
 		return err
 	}
-	// -events narrates the telemetry stream to stderr; stdout bytes are
-	// unaffected (consumers observe runs, they never alter them).
+	cfg.RetainFrames = framesDir != ""
 	if events {
 		cfg.Telemetry = &eventPrinter{w: os.Stderr}
 	}
-
-	cases := greenviz.CaseStudies()
-	if caseIdx < 1 || caseIdx > len(cases) {
-		return fmt.Errorf("case %d out of range 1..%d", caseIdx, len(cases))
-	}
-	cs := cases[caseIdx-1]
-
-	// Dispatch is registry-driven: PipelineByFlag resolves every
-	// pipeline core declares, so a new pipeline only needs a constant
-	// and a Flag() name to be runnable (and listed in errors) here.
-	p, err := greenviz.PipelineByFlag(pipeline)
+	r, err := norm.Run(cfg)
 	if err != nil {
 		return err
 	}
-	r := greenviz.RunOnCluster(greenviz.NewClusterFor(platform, p, seed), p, cs, cfg)
 
 	switch format {
 	case "", "text":

@@ -26,8 +26,8 @@ import (
 //	      be served from the store (deduped) and only the six cold ones
 //	      executed, and the served report must hash to the committed
 //	      golden digest — the same bytes the CLI prints;
-//	gen 3 re-POSTs the finished campaign: restored from the persisted
-//	      state record with zero executions and byte-identical report.
+//	gen 3 re-POSTs the finished campaign: every point is served from
+//	      the store, so zero executions and a byte-identical report.
 func TestDaemonCampaignResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the daemon and runs eight pipeline simulations")
@@ -141,8 +141,8 @@ func TestDaemonCampaignResume(t *testing.T) {
 	}
 	stop()
 
-	// Generation 3: the finished campaign restores from its state
-	// record — identical bytes, zero executions.
+	// Generation 3: the finished campaign re-runs from its points'
+	// stored reports — identical bytes, zero executions.
 	base, stop = startDaemon(3)
 	id3 := postCampaign(t, base, campaignSpec, http.StatusAccepted)
 	waitCampaignDone(t, base, id3, time.Minute)
@@ -151,10 +151,10 @@ func TestDaemonCampaignResume(t *testing.T) {
 	}
 	report3 := getCampaignReport(t, base, id3)
 	if !bytes.Equal(report, report3) {
-		t.Errorf("restored campaign report is not byte-identical")
+		t.Errorf("gen 3 campaign report is not byte-identical")
 	}
 	if got := scrapeMetric(t, base, "greenvizd_executions_total"); got != "0" {
-		t.Errorf("gen 3 executions_total = %s, want 0 (campaign must restore from the state record)", got)
+		t.Errorf("gen 3 executions_total = %s, want 0 (every point must come from the store)", got)
 	}
 	stop()
 }

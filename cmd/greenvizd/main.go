@@ -175,8 +175,7 @@ func run(cfg daemonConfig) error {
 	// report is durable before exit.
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
-	// Campaigns first: Close cancels their point waits and persists
-	// final state records while the store is still open, then the job
+	// Campaigns first: Close cancels their point waits, then the job
 	// manager drains and closes the store.
 	cm.Close()
 	if err := m.Shutdown(ctx); err != nil {

@@ -20,7 +20,7 @@ func main() {
 
 	post := greenviz.Run(greenviz.NewNode(greenviz.SandyBridge(), 1), greenviz.PostProcessing, cs, cfg)
 	insitu := greenviz.Run(greenviz.NewNode(greenviz.SandyBridge(), 2), greenviz.InSitu, cs, cfg)
-	it := greenviz.RunInTransit(greenviz.NewCluster(greenviz.SandyBridge(), greenviz.TenGigE(), 3), cs, cfg)
+	it := greenviz.RunOnCluster(greenviz.NewCluster(greenviz.SandyBridge(), greenviz.TenGigE(), 3), greenviz.InTransit, cs, cfg)
 
 	fmt.Printf("%-26s %10s %14s %14s\n", "pipeline", "makespan", "sim-node E", "cluster E")
 	fmt.Printf("%-26s %9.1fs %14s %14s\n", "post-processing (1 node)", float64(post.ExecTime), post.Energy, post.Energy)

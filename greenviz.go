@@ -240,20 +240,6 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg Config) *Result {
 	return core.RunOnCluster(c, p, cs, cfg)
 }
 
-// RunInTransit executes the in-transit pipeline (Future Work): the
-// simulation ships each event's data over the network and the staging
-// node renders concurrently.
-func RunInTransit(c *Cluster, cs CaseStudy, cfg Config) *Result {
-	return core.RunOnCluster(c, core.InTransit, cs, cfg)
-}
-
-// RunHybrid executes the hybrid pipeline: in-situ rendering on the
-// simulation node plus asynchronous checkpoint offload over the link
-// to the staging node's disk.
-func RunHybrid(c *Cluster, cs CaseStudy, cfg Config) *Result {
-	return core.RunOnCluster(c, core.Hybrid, cs, cfg)
-}
-
 // NVRAMParams describes the burst-buffer tier (set Platform.NVRAM).
 type NVRAMParams = storage.NVRAMParams
 

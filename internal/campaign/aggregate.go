@@ -168,7 +168,7 @@ func advisorCheck(points []Point, outcomes []pointOutcome, winner int) []string 
 // renderReport produces the campaign's deterministic plain-text
 // report. Everything renders from the outcome slice in expansion
 // order, so the bytes are identical at any point-worker count and
-// across a resume from persisted state.
+// whether a point ran or came from the store.
 func renderReport(s Spec, digest string, points []Point, outcomes []pointOutcome) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "campaign %s (%s)\n", s.Name, IDFromDigest(digest))

@@ -298,10 +298,7 @@ func Expand(s Spec) ([]Point, error) {
 //	point %d %s\n        (per point)
 //
 // A change to any point's report re-keys the campaign through that
-// point's digest. The leading version is bumped by a change that
-// alters the report of an unchanged campaign otherwise — a change to
-// how the report is rendered — so a persisted state record is never
-// served stale.
+// point's digest.
 func appendCanonical(b []byte, s Spec, points []Point) []byte {
 	b = append(b, "campaign v2 name:"...)
 	b = strconv.AppendQuote(b, s.Name)
@@ -336,14 +333,6 @@ func appendCanonical(b []byte, s Spec, points []Point) []byte {
 func Digest(s Spec, points []Point) string {
 	sum := sha256.Sum256(appendCanonical(nil, s, points))
 	return hex.EncodeToString(sum[:])
-}
-
-// stateKey derives the resultstore key campaign state persists under:
-// a second-preimage-separated hash of the campaign digest, so state
-// records and job reports share one store without colliding.
-func stateKey(digest string) string {
-	h := sha256.Sum256([]byte("campaign-state v1\n" + digest))
-	return hex.EncodeToString(h[:])
 }
 
 // IDFromDigest shortens a campaign digest to its routable ID.

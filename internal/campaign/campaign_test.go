@@ -318,9 +318,9 @@ func TestIdempotentStart(t *testing.T) {
 }
 
 // TestResumeFromStore is the persistence contract end to end at the
-// package level: a finished campaign restores from the state record
-// with zero executions, and a half-warm store re-runs only the cold
-// points.
+// package level: a half-warm store re-runs only the cold points, and
+// a finished campaign resubmitted to a fresh process finishes from its
+// points' stored reports with zero executions.
 func TestResumeFromStore(t *testing.T) {
 	dir := t.TempDir()
 	openStore := func() *resultstore.Store {
@@ -332,8 +332,7 @@ func TestResumeFromStore(t *testing.T) {
 	}
 
 	// Generation 1 runs two of the four points as plain jobs — the
-	// "daemon died mid-campaign" state: some point reports persisted,
-	// no campaign state record.
+	// "daemon died mid-campaign" state: some point reports persisted.
 	jobs1 := newJobManager(t, openStore())
 	norm, _ := testSpec().Normalized()
 	points, _ := Expand(norm)
@@ -368,8 +367,8 @@ func TestResumeFromStore(t *testing.T) {
 	jobs2.Shutdown(ctx)
 	cancel()
 
-	// Generation 3 resubmits the finished campaign: restored from the
-	// state record, byte-identical report, zero executions.
+	// Generation 3 resubmits the finished campaign: every point is a
+	// store hit, so the report is byte-identical with zero executions.
 	jobs3 := newJobManager(t, openStore())
 	cm3 := NewManager(jobs3, Options{})
 	t.Cleanup(cm3.Close)
@@ -377,18 +376,20 @@ func TestResumeFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	if st := c3.State(); st != service.StateDone {
-		t.Fatalf("restored campaign state = %s, want done", st)
-	}
-	if !c3.restored {
-		t.Fatal("campaign was re-run, not restored from the state record")
+	ctx, cancel = context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if st := c3.Wait(ctx); st != service.StateDone {
+		t.Fatalf("resubmitted campaign state = %s, want done", st)
 	}
 	report3, ok := c3.Report()
 	if !ok || !bytes.Equal(report2, report3) {
-		t.Fatalf("restored report differs (ok=%v)", ok)
+		t.Fatalf("resubmitted report differs (ok=%v)", ok)
 	}
 	if got := jobs3.Metrics.Executions.Load(); got != 0 {
-		t.Fatalf("restored campaign ran %d executions, want 0", got)
+		t.Fatalf("resubmitted campaign ran %d executions, want 0", got)
+	}
+	if got := jobs3.Metrics.CampaignPointsDeduped.Load(); got != 4 {
+		t.Fatalf("resubmitted CampaignPointsDeduped = %d, want 4", got)
 	}
 }
 

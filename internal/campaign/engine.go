@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sync"
 	"time"
@@ -28,9 +27,6 @@ type Campaign struct {
 	state    service.State
 	outcomes []pointOutcome
 	report   []byte
-	// restored marks a campaign rebuilt from a persisted state record
-	// (it never ran in this process; its report came from the store).
-	restored bool
 }
 
 // State returns the campaign's lifecycle position.
@@ -92,8 +88,9 @@ type Options struct {
 // Manager runs campaigns against a service.Manager. Points are
 // submitted as ordinary jobs, so they share the daemon's worker pool,
 // content-addressed dedup, and durable result store; the campaign
-// layer adds expansion, aggregation, persistence of sweep state, and
-// its own progress stream.
+// layer adds expansion, aggregation, and its own progress stream. It
+// persists nothing of its own: a campaign's report is a function of
+// its spec and its points' reports, which the job store already keeps.
 type Manager struct {
 	jobs *service.Manager
 	opts Options
@@ -155,11 +152,10 @@ func (m *Manager) List() []*Campaign {
 // Start accepts a campaign spec: it normalizes, expands, and
 // content-addresses the sweep, then either returns the already-known
 // campaign with that address (running or finished — idempotent
-// resubmit), restores a finished campaign from the persisted state
-// record (surviving restarts without re-running a single point), or
-// launches the sweep. Point executions dedupe through the job
-// manager's caches, so resubmitting a half-finished campaign after a
-// crash re-runs only the points whose reports were lost.
+// resubmit) or launches the sweep. Point executions dedupe through the
+// job manager's caches, so resubmitting a campaign after a restart
+// serves every point whose report the store kept without running it,
+// and re-runs only the points whose reports were lost.
 func (m *Manager) Start(spec Spec) (*Campaign, error) {
 	c, _, err := m.start(spec)
 	return c, err
@@ -168,8 +164,7 @@ func (m *Manager) Start(spec Spec) (*Campaign, error) {
 // start is Start that also reports whether the campaign's address was
 // already in the table. The lookup and the registration share one
 // critical section, so of N concurrent first submits of a spec exactly
-// one sees known == false. A campaign restored from its persisted
-// state is new to the table, so it is not known.
+// one sees known == false.
 func (m *Manager) start(spec Spec) (c *Campaign, known bool, err error) {
 	norm, err := spec.Normalized()
 	if err != nil {
@@ -200,38 +195,14 @@ func (m *Manager) start(spec Spec) (c *Campaign, known bool, err error) {
 		state:    service.StateRunning,
 		outcomes: make([]pointOutcome, len(points)),
 	}
-	if rec, ok := m.loadState(digest); ok && rec.Status == service.StateDone {
-		c.state = service.StateDone
-		c.report = []byte(rec.Report)
-		c.restored = true
-		for i := range c.outcomes {
-			if i < len(rec.Points) {
-				c.outcomes[i] = pointOutcome{
-					State:   rec.Points[i].State,
-					Err:     rec.Points[i].Error,
-					Deduped: rec.Points[i].Deduped,
-				}
-			}
-		}
-		c.log.Emit(Event{Type: "expanded", Points: len(points)})
-		c.log.Emit(Event{Type: "done"})
-		m.register(c)
-		m.mu.Unlock()
-		return c, false, nil
-	}
-	m.register(c)
+	m.byID[id] = c
+	m.order = append(m.order, id)
 	m.mu.Unlock()
 
 	m.jobs.Metrics.CampaignsActive.Add(1)
 	m.wg.Add(1)
 	go m.run(c)
 	return c, false, nil
-}
-
-// register adds a campaign to the table; m.mu must be held.
-func (m *Manager) register(c *Campaign) {
-	m.byID[c.ID] = c
-	m.order = append(m.order, c.ID)
 }
 
 // run drives one campaign to a terminal state.
@@ -273,17 +244,11 @@ func (m *Manager) run(c *Campaign) {
 		final = service.StateFailed
 	}
 
-	var report []byte
-	if final == service.StateDone {
-		c.mu.Lock()
-		report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
-		c.mu.Unlock()
-	}
-	// The state record lands before the state turns terminal, so
-	// whoever sees the campaign finished finds it in the store.
-	m.persistState(c, final, report)
 	c.mu.Lock()
-	c.state, c.report = final, report
+	if final == service.StateDone {
+		c.report = renderReport(c.Spec, c.Digest, c.Points, c.outcomes)
+	}
+	c.state = final
 	c.mu.Unlock()
 
 	switch final {
@@ -376,81 +341,4 @@ func (c *Campaign) recordOutcome(i int, out pointOutcome) {
 		Deduped: out.Deduped,
 		Error:   out.Err,
 	})
-}
-
-// stateRecord is the JSON body persisted to the result store under
-// stateKey(digest): enough to restore a finished campaign (including
-// its exact report bytes) and to show point statuses after a restart.
-type stateRecord struct {
-	Version   int           `json:"version"`
-	ID        string        `json:"id"`
-	Digest    string        `json:"digest"`
-	Name      string        `json:"name"`
-	Objective string        `json:"objective"`
-	Status    service.State `json:"status"`
-	Points    []pointRecord `json:"points"`
-	Report    string        `json:"report,omitempty"`
-}
-
-type pointRecord struct {
-	Label   string        `json:"label"`
-	Digest  string        `json:"digest"`
-	State   service.State `json:"state,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Deduped bool          `json:"deduped,omitempty"`
-}
-
-// persistState writes the campaign's state record — terminal status
-// and report — to the durable store (no-op without one). Best-effort
-// like job-report persistence: a failed write costs a re-aggregation
-// after restart, never correctness — point reports are persisted
-// independently by the job manager, so a resumed campaign re-runs only
-// what the store lost.
-func (m *Manager) persistState(c *Campaign, status service.State, report []byte) {
-	store := m.jobs.Store()
-	if store == nil {
-		return
-	}
-	c.mu.Lock()
-	rec := stateRecord{
-		Version:   1,
-		ID:        c.ID,
-		Digest:    c.Digest,
-		Name:      c.Spec.Name,
-		Objective: c.Spec.Objective,
-		Status:    status,
-		Report:    string(report),
-	}
-	for i, p := range c.Points {
-		rec.Points = append(rec.Points, pointRecord{
-			Label:   p.Label,
-			Digest:  p.Digest,
-			State:   c.outcomes[i].State,
-			Error:   c.outcomes[i].Err,
-			Deduped: c.outcomes[i].Deduped,
-		})
-	}
-	c.mu.Unlock()
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	store.Put(stateKey(c.Digest), body)
-}
-
-// loadState reads a persisted state record for the campaign digest.
-func (m *Manager) loadState(digest string) (stateRecord, bool) {
-	store := m.jobs.Store()
-	if store == nil {
-		return stateRecord{}, false
-	}
-	body, ok := store.Get(stateKey(digest))
-	if !ok {
-		return stateRecord{}, false
-	}
-	var rec stateRecord
-	if err := json.Unmarshal(body, &rec); err != nil || rec.Version != 1 || rec.Digest != digest {
-		return stateRecord{}, false
-	}
-	return rec, true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -245,16 +246,28 @@ func TestCompareValidation(t *testing.T) {
 	}()
 }
 
+// TestRetainFrames: every pipeline keeps exactly the frames it counts,
+// and the kept PNGs are the bytes FrameChecksum hashed.
 func TestRetainFrames(t *testing.T) {
 	cfg := testConfig()
 	cfg.RetainFrames = true
 	small := CaseStudy{Name: "tiny", Iterations: 2, IOInterval: 1}
-	res := Run(testNode(1), InSitu, small, cfg)
-	if len(res.FramePNGs) != 2 {
-		t.Fatalf("retained %d frames, want 2", len(res.FramePNGs))
-	}
-	if len(res.FramePNGs[0]) < 100 {
-		t.Error("retained frame suspiciously small")
+	for _, p := range Pipelines() {
+		res := RunOnCluster(NewClusterFor(node.SandyBridge(), p, 1), p, small, cfg)
+		if res.Frames != 2 || len(res.FramePNGs) != res.Frames {
+			t.Errorf("%s: retained %d of %d frames, want 2 of 2", p, len(res.FramePNGs), res.Frames)
+			continue
+		}
+		h := fnv.New64a()
+		for _, png := range res.FramePNGs {
+			if len(png) < 100 {
+				t.Errorf("%s: retained frame suspiciously small", p)
+			}
+			h.Write(png)
+		}
+		if h.Sum64() != res.FrameChecksum {
+			t.Errorf("%s: retained frames hash to %016x, FrameChecksum %016x", p, h.Sum64(), res.FrameChecksum)
+		}
 	}
 }
 

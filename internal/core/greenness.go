@@ -1,66 +1,25 @@
 package core
 
 import (
-	"math"
-
-	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/wattsup"
 )
 
 // greenness.go is the single implementation of the paper's greenness
 // metrics. Every pipeline — single-node or clustered — derives its
-// average/peak power, measured energy, and energy efficiency from
-// these helpers; no pipeline computes them privately.
+// average/peak power and measured energy from the run's recorded
+// wall-meter series, and its energy efficiency, through these helpers;
+// no pipeline computes them privately.
 
-// meterSummary folds the wall meter's telemetry samples into the
-// meter-derived metrics as they stream: the integrated 1 Hz meter
-// energy (Fig. 10's measured companion) and the average and peak wall
-// power (Figs. 8-9). The folds replicate trace.Series.Integral and
-// Summarize term for term — left-rectangle integration where a
-// non-finite sample's interval is a gap (prev still advances), and
-// moments over finite samples only — so a run summarized incrementally
-// is bit-identical to one summarized from the recorded series.
-type meterSummary struct {
-	integral   float64
-	prevT      units.Seconds
-	prevV      float64
-	prev       bool
-	prevFinite bool
-
-	n   int
-	sum float64
-	max float64
-}
-
-func meterFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// Consume implements telemetry.Consumer.
-func (m *meterSummary) Consume(ev telemetry.Event) {
-	if ev.Kind != telemetry.KindEnergySample || ev.Source != wattsup.SeriesName {
-		return
-	}
-	if m.prev && m.prevFinite {
-		m.integral += m.prevV * float64(ev.At-m.prevT)
-	}
-	m.prevT, m.prevV, m.prev = ev.At, ev.Value, true
-	m.prevFinite = meterFinite(ev.Value)
-	if m.prevFinite {
-		m.n++
-		m.sum += ev.Value
-		if m.n == 1 || ev.Value > m.max {
-			m.max = ev.Value
-		}
-	}
-}
-
-// summary returns the accumulated metrics (zeros for a sample-less or
-// all-non-finite run, like an empty series summary).
-func (m *meterSummary) summary() (measured units.Joules, avg, peak units.Watts) {
-	if m.n == 0 {
-		return units.Joules(m.integral), 0, 0
-	}
-	return units.Joules(m.integral), units.Watts(m.sum / float64(m.n)), units.Watts(m.max)
+// meterMetrics reads the meter-derived metrics off the wall meter's
+// series, which the run's trace recorder fills from the telemetry
+// stream: the integrated 1 Hz meter energy (Fig. 10's measured
+// companion) and the average and peak wall power (Figs. 8-9).
+func meterMetrics(p *trace.Profile) (measured units.Joules, avg, peak units.Watts) {
+	s := p.SeriesByName(wattsup.SeriesName)
+	st := s.Summarize()
+	return units.Joules(s.Integral()), units.Watts(st.Mean), units.Watts(st.Max)
 }
 
 // efficiency returns work units per kilojoule (Fig. 11's metric);

@@ -99,8 +99,7 @@ func (r *runner) intransitProgram(x *stagegraph.Exec) {
 		var stats viz.RenderStats
 		x.Do(stgEncodeHost, func() {
 			png, stats = renderAnnotatedFrame(cfg, r.solver.Field(), r.solver.Steps(), r.solver.Time())
-			r.hash.Write(png) //nolint:errcheck // fnv cannot fail
-			r.res.Frames++
+			r.countFrame(png)
 		})
 		r.ship(x, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })
 	}

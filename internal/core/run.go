@@ -85,8 +85,6 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 	inst := n.NewInstruments(fmt.Sprintf("%s/%s", p, cs.Name), tel)
 	ledger := stagegraph.NewLedger()
 	tel.Attach(ledger)
-	meter := &meterSummary{}
-	tel.Attach(meter)
 	// The caller's consumer (progress streaming, cancellation) attaches
 	// last so the stock accountants have already seen each event when it
 	// fires — and a cancellation panic never leaves them half-updated.
@@ -131,7 +129,7 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 		res.SimEnergy, res.StagingEnergy = energy[0], energy[1]
 		res.StagingBusy = c.stagingCPU.BusyTime()
 	}
-	res.MeasuredEnergy, res.AvgPower, res.PeakPower = meter.summary()
+	res.MeasuredEnergy, res.AvgPower, res.PeakPower = meterMetrics(inst.Profile)
 	res.FrameChecksum = r.hash.Sum64()
 	res.Faults = r.faults.Stats()
 	res.Recovery = ledger.Recovery
@@ -177,12 +175,19 @@ func renderAnnotatedFrame(cfg AppConfig, g *field.Grid, step uint64, simTime flo
 func (r *runner) renderFrame(g *field.Grid, step uint64, simTime float64) []byte {
 	png, stats := renderAnnotatedFrame(r.cfg, g, step, simTime)
 	r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
+	r.countFrame(png)
+	return png
+}
+
+// countFrame accounts one encoded frame, wherever it was rendered: it
+// feeds the frame checksum, counts the frame, and keeps it when the
+// config retains frames.
+func (r *runner) countFrame(png []byte) {
 	r.hash.Write(png) //nolint:errcheck // fnv cannot fail
 	r.res.Frames++
 	if r.cfg.RetainFrames {
 		r.res.FramePNGs = append(r.res.FramePNGs, png)
 	}
-	return png
 }
 
 // writeFrameFile stores an encoded frame on the filesystem. A write

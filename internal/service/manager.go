@@ -336,6 +336,9 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		state:  StateQueued,
 		refs:   1,
 	}
+	// queued is logged before the send: once a worker holds e it may
+	// log running at any moment. A rejected e is dropped, log and all.
+	e.log.Emit(Event{Type: "queued"})
 	select {
 	case m.queue <- e:
 	default:
@@ -345,7 +348,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	m.cache[digest] = e
 	job := m.newJobLocked(norm, e)
-	e.log.Emit(Event{Type: "queued"})
 	m.Metrics.Submitted.Add(1)
 	return job, nil
 }
@@ -485,14 +487,6 @@ func (m *Manager) JobCount() int {
 	defer m.mu.Unlock()
 	return len(m.jobs)
 }
-
-// Store exposes the durable result store, or nil when persistence is
-// disabled. The campaign engine persists its own state records (point
-// statuses + aggregate) in the same store, keyed under the campaign's
-// content address, so campaigns survive daemon restarts alongside the
-// job reports they depend on. The manager still owns the store's
-// lifecycle; callers must tolerate ErrClosed after Shutdown.
-func (m *Manager) Store() *resultstore.Store { return m.opts.Store }
 
 // SSEHeartbeat reports the configured idle-stream heartbeat interval
 // (0 = disabled), so secondary APIs (campaigns) serve SSE with the

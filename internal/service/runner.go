@@ -19,8 +19,9 @@ import (
 //     the runs experiments share *within* the job; the manager's cache
 //     dedups *across* jobs) and report the exact CLI stdout block,
 //     which the golden-digest harness fingerprints;
-//   - pipeline jobs run the same preset resolution as the CLI and
-//     report the CLI's -format json encoding.
+//   - pipeline jobs report the CLI's -format json encoding.
+//
+// The CLI resolves its runs through the same Config, Suite and Run.
 //
 // Cancellation arrives through tel: the telemetry consumer panics
 // with the jobCanceled sentinel at the next telemetry event once ctx
@@ -38,30 +39,17 @@ func runSpec(ctx context.Context, spec JobSpec, tel *jobTelemetry) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
-		suite := experiments.NewSuite(spec.Seed, &cfg)
-		suite.Fio.FileSize = units.Bytes(spec.FioGiB) * units.GiB
-		r := exp.Run(suite)
+		r := exp.Run(spec.Suite(cfg))
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		return []byte(r.Block()), nil
 
 	case KindPipeline:
-		p, err := core.PipelineByFlag(spec.Pipeline)
+		result, err := spec.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
-		platform, err := core.PlatformByFlag(spec.Device)
-		if err != nil {
-			return nil, err
-		}
-		if spec.PowerCapWatts > 0 {
-			// The DVFS axis: a RAPL PL1-style cap throttles the CPU
-			// model's operating frequency to hold package power here.
-			platform.PackagePowerCap = units.Watts(spec.PowerCapWatts)
-		}
-		cs := core.CaseStudies()[spec.Case-1]
-		result := core.RunOnCluster(core.NewClusterFor(platform, p, spec.Seed), p, cs, cfg)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -72,4 +60,35 @@ func runSpec(ctx context.Context, spec JobSpec, tel *jobTelemetry) ([]byte, erro
 		return buf.Bytes(), nil
 	}
 	return nil, fmt.Errorf("unknown kind %q", spec.Kind)
+}
+
+// Suite builds the experiment suite a normalized spec runs on: its
+// seed, cfg (the spec's Config plus any observers the caller attaches)
+// and its fio file size.
+func (s JobSpec) Suite(cfg core.AppConfig) *experiments.Suite {
+	suite := experiments.NewSuite(s.Seed, &cfg)
+	suite.Fio.FileSize = units.Bytes(s.FioGiB) * units.GiB
+	return suite
+}
+
+// Run executes a normalized pipeline spec with cfg (the spec's Config
+// plus any observers the caller attaches): it resolves the pipeline,
+// the device preset under the spec's power cap, and the case study,
+// and runs them on the platform the pipeline needs.
+func (s JobSpec) Run(cfg core.AppConfig) (*core.RunResult, error) {
+	p, err := core.PipelineByFlag(s.Pipeline)
+	if err != nil {
+		return nil, err
+	}
+	platform, err := core.PlatformByFlag(s.Device)
+	if err != nil {
+		return nil, err
+	}
+	if s.PowerCapWatts > 0 {
+		// The DVFS axis: a RAPL PL1-style cap throttles the CPU
+		// model's operating frequency to hold package power here.
+		platform.PackagePowerCap = units.Watts(s.PowerCapWatts)
+	}
+	cs := core.CaseStudies()[s.Case-1]
+	return core.RunOnCluster(core.NewClusterFor(platform, p, s.Seed), p, cs, cfg), nil
 }

@@ -210,8 +210,9 @@ func (s JobSpec) Normalized() (JobSpec, error) {
 	return n, nil
 }
 
-// Config derives the run configuration a normalized spec describes —
-// the same derivation the CLI performs from its flags.
+// Config derives the run configuration a normalized spec describes.
+// The CLI derives its runs' configurations here too, from a spec
+// built from its flags.
 func (s JobSpec) Config() (core.AppConfig, error) {
 	cfg := core.DefaultAppConfig()
 	if s.RealSubsteps > 0 {
