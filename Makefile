@@ -32,10 +32,11 @@ static:
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
 # they are skipped there and must run here explicitly), and short
-# fuzz passes over the checkpoint decoder, the PNG encoder, the
-# job-spec decoder, the campaign-spec decoder and expander, the
-# deflate port (against compress/flate), the GET /v1/jobs cursor and
-# the result-store record decoder (seeds plus 10s of mutation each).
+# fuzz passes over the checkpoint decoder, the PNG encoder, the PNG
+# encoder's Adler-32 (against hash/adler32), the job-spec decoder, the
+# campaign-spec decoder and expander, the deflate port (against
+# compress/flate), the GET /v1/jobs cursor and the result-store record
+# decoder (seeds plus 10s of mutation each).
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -46,6 +47,7 @@ check: static
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
+	$(GO) test -run '^$$' -fuzz '^FuzzAdler32$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpec$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDeflate$$' -fuzztime 10s ./internal/deflate

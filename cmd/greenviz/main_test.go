@@ -84,4 +84,18 @@ func TestCLIServesDaemonReports(t *testing.T) {
 	if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 		t.Errorf("greenviz %s exited 0, want an out-of-range error:\n%.300s", strings.Join(args, " "), out)
 	}
+
+	// An unknown format fails before the run: the telemetry narration
+	// never starts.
+	args = []string{"-pipeline", "post", "-case", "1", "-real-substeps", "1536", "-format", "xml", "-events"}
+	cmd := exec.Command(bin, args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Errorf("greenviz %s exited 0, want an unknown-format error", strings.Join(args, " "))
+	}
+	if !strings.Contains(stderr.String(), `unknown format "xml"`) || strings.Contains(stderr.String(), "event: run") {
+		t.Errorf("greenviz %s: stderr should name the unknown format and hold no run events:\n%.300s",
+			strings.Join(args, " "), stderr.Bytes())
+	}
 }

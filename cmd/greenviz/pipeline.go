@@ -15,8 +15,16 @@ import (
 // same bytes the greenvizd service serves as the report of spec. The
 // CLI attaches only its observers to the spec's config: -frames keeps
 // the frames, -events narrates the telemetry stream to stderr. Neither
-// changes the stdout bytes.
+// changes the stdout bytes. An unknown format fails before the run.
 func runPipeline(spec service.JobSpec, framesDir, format string, events bool) error {
+	var asJSON bool
+	switch format {
+	case "", "text":
+	case "json":
+		asJSON = true
+	default:
+		return fmt.Errorf("unknown format %q (text, json)", format)
+	}
 	norm, err := spec.Normalized()
 	if err != nil {
 		return err
@@ -34,15 +42,12 @@ func runPipeline(spec service.JobSpec, framesDir, format string, events bool) er
 		return err
 	}
 
-	switch format {
-	case "", "text":
-		printRun(r)
-	case "json":
+	if asJSON {
 		if err := r.EncodeJSON(os.Stdout); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("unknown format %q (text, json)", format)
+	} else {
+		printRun(r)
 	}
 	return dumpFrames(r, framesDir)
 }

@@ -98,7 +98,7 @@ func (r *runner) intransitProgram(x *stagegraph.Exec) {
 		var png []byte
 		var stats viz.RenderStats
 		x.Do(stgEncodeHost, func() {
-			png, stats = renderAnnotatedFrame(cfg, r.solver.Field(), r.solver.Steps(), r.solver.Time())
+			png, stats = renderAnnotatedFrame(cfg.Render, cfg.Render.Lo, cfg.Render.Hi, r.solver.Field(), r.solver.Steps(), r.solver.Time())
 			r.countFrame(png)
 		})
 		r.ship(x, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })

@@ -145,17 +145,19 @@ func (r *runner) simulateIteration(x *stagegraph.Exec) {
 	})
 }
 
-// renderAnnotatedFrame renders a field and stamps the frame footer
-// (capture step/time) and colorbar — the frame a scientist monitors.
-// Every pipeline and the in-transit staging path use it, so identical
-// solver states yield byte-identical frames.
-func renderAnnotatedFrame(cfg AppConfig, g *field.Grid, step uint64, simTime float64) ([]byte, viz.RenderStats) {
-	img, stats := viz.Render(g, cfg.Render)
-	cm := cfg.Render.Colormap
+// renderAnnotatedFrame renders a field with opts and stamps the frame
+// footer (capture step/time) and a colorbar over [lo, hi] — the frame
+// a scientist monitors. Equal lo and hi label the field's own range.
+// Every frame goes through it: the primary frame of every pipeline
+// (with the config's range) and of the in-transit staging path, and
+// each cinema variant, so identical solver states yield byte-identical
+// frames.
+func renderAnnotatedFrame(opts viz.RenderOptions, lo, hi float64, g *field.Grid, step uint64, simTime float64) ([]byte, viz.RenderStats) {
+	img, stats := viz.Render(g, opts)
+	cm := opts.Colormap
 	if cm == nil {
 		cm = viz.Inferno()
 	}
-	lo, hi := cfg.Render.Lo, cfg.Render.Hi
 	if lo == hi {
 		lo, hi = g.MinMax()
 	}
@@ -173,7 +175,7 @@ func renderAnnotatedFrame(cfg AppConfig, g *field.Grid, step uint64, simTime flo
 // renderFrame renders + annotates, charges the render cost, and
 // returns the encoded PNG.
 func (r *runner) renderFrame(g *field.Grid, step uint64, simTime float64) []byte {
-	png, stats := renderAnnotatedFrame(r.cfg, g, step, simTime)
+	png, stats := renderAnnotatedFrame(r.cfg.Render, r.cfg.Render.Lo, r.cfg.Render.Hi, g, step, simTime)
 	r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
 	r.countFrame(png)
 	return png
@@ -190,13 +192,15 @@ func (r *runner) countFrame(png []byte) {
 	}
 }
 
-// writeFrameFile stores an encoded frame on the filesystem. A write
-// that exhausts the retry budget leaves the frame absent from disk (it
-// still counts toward Frames and the checksum: the render happened).
+// writeFrameFile stores an encoded frame on the filesystem. Nothing
+// reads frame files back, so the write charges the frame's size
+// without retaining its bytes. A write that exhausts the retry budget
+// leaves the frame absent from disk (it still counts toward Frames and
+// the checksum: the render happened).
 func (r *runner) writeFrameFile(x *stagegraph.Exec, png []byte) *storage.File {
 	f := r.n.FS.Create(fmt.Sprintf("frame-%04d.png", r.frame), storage.AllocContiguous)
 	r.frame++
-	x.WriteRetry(func() error { return f.WriteAt(png, 0) })
+	x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 	return f
 }
 
@@ -215,10 +219,10 @@ func (r *runner) resimulate(iter int) (*field.Grid, uint64, float64) {
 
 // renderCinemaVariants renders the image-database views of one event
 // (Ahrens et al. [12]): real renders under varied visualization
-// parameters, stored alongside the primary frame. They restore post-hoc
-// exploration without shipping the raw data. The (untimed)
-// variant-render stage nests inside the visualization stage like the
-// renders themselves do.
+// parameters, stored alongside the primary frame (size only, like
+// frame files). They restore post-hoc exploration without shipping the
+// raw data. The (untimed) variant-render stage nests inside the
+// visualization stage like the renders themselves do.
 func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
 	cfg := r.cfg
 	if cfg.CinemaVariants <= 0 {
@@ -237,21 +241,12 @@ func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
 			// Sweep the isoline level across the field range per variant.
 			level := lo + (hi-lo)*float64(k+1)/float64(cfg.CinemaVariants+1)
 			opts.Isolines = []float64{level}
-			img, stats := viz.Render(g, opts)
-			viz.Annotate(img, viz.AnnotateOptions{
-				Step: r.solver.Steps(), SimTime: r.solver.Time(),
-				Colormap: opts.Colormap, Lo: lo, Hi: hi,
-			})
-			png, err := viz.EncodePNG(img)
-			viz.ReleaseFrame(img)
-			if err != nil {
-				panic(fmt.Sprintf("core: cinema encode failed: %v", err))
-			}
+			png, stats := renderAnnotatedFrame(opts, lo, hi, g, r.solver.Steps(), r.solver.Time())
 			r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
 			r.res.CinemaFrames++
 			r.n.WithIO(func() {
 				f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k), storage.AllocContiguous)
-				x.WriteRetry(func() error { return f.WriteAt(png, 0) })
+				x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 			})
 		}
 	})

@@ -11,8 +11,12 @@ import (
 // writes), "dynamic" for one with matches, and a trailing " final"
 // on the last block. It decodes only as far as it must to find each
 // block's end, so it also checks that the stream is well formed.
-func blockKinds(stream []byte) ([]string, error) {
-	r := &bitReader{b: stream}
+func blockKinds(stream []byte) ([]string, error) { return walkBlocks(stream, nil) }
+
+// walkBlocks is blockKinds, and also hands each match's length and
+// distance to match unless it is nil.
+func walkBlocks(stream []byte, match func(length, dist int)) ([]string, error) {
+	r := &bitReader{b: stream, match: match}
 	var kinds []string
 	for {
 		final := r.bits(1) == 1
@@ -52,8 +56,9 @@ func blockKinds(stream []byte) ([]string, error) {
 }
 
 type bitReader struct {
-	b   []byte
-	pos int // in bits
+	b     []byte
+	pos   int                    // in bits
+	match func(length, dist int) // if set, sees each match
 }
 
 // bits reads n bits LSB first; past the end it reads zeros, which the
@@ -171,7 +176,8 @@ func (r *bitReader) dynamicBlock() (matches bool, err error) {
 			return false, fmt.Errorf("length code %d", sym)
 		}
 		matches = true
-		r.bits(int(lengthExtraBits[sym-lengthCodesStart]))
+		lc := sym - lengthCodesStart
+		length := baseMatchLength + int(lengthBase[lc]) + int(r.bits(int(lengthExtraBits[lc])))
 		d, err := dist.decode(r)
 		if err != nil {
 			return false, err
@@ -179,6 +185,9 @@ func (r *bitReader) dynamicBlock() (matches bool, err error) {
 		if d >= offsetCodeCount {
 			return false, fmt.Errorf("offset code %d", d)
 		}
-		r.bits(int(offsetExtraBits[d]))
+		distance := baseMatchOffset + int(offsetBase[d]) + int(r.bits(int(offsetExtraBits[d])))
+		if r.match != nil {
+			r.match(length, distance)
+		}
 	}
 }

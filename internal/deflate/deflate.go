@@ -21,11 +21,15 @@
 // bufio.Writer passes a write larger than its buffer through as one
 // chunk. A Writer reused after Reset writes what a new one writes.
 //
-// Three hot loops differ from compress/flate without changing a byte:
-// matches are extended eight bytes at a time; the literal/length and
+// Three hot loops differ from compress/flate without changing a byte.
+// Matches are extended eight bytes at a time. The literal/length and
 // offset histograms are counted while the matcher emits tokens,
-// instead of in a second pass over them; and the bit writer keeps its
-// pending bits and byte count in locals while it writes a block.
+// instead of in a second pass over them, and each match token carries
+// its offset code. The bit writer keeps its pending bits and byte
+// count in locals while it writes a block; the token writer looks
+// each match's fields up in tables built once per block (the length
+// code with its extra bits, the offset code's code, base and size) and
+// moves whole bytes out after every token.
 package deflate
 
 import (

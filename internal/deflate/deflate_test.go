@@ -332,3 +332,103 @@ func BenchmarkWriter(b *testing.B) {
 		}
 	})
 }
+
+// lengthRange and offsetRange return the shortest and longest match
+// length of length code lengthCodesStart+c, and the shortest and
+// longest distance of offset code c.
+func lengthRange(c int) (lo, hi int) {
+	lo, hi = -1, -1
+	for x, lc := range lengthCodes {
+		if int(lc) == c {
+			if lo < 0 {
+				lo = x + baseMatchLength
+			}
+			hi = x + baseMatchLength
+		}
+	}
+	return lo, hi
+}
+
+func offsetRange(c int) (lo, hi int) {
+	lo = int(offsetBase[c]) + baseMatchOffset
+	return lo, lo + 1<<offsetExtraBits[c] - 1
+}
+
+// codeCoverageInput builds an input whose BestSpeed matches have
+// chosen lengths at chosen distances: every length code's shortest
+// and longest length, and every offset code's shortest and longest
+// distance. A copy of length n at distance d up to 32 is a run with a
+// period of d random bytes, n+d long; a longer one is n+1 random bytes
+// (the source), zeros up to the distance, then the first n source
+// bytes. The zeros are matched at distance 1 up to the copy, whose
+// first four bytes the matcher then finds at the source. Each copy
+// ends with a byte that breaks the match.
+func codeCoverageInput(rng *rand.Rand) []byte {
+	var in []byte
+	random := func(n int) []byte {
+		b := randomBytes(rng, n, 256)
+		for i := range b {
+			b[i] |= 1 // no zeros: they are the filler
+		}
+		return b
+	}
+	copyAt := func(n, d int) {
+		if d <= 32 {
+			period := random(d)
+			for i := 0; i < n+d; i++ {
+				in = append(in, period[i%d])
+			}
+			in = append(in, period[(n+d)%d]^0x80)
+			return
+		}
+		src := random(n + 1)
+		in = append(in, src...)
+		in = append(in, make([]byte, d-n-1)...)
+		in = append(in, src[:n]...)
+		in = append(in, src[n]^0x80)
+	}
+	for c := 1; c < len(lengthBase); c++ {
+		lo, hi := lengthRange(c)
+		copyAt(lo, 2*hi+40)
+		copyAt(hi, 2*hi+40)
+	}
+	for c := 0; c < offsetCodeCount; c++ {
+		lo, hi := offsetRange(c)
+		copyAt(4, lo)
+		copyAt(4, hi)
+	}
+	return append(in, random(64)...) // the matcher leaves a block's last bytes literal
+}
+
+// TestEveryLengthAndOffsetCode drives dynamic blocks through every
+// length code BestSpeed emits, each at its shortest and longest
+// length, and through every offset code at its shortest and longest
+// distance, and compares the bytes with compress/flate. The block
+// decoder confirms the coverage. Code 257 (length 3) is absent:
+// BestSpeed's matches are at least 4 bytes long.
+func TestEveryLengthAndOffsetCode(t *testing.T) {
+	in := codeCoverageInput(rand.New(rand.NewSource(21)))
+	out := checkWriter(t, "code coverage", nil, in, nil)
+	lengths, dists := map[int]bool{}, map[int]bool{}
+	if _, err := walkBlocks(out, func(length, dist int) {
+		lengths[length], dists[dist] = true, true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for c := 1; c < len(lengthBase); c++ {
+		lo, hi := lengthRange(c)
+		for _, n := range []int{lo, hi} {
+			if !lengths[n] {
+				t.Errorf("no match of length %d (code %d)", n, lengthCodesStart+c)
+			}
+		}
+	}
+	for c := 0; c < offsetCodeCount; c++ {
+		lo, hi := offsetRange(c)
+		for _, d := range []int{lo, hi} {
+			if !dists[d] {
+				t.Errorf("no match at distance %d (offset code %d)", d, c)
+			}
+		}
+	}
+}

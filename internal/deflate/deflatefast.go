@@ -153,9 +153,10 @@ func (e *deflateFast) encode(dst []token, src []byte, lit *[maxNumLit]int32, off
 
 			// matchToken is flate's equivalent of Snappy's emitCopy. (length,offset)
 			xlength, xoffset := uint32(l+4-baseMatchLength), uint32(s-t-baseMatchOffset)
-			dst = append(dst, matchToken(xlength, xoffset))
+			oc := offsetCode(xoffset)
+			dst = append(dst, matchToken(xlength, xoffset, oc))
 			lit[lengthCodesStart+lengthCode(uint32(uint8(xlength)))]++
-			off[offsetCode(xoffset)]++
+			off[oc]++
 			s += l
 			nextEmit = s
 			if s >= sLimit {

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/adler32"
 	"hash/crc32"
 	"image"
 	"image/png"
@@ -47,8 +45,7 @@ const (
 type pngEncoder struct {
 	cur, prev, paeth, alt []byte
 	dw                    *deflate.Writer
-	sum                   hash.Hash32 // Adler-32 of the filtered rows
-	trailer               [4]byte     // the zlib stream's Adler-32, big-endian
+	trailer               [4]byte // the zlib stream's Adler-32, big-endian
 	bw                    *bufio.Writer
 	out                   []byte // the PNG being assembled
 }
@@ -57,7 +54,6 @@ var pngEncoders = sync.Pool{New: func() any {
 	e := new(pngEncoder)
 	e.bw = bufio.NewWriterSize(e, 1<<15)
 	e.dw = deflate.NewWriter(e.bw)
-	e.sum = adler32.New()
 	return e
 }}
 
@@ -102,7 +98,7 @@ func (e *pngEncoder) encode(img *image.RGBA, w, h int) ([]byte, error) {
 	e.bw.Reset(e)
 	e.bw.WriteString(zlibHeader)
 	e.dw.Reset(e.bw)
-	e.sum.Reset()
+	sum := uint32(1) // the Adler-32 of the filtered rows
 	for y := 0; y < h; y++ {
 		src := img.Pix[y*img.Stride : y*img.Stride+4*w]
 		if bpp == 3 {
@@ -111,7 +107,7 @@ func (e *pngEncoder) encode(img *image.RGBA, w, h int) ([]byte, error) {
 			unpremultiply(e.cur[1:], src)
 		}
 		row := e.filter(bpp)
-		e.sum.Write(row) // a hash.Hash never returns an error
+		sum = adlerUpdate(sum, row)
 		if _, err := e.dw.Write(row); err != nil {
 			return nil, err
 		}
@@ -120,7 +116,7 @@ func (e *pngEncoder) encode(img *image.RGBA, w, h int) ([]byte, error) {
 	if err := e.dw.Close(); err != nil {
 		return nil, err
 	}
-	binary.BigEndian.PutUint32(e.trailer[:], e.sum.Sum32())
+	binary.BigEndian.PutUint32(e.trailer[:], sum)
 	e.bw.Write(e.trailer[:])
 	if err := e.bw.Flush(); err != nil {
 		return nil, err

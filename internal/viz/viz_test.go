@@ -275,8 +275,15 @@ var pngSink []byte
 
 // BenchmarkEncodePNG512 encodes one annotated 512×512 heat frame per
 // op, the visualization stage's encode.
-func BenchmarkEncodePNG512(b *testing.B) {
-	img := solverFrame("heat", 640)
+func BenchmarkEncodePNG512(b *testing.B) { benchmarkEncodePNG(b, "heat") }
+
+// BenchmarkEncodePNG512Ocean encodes one annotated 512×512 ocean frame
+// per op, a busier frame than the heat one (about 180 KB of PNG against
+// 98 KB).
+func BenchmarkEncodePNG512Ocean(b *testing.B) { benchmarkEncodePNG(b, "ocean") }
+
+func benchmarkEncodePNG(b *testing.B, app string) {
+	img := solverFrame(app, 640)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -29,7 +29,8 @@
 #      ~30 s/op).
 #   2. The kernel pass: the serial hot kernels (heat/ocean
 #      BenchmarkStep128, viz BenchmarkRender512, BenchmarkEncodePNG512
-#      and BenchmarkCompressField, checkpoint
+#      and BenchmarkEncodePNG512Ocean (an annotated heat and ocean
+#      frame), BenchmarkCompressField, checkpoint
 #      BenchmarkCheckpointEncode)
 #      and the storage layer (fio
 #      BenchmarkRandWrite: one 64 MiB random-write test, nearly all
@@ -66,7 +67,7 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkEncodePNG512|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
     ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
