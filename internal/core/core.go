@@ -8,13 +8,11 @@
 // the in-situ savings (§V-C), and the data-reorganization advisor of
 // §V-D and the Future Work section.
 //
-// Pipelines are not monolithic functions: each is a declarative spec
-// over the shared stage vocabulary of internal/core/stagegraph
-// (Simulate, WriteCheckpoint, Barrier, ReadCheckpoint, Render,
-// FrameFlush, NetTransfer, Recover, Encode), executed by one engine
-// that owns stage timing, trace-phase annotation, and the
-// retry/recovery policy uniformly. See specs.go for the four specs
-// and stages.go for the vocabulary.
+// Each pipeline is a program (programs.go): a Go function that runs
+// the application and brackets its timed steps in the six stages of
+// stages.go, one per StageNames() phase. One internal/core/stagegraph
+// engine executes every program and owns stage timing, trace-phase
+// annotation, and the retry/recovery policy uniformly.
 package core
 
 import (
@@ -34,9 +32,8 @@ import (
 type Pipeline int
 
 // The pipelines: the paper's two (Fig. 2), the Future Work in-transit
-// variant, and the hybrid shape the stage-graph engine enables
-// (in-situ rendering + asynchronous in-transit checkpoint offload, à
-// la Catalyst-ADIOS2).
+// variant, and a hybrid of the last two (in-situ rendering +
+// asynchronous in-transit checkpoint offload, à la Catalyst-ADIOS2).
 const (
 	PostProcessing Pipeline = iota
 	InSitu
@@ -234,12 +231,12 @@ type AppConfig struct {
 }
 
 // RetryPolicy bounds the recovery from recoverable storage errors;
-// the stage-graph engine enforces it uniformly across all pipelines.
+// the stagegraph engine enforces it uniformly across all pipelines.
 // The zero value means 3 attempts with a 0.5 s initial backoff.
 type RetryPolicy = stagegraph.RetryPolicy
 
 // RecoveryStats accounts the fault handling one run performed; the
-// stage-graph engine's ledger accumulates it.
+// stagegraph engine's ledger accumulates it.
 type RecoveryStats = stagegraph.RecoveryStats
 
 // FaultSink is implemented by checkpoint stores that can route an

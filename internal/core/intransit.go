@@ -68,20 +68,9 @@ func (c *Cluster) nodes() []*node.Node {
 	return []*node.Node{c.Sim, c.Staging}
 }
 
-// intransitSpec ships every event's data to the staging node, which
-// renders asynchronously: the simulation blocks only for the network
-// transfer.
-func (r *runner) intransitSpec() stagegraph.Spec {
-	return stagegraph.Spec{
-		Name:   "in-transit",
-		Inputs: []string{"solver", "config"},
-		Stages: []stagegraph.Stage{
-			stgSimulate, stgEncodeHost, stgNetTransfer, stgStageRender, stgStageFlush,
-		},
-		Program: r.intransitProgram,
-	}
-}
-
+// intransitProgram ships every event's data to the staging node,
+// which renders asynchronously: the simulation blocks only for the
+// network transfer.
 func (r *runner) intransitProgram(x *stagegraph.Exec) {
 	c, cfg, cs := r.c, r.cfg, r.cs
 	payload := TotalSizeForGrid(cfg)
@@ -95,34 +84,18 @@ func (r *runner) intransitProgram(x *stagegraph.Exec) {
 
 		// Render the real frame now (host-side); its virtual cost is
 		// charged on the staging node when the data arrives.
-		var png []byte
-		var stats viz.RenderStats
-		x.Do(stgEncodeHost, func() {
-			png, stats = renderAnnotatedFrame(cfg.Render, cfg.Render.Lo, cfg.Render.Hi, r.solver.Field(), r.solver.Steps(), r.solver.Time())
-			r.countFrame(png)
-		})
+		png, stats := renderAnnotatedFrame(cfg.Render, cfg.Render.Lo, cfg.Render.Hi, r.solver.Field(), r.solver.Steps(), r.solver.Time())
+		r.countFrame(png)
 		r.ship(x, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })
 	}
 }
 
-// hybridSpec renders in situ on the simulation node — the full in-situ
-// visualization event, unchanged — and offloads each event's
+// hybridProgram renders in situ on the simulation node — the full
+// in-situ visualization event, unchanged — and offloads each event's
 // checkpoint payload over the link to the staging node's disk,
 // asynchronously: in-situ monitoring with post-hoc restart data,
 // without the local ~188 MiB round trip the post-processing pipeline
 // pays.
-func (r *runner) hybridSpec() stagegraph.Spec {
-	return stagegraph.Spec{
-		Name:   "hybrid",
-		Inputs: []string{"solver", "config"},
-		Stages: []stagegraph.Stage{
-			stgSimulate, stgRenderLive, stgRenderVariants, stgCompress, stgFrameFlush,
-			stgNetTransfer, stgStageCkpt, stgBarrier,
-		},
-		Program: r.hybridProgram,
-	}
-}
-
 func (r *runner) hybridProgram(x *stagegraph.Exec) {
 	c, n, cs := r.c, r.n, r.cs
 	payload := TotalSizeForGrid(r.cfg)
@@ -135,7 +108,7 @@ func (r *runner) hybridProgram(x *stagegraph.Exec) {
 		// The staging disk absorbs the write asynchronously.
 		r.ship(x, payload, func() { c.offloadCheckpoint(payload) })
 	}
-	x.Do(stgBarrier, func() { n.WithIO(func() { n.FS.Sync() }) })
+	n.WithIO(func() { n.FS.Sync() })
 }
 
 // ship sends one event's payload over the link; the simulation blocks

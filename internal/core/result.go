@@ -36,7 +36,7 @@ type RunResult struct {
 	PeakPower units.Watts `json:"peak_power_watts"`
 
 	// StageTime sums phase durations per stage (Fig. 4); it is the
-	// stage-graph engine's time ledger, folded from StageDone telemetry.
+	// stagegraph engine's time ledger, folded from StageDone telemetry.
 	StageTime map[string]units.Seconds `json:"stage_seconds"`
 	// StageEnergy sums metered full-system energy per stage, from the
 	// energy brackets on the same StageDone events — the per-phase

@@ -14,11 +14,9 @@ import (
 	"repro/internal/viz"
 )
 
-// runner carries shared state for one pipeline execution. The
-// cross-cutting concerns the old monolithic runners hand-rolled —
-// stage timing, phase annotation, retry/backoff — live in the
-// stagegraph engine now; the runner holds only the application state
-// the stage bodies close over.
+// runner carries shared state for one pipeline execution: the
+// application state the programs close over. Stage timing, phase
+// annotation and retry/backoff live in the stagegraph engine.
 type runner struct {
 	c      *Cluster
 	n      *node.Node // c.Sim: the node every pipeline's "node" stages run on
@@ -108,9 +106,7 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 	}
 	inst.Start()
 
-	if err := eng.Run(r.spec(p)); err != nil {
-		panic(fmt.Sprintf("core: invalid %s spec: %v", p, err))
-	}
+	eng.Run(p.String(), r.program(p))
 
 	c.drain()
 	inst.Stop()
@@ -221,33 +217,30 @@ func (r *runner) resimulate(iter int) (*field.Grid, uint64, float64) {
 // (Ahrens et al. [12]): real renders under varied visualization
 // parameters, stored alongside the primary frame (size only, like
 // frame files). They restore post-hoc exploration without shipping the
-// raw data. The (untimed) variant-render stage nests inside the
-// visualization stage like the renders themselves do.
+// raw data. The renders run inside the visualization stage.
 func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
 	cfg := r.cfg
 	if cfg.CinemaVariants <= 0 {
 		return
 	}
-	x.Do(stgRenderVariants, func() {
-		g := r.solver.Field()
-		lo, hi := g.MinMax()
-		if lo == hi {
-			hi = lo + 1
-		}
-		maps := []*viz.Colormap{viz.Inferno(), viz.CoolWarm(), viz.Grayscale()}
-		for k := 0; k < cfg.CinemaVariants; k++ {
-			opts := cfg.Render
-			opts.Colormap = maps[k%len(maps)]
-			// Sweep the isoline level across the field range per variant.
-			level := lo + (hi-lo)*float64(k+1)/float64(cfg.CinemaVariants+1)
-			opts.Isolines = []float64{level}
-			png, stats := renderAnnotatedFrame(opts, lo, hi, g, r.solver.Steps(), r.solver.Time())
-			r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
-			r.res.CinemaFrames++
-			r.n.WithIO(func() {
-				f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k), storage.AllocContiguous)
-				x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
-			})
-		}
-	})
+	g := r.solver.Field()
+	lo, hi := g.MinMax()
+	if lo == hi {
+		hi = lo + 1
+	}
+	maps := []*viz.Colormap{viz.Inferno(), viz.CoolWarm(), viz.Grayscale()}
+	for k := 0; k < cfg.CinemaVariants; k++ {
+		opts := cfg.Render
+		opts.Colormap = maps[k%len(maps)]
+		// Sweep the isoline level across the field range per variant.
+		level := lo + (hi-lo)*float64(k+1)/float64(cfg.CinemaVariants+1)
+		opts.Isolines = []float64{level}
+		png, stats := renderAnnotatedFrame(opts, lo, hi, g, r.solver.Steps(), r.solver.Time())
+		r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
+		r.res.CinemaFrames++
+		r.n.WithIO(func() {
+			f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k), storage.AllocContiguous)
+			x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
+		})
+	}
 }

@@ -27,51 +27,40 @@ func (c *recConsumer) Consume(ev telemetry.Event) {
 	case telemetry.KindStageStart:
 		c.events = append(c.events, "begin:"+ev.Stage)
 	case telemetry.KindStageDone:
-		c.events = append(c.events, fmt.Sprintf("stage:%s[%v,%s]", ev.Stage, ev.Start < ev.End, ev.StageKind))
+		c.events = append(c.events, fmt.Sprintf("stage:%s[%v,%s]", ev.Stage, ev.Start < ev.End, ev.On))
 	case telemetry.KindRunEnd:
 		c.events = append(c.events, "end:"+ev.Run)
 	}
 }
 
-func obsSpec(program func(*Exec)) Spec {
-	return Spec{
-		Name:   "observed",
-		Inputs: []string{"in"},
-		Stages: []Stage{
-			{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}},
-			{Kind: Render, Phase: "visualization", Uses: []string{"field"}, Yields: []string{"frame"}},
-			{Kind: Barrier, Uses: []string{"frame"}},
-		},
-		Program: program,
-	}
-}
+var (
+	obsSim = Stage{Phase: "simulation", On: "node"}
+	obsViz = Stage{Phase: "visualization", On: "node"}
+	obsNet = Stage{Phase: "nettransfer", On: "link"}
+)
 
 // TestTelemetryEventOrder verifies the event contract: RunStart, a
-// StageStart/StageDone pair per timed execution in execution order
-// (untimed glue invisible), RunEnd.
+// StageStart/StageDone pair per execution in execution order, each
+// naming its stage's phase and resource, RunEnd.
 func TestTelemetryEventOrder(t *testing.T) {
-	sim := Stage{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}}
-	viz := Stage{Kind: Render, Phase: "visualization", Uses: []string{"field"}, Yields: []string{"frame"}}
-	barrier := Stage{Kind: Barrier, Uses: []string{"frame"}}
-	spec := obsSpec(func(x *Exec) {
-		x.Do(sim, func() {})
-		x.Do(viz, func() {})
-		x.Do(sim, func() {})
-		x.Do(barrier, func() {}) // untimed: no events
-	})
 	rec := &recConsumer{}
 	eng := New(&obsClock{}, telemetry.NewBus(rec), RetryPolicy{})
-	if err := eng.Run(spec); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run("observed", func(x *Exec) {
+		x.Do(obsSim, func() {})
+		x.Do(obsViz, func() {})
+		x.Do(obsNet, func() {})
+		x.Do(obsSim, func() {})
+	})
 	want := []string{
 		"start:observed",
 		"begin:simulation",
-		"stage:simulation[true,Simulate]",
+		"stage:simulation[true,node]",
 		"begin:visualization",
-		"stage:visualization[true,Render]",
+		"stage:visualization[true,node]",
+		"begin:nettransfer",
+		"stage:nettransfer[true,link]",
 		"begin:simulation",
-		"stage:simulation[true,Simulate]",
+		"stage:simulation[true,node]",
 		"end:observed",
 	}
 	if len(rec.events) != len(want) {
@@ -94,10 +83,6 @@ func (c *meterClock) SystemEnergy() units.Joules { return units.Joules(10 * c.t)
 // gives every StageDone an energy bracket, and that the Ledger folds
 // the brackets into per-stage energy totals.
 func TestStageDoneCarriesEnergyBracket(t *testing.T) {
-	sim := Stage{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}}
-	spec := obsSpec(func(x *Exec) {
-		x.Do(sim, func() {})
-	})
 	var got telemetry.Event
 	led := NewLedger()
 	bus := telemetry.NewBus(telemetry.ConsumerFunc(func(ev telemetry.Event) {
@@ -106,9 +91,7 @@ func TestStageDoneCarriesEnergyBracket(t *testing.T) {
 		}
 	}), led)
 	eng := New(&meterClock{}, bus, RetryPolicy{})
-	if err := eng.Run(spec); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	eng.Run("observed", func(x *Exec) { x.Do(obsSim, func() {}) })
 	if !got.HasEnergy {
 		t.Fatal("StageDone from a metering clock has no energy bracket")
 	}
@@ -146,12 +129,6 @@ var errAbortForTest = fmt.Errorf("abort")
 // TestConsumerPanicAborts verifies a consumer panic propagates
 // unwrapped through Engine.Run and leaves the engine reusable.
 func TestConsumerPanicAborts(t *testing.T) {
-	sim := Stage{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}}
-	spec := obsSpec(func(x *Exec) {
-		for i := 0; i < 10; i++ {
-			x.Do(sim, func() {})
-		}
-	})
 	abort := &panicConsumer{n: 3}
 	eng := New(&obsClock{}, telemetry.NewBus(abort), RetryPolicy{})
 
@@ -161,7 +138,11 @@ func TestConsumerPanicAborts(t *testing.T) {
 				t.Fatalf("recovered %v, want errAbortForTest", r)
 			}
 		}()
-		eng.Run(spec) //nolint:errcheck // aborts by panic
+		eng.Run("observed", func(x *Exec) {
+			for i := 0; i < 10; i++ {
+				x.Do(obsSim, func() {})
+			}
+		})
 		t.Fatal("run completed despite aborting consumer")
 	}()
 	if abort.calls != 3 {
@@ -169,10 +150,11 @@ func TestConsumerPanicAborts(t *testing.T) {
 	}
 
 	// The engine must be reusable after an aborted run.
-	eng.Bus = telemetry.NewBus()
-	ok := obsSpec(func(x *Exec) { x.Do(sim, func() {}) })
-	if err := eng.Run(ok); err != nil {
-		t.Fatalf("Run after abort: %v", err)
+	led := NewLedger()
+	eng.Bus = telemetry.NewBus(led)
+	eng.Run("observed", func(x *Exec) { x.Do(obsSim, func() {}) })
+	if led.StageTime["simulation"] <= 0 {
+		t.Fatalf("run after abort timed no stage: %v", led.StageTime)
 	}
 }
 
@@ -181,18 +163,14 @@ func TestConsumerPanicAborts(t *testing.T) {
 // allocate — the hot path is one branch. This guards the golden-digest
 // harness' performance contract.
 func TestNoConsumerZeroAllocs(t *testing.T) {
-	sim := Stage{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}}
 	var allocs float64
-	spec := obsSpec(func(x *Exec) {
-		x.Do(sim, func() {}) // warm path
+	eng := New(&obsClock{}, nil, RetryPolicy{})
+	eng.Run("observed", func(x *Exec) {
+		x.Do(obsSim, func() {}) // warm path
 		allocs = testing.AllocsPerRun(1000, func() {
-			x.Do(sim, func() {})
+			x.Do(obsSim, func() {})
 		})
 	})
-	eng := New(&obsClock{}, nil, RetryPolicy{})
-	if err := eng.Run(spec); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	if allocs != 0 {
 		t.Fatalf("no-consumer Do allocates %v allocs/op, want 0", allocs)
 	}
@@ -216,16 +194,12 @@ func TestDoNoConsumerBenchZeroAllocs(t *testing.T) {
 // BenchmarkDoNoConsumer measures the per-execution engine overhead
 // with no subscriber attached (the default for every CLI run).
 func BenchmarkDoNoConsumer(b *testing.B) {
-	sim := Stage{Kind: Simulate, Phase: "simulation", Uses: []string{"in"}, Yields: []string{"field"}}
-	spec := obsSpec(func(x *Exec) {
+	eng := New(&obsClock{}, nil, RetryPolicy{})
+	eng.Run("observed", func(x *Exec) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			x.Do(sim, func() {})
+			x.Do(obsSim, func() {})
 		}
 	})
-	eng := New(&obsClock{}, nil, RetryPolicy{})
-	if err := eng.Run(spec); err != nil {
-		b.Fatalf("Run: %v", err)
-	}
 }

@@ -1,151 +1,28 @@
-// Package stagegraph is the composable pipeline engine underneath
-// internal/core. A visualization pipeline is not a monolithic
-// function here but a declarative Spec: an ordered graph of
-// first-class Stage values — Simulate, Encode, WriteCheckpoint,
-// Barrier, ReadCheckpoint, Render, FrameFlush, NetTransfer, Recover —
-// each declaring the values it consumes and produces and the resource
-// (node, disk, link) it occupies. One Engine executes every spec and
-// emits every cross-cutting concern — stage boundaries with their
-// virtual-time and metered-energy brackets, and the bounded
-// retry/backoff recovery actions — as telemetry events; accountants
-// (the per-stage Ledger in this package, trace annotation, progress
-// streams, metrics) subscribe to the run's telemetry.Bus instead of
-// being wired into the engine.
-//
-// The design follows the task-graph workflow modeling of faithful
-// in-situ simulation frameworks (SIM-SITU, arXiv:2112.15067) and
-// exists so hybrid shapes — in-situ rendering with in-transit data
-// offload, à la Catalyst-ADIOS2 (arXiv:2406.18112) — compose from the
-// same stage vocabulary as the paper's two pipelines instead of
-// requiring a third monolith.
+// Package stagegraph is the engine underneath internal/core's
+// pipelines. A pipeline is a program: a Go function that runs the
+// application and, through Exec.Do, brackets each timed step in a
+// Stage named after its trace phase and resource. The engine times
+// those steps on the run's virtual clock and emits every cross-cutting
+// concern — stage boundaries with their virtual-time and
+// metered-energy brackets, and the bounded retry/backoff recovery
+// actions — as telemetry events; accountants (the per-stage Ledger in
+// this package, trace annotation, progress streams, metrics) subscribe
+// to the run's telemetry.Bus instead of being wired into the engine.
 package stagegraph
 
 import (
-	"fmt"
-
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
-// Kind identifies a canonical stage in the pipeline vocabulary.
-type Kind string
-
-// The stage vocabulary every pipeline composes from.
-const (
-	Simulate        Kind = "Simulate"
-	Encode          Kind = "Encode"
-	WriteCheckpoint Kind = "WriteCheckpoint"
-	Barrier         Kind = "Barrier"
-	ReadCheckpoint  Kind = "ReadCheckpoint"
-	Render          Kind = "Render"
-	FrameFlush      Kind = "FrameFlush"
-	NetTransfer     Kind = "NetTransfer"
-	Recover         Kind = "Recover"
-)
-
-// ResourceKind classifies what a stage occupies while it runs.
-type ResourceKind int
-
-// The resource classes a Binding can name.
-const (
-	ResNode ResourceKind = iota // a node's CPU/DRAM operating point
-	ResDisk                     // a node's storage stack
-	ResLink                     // the cluster interconnect
-)
-
-func (k ResourceKind) String() string {
-	switch k {
-	case ResDisk:
-		return "disk"
-	case ResLink:
-		return "link"
-	default:
-		return "node"
-	}
-}
-
-// Binding names the resource a stage runs against: the kind of
-// resource and the logical instance ("node" for the simulation node,
-// "staging" for a cluster's staging node, "link" for the
-// interconnect).
-type Binding struct {
-	Kind ResourceKind
-	On   string
-}
-
-func (b Binding) String() string { return fmt.Sprintf("%s:%s", b.Kind, b.On) }
-
-// Stage is a first-class pipeline building block: its kind, the trace
-// phase the engine annotates its executions with ("" leaves the
-// execution untimed glue), the value names it consumes and produces
-// (checked by Spec.Validate), and the resource it occupies.
-//
-// A Stage carries no behaviour of its own — bodies are supplied per
-// execution via Exec.Do — so the same value can appear in every spec
-// that uses the stage, and a spec is data, inspectable before it runs.
+// Stage is one timed step of a pipeline program: the trace phase the
+// engine annotates its executions with, and the resource instance it
+// runs on ("node" for the simulation node, "link" for the cluster
+// interconnect). A Stage carries no behaviour of its own; bodies are
+// supplied per execution via Exec.Do.
 type Stage struct {
-	Kind    Kind
-	Phase   string
-	Uses    []string
-	Yields  []string
-	Binding Binding
-}
-
-// Spec is a declarative pipeline: a name, the external values the
-// caller provides (solver state, configuration), the dataflow-ordered
-// stage graph, and the program that emits stage executions to the
-// engine. Stages lists each distinct stage once, in an order
-// consistent with its dataflow; Program may execute them any number
-// of times (iterations, conditional recovery) but only stages listed
-// in Stages.
-type Spec struct {
-	Name    string
-	Inputs  []string
-	Stages  []Stage
-	Program func(*Exec)
-}
-
-// Validate checks the declared dataflow: every value a stage Uses
-// must be a spec Input or Yielded by an earlier stage in Stages. This
-// is the graph well-formedness check — it catches specs wired to
-// consume values nothing produces before anything executes.
-func (s Spec) Validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("stagegraph: spec needs a name")
-	}
-	if len(s.Stages) == 0 {
-		return fmt.Errorf("stagegraph: spec %q has no stages", s.Name)
-	}
-	if s.Program == nil {
-		return fmt.Errorf("stagegraph: spec %q has no program", s.Name)
-	}
-	avail := map[string]bool{}
-	for _, in := range s.Inputs {
-		avail[in] = true
-	}
-	for i, st := range s.Stages {
-		for _, u := range st.Uses {
-			if !avail[u] {
-				return fmt.Errorf("stagegraph: spec %q stage %d (%s) uses %q, which no earlier stage yields and no input provides",
-					s.Name, i, st.Kind, u)
-			}
-		}
-		for _, y := range st.Yields {
-			avail[y] = true
-		}
-	}
-	return nil
-}
-
-// stageByKindPhase reports whether the spec declares st (same kind and
-// phase), so Exec.Do can reject executions of undeclared stages.
-func (s Spec) declares(st Stage) bool {
-	for _, d := range s.Stages {
-		if d.Kind == st.Kind && d.Phase == st.Phase && d.Binding == st.Binding {
-			return true
-		}
-	}
-	return false
+	Phase string
+	On    string
 }
 
 // RetryPolicy bounds how a run responds to recoverable storage errors:
@@ -252,7 +129,7 @@ func (l *Ledger) Consume(ev telemetry.Event) {
 	}
 }
 
-// Engine executes pipeline specs on one virtual clock and narrates
+// Engine executes pipeline programs on one virtual clock and narrates
 // them onto one telemetry bus: run boundaries, timed stage executions
 // (with energy brackets when the clock meters energy), and every
 // recovery action under the bounded retry/backoff policy.
@@ -265,7 +142,6 @@ type Engine struct {
 	Retry RetryPolicy
 
 	meter EnergyReader // Clock's meter view, nil if it has none
-	spec  *Spec
 }
 
 // New builds an engine emitting into bus (nil means an inert private
@@ -282,54 +158,39 @@ func New(clock Clock, bus *telemetry.Bus, retry RetryPolicy) *Engine {
 	return &Engine{Clock: clock, Bus: bus, Retry: retry.WithDefaults(), meter: meter}
 }
 
-// Run validates the spec and executes its program. The program emits
-// stage executions through the Exec it receives. A consumer panic
-// (e.g. job cancellation) propagates unwrapped to the caller.
-func (e *Engine) Run(s Spec) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	e.spec = &s
-	defer func() { e.spec = nil }()
+// Run executes program as the run called name, bracketed by RunStart
+// and RunEnd events. The program emits stage executions through the
+// Exec it receives. A consumer panic (e.g. job cancellation)
+// propagates unwrapped to the caller.
+func (e *Engine) Run(name string, program func(*Exec)) {
 	if e.Bus.Active() {
 		now := e.Clock.Now()
-		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunStart, Run: s.Name, Start: now, End: now})
+		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunStart, Run: name, Start: now, End: now})
 	}
-	s.Program(&Exec{eng: e})
+	program(&Exec{eng: e})
 	if e.Bus.Active() {
 		now := e.Clock.Now()
-		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunEnd, Run: s.Name, Start: now, End: now})
+		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunEnd, Run: name, Start: now, End: now})
 	}
-	return nil
 }
 
-// Exec is the execution context a spec's program runs under: it emits
-// stage executions and reaches the engine's recovery policy.
+// Exec is the execution context a program runs under: it emits stage
+// executions and reaches the engine's recovery policy.
 type Exec struct {
 	eng *Engine
 }
 
 // Do executes one instance of stage st: body runs on the virtual
 // clock, and the engine brackets the interval in a StageStart/StageDone
-// event pair carrying the stage's phase, kind, binding, virtual times,
-// and — when the clock meters energy — its energy bracket. Executing a
-// stage the current spec does not declare panics — the declared graph
-// is the contract.
+// event pair carrying the stage's phase and resource, its virtual
+// times, and — when the clock meters energy — its energy bracket.
 func (x *Exec) Do(st Stage, body func()) {
 	e := x.eng
-	if e.spec != nil && !e.spec.declares(st) {
-		// The branch-local copy keeps st itself from escaping: handing st
-		// straight to fmt makes every Do call heap-copy the Stage even
-		// when the cold branch never runs.
-		bad := st
-		panic(fmt.Sprintf("stagegraph: spec %q executed undeclared stage %s/%s (%s)",
-			e.spec.Name, bad.Kind, bad.Phase, bad.Binding))
-	}
-	if st.Phase == "" || !e.Bus.Active() {
-		// Untimed glue, or nobody listening: the clock reads would be
-		// discarded (Now is a pure read on every production clock), so
-		// skip them and the event construction entirely. This is the
-		// 0 allocs/op no-consumer path.
+	if !e.Bus.Active() {
+		// Nobody listening: the clock reads would be discarded (Now is a
+		// pure read on every production clock), so skip them and the
+		// event construction entirely. This is the 0 allocs/op
+		// no-consumer path.
 		body()
 		return
 	}
@@ -339,21 +200,19 @@ func (x *Exec) Do(st Stage, body func()) {
 		startE = e.meter.SystemEnergy()
 	}
 	e.Bus.Emit(telemetry.Event{
-		Kind:      telemetry.KindStageStart,
-		Stage:     st.Phase,
-		StageKind: string(st.Kind),
-		On:        st.Binding.On,
-		Start:     start,
+		Kind:  telemetry.KindStageStart,
+		Stage: st.Phase,
+		On:    st.On,
+		Start: start,
 	})
 	body()
 	end := e.Clock.Now()
 	done := telemetry.Event{
-		Kind:      telemetry.KindStageDone,
-		Stage:     st.Phase,
-		StageKind: string(st.Kind),
-		On:        st.Binding.On,
-		Start:     start,
-		End:       end,
+		Kind:  telemetry.KindStageDone,
+		Stage: st.Phase,
+		On:    st.On,
+		Start: start,
+		End:   end,
 	}
 	if e.meter != nil {
 		done.StartEnergy = startE
@@ -419,7 +278,7 @@ func (x *Exec) ReadRetry(read func() error) bool {
 
 // Resimulated records one checkpoint recomputed from initial
 // conditions, for stage bodies that perform the recovery themselves
-// (the Recover stage).
+// (the recovery stage).
 func (x *Exec) Resimulated() {
 	x.eng.Bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: telemetry.RetryResimulate})
 }

@@ -2,7 +2,6 @@ package stagegraph
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -23,50 +22,9 @@ func (c *fakeClock) Idle(d units.Seconds) {
 }
 
 var (
-	stSim = Stage{Kind: Simulate, Phase: "simulation", Yields: []string{"field"},
-		Binding: Binding{Kind: ResNode, On: "node"}}
-	stWrite = Stage{Kind: WriteCheckpoint, Phase: "nnwrite", Uses: []string{"field"},
-		Yields: []string{"checkpoint"}, Binding: Binding{Kind: ResDisk, On: "node"}}
-	stRead = Stage{Kind: ReadCheckpoint, Phase: "nnread", Uses: []string{"checkpoint"},
-		Yields: []string{"restored"}, Binding: Binding{Kind: ResDisk, On: "node"}}
+	stSim   = Stage{Phase: "simulation", On: "node"}
+	stWrite = Stage{Phase: "nnwrite", On: "node"}
 )
-
-func testSpec(program func(*Exec)) Spec {
-	return Spec{
-		Name:    "test",
-		Stages:  []Stage{stSim, stWrite, stRead},
-		Program: program,
-	}
-}
-
-func TestValidateCatchesUnproducedInput(t *testing.T) {
-	s := Spec{
-		Name:    "broken",
-		Stages:  []Stage{stWrite}, // uses "field" with no producer
-		Program: func(*Exec) {},
-	}
-	err := s.Validate()
-	if err == nil || !strings.Contains(err.Error(), `"field"`) {
-		t.Fatalf("Validate() = %v, want unproduced-input error naming field", err)
-	}
-	// Declaring it as an external input fixes the graph.
-	s.Inputs = []string{"field"}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("Validate() with input = %v, want nil", err)
-	}
-}
-
-func TestValidateRejectsEmptySpecs(t *testing.T) {
-	for _, s := range []Spec{
-		{},
-		{Name: "x"},
-		{Name: "x", Stages: []Stage{stSim}},
-	} {
-		if s.Validate() == nil {
-			t.Errorf("Validate(%+v) = nil, want error", s)
-		}
-	}
-}
 
 func TestEngineTimesAndAnnotatesStages(t *testing.T) {
 	clock := &fakeClock{}
@@ -74,26 +32,31 @@ func TestEngineTimesAndAnnotatesStages(t *testing.T) {
 	led := NewLedger()
 	eng := New(clock, telemetry.NewBus(trace.NewRecorder(prof), led), RetryPolicy{})
 
-	err := eng.Run(testSpec(func(x *Exec) {
+	eng.Run("test", func(x *Exec) {
 		for i := 0; i < 3; i++ {
 			x.Do(stSim, func() { clock.now += 2 })
 			x.Do(stWrite, func() { clock.now += 1 })
 		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if got := led.StageTime["simulation"]; got != 6 {
 		t.Errorf("simulation stage time = %v, want 6", got)
 	}
 	if got := led.StageTime["nnwrite"]; got != 3 {
 		t.Errorf("nnwrite stage time = %v, want 3", got)
 	}
-	if got := prof.PhaseTime("simulation"); got != 6 {
-		t.Errorf("annotated simulation phase time = %v, want 6", got)
+	// The recorder annotates every execution as its own phase, in
+	// execution order.
+	if len(prof.Phases) != 6 {
+		t.Fatalf("annotated phases = %v, want 6", prof.Phases)
 	}
-	if names := prof.PhaseNames(); len(names) != 2 {
-		t.Errorf("phase names = %v, want simulation + nnwrite", names)
+	for i, ph := range prof.Phases {
+		want := trace.Phase{Name: "simulation", Start: units.Seconds(3 * (i / 2)), End: units.Seconds(3*(i/2) + 2)}
+		if i%2 == 1 {
+			want = trace.Phase{Name: "nnwrite", Start: want.End, End: want.End + 1}
+		}
+		if ph != want {
+			t.Errorf("phase %d = %v, want %v", i, ph, want)
+		}
 	}
 }
 
@@ -101,28 +64,12 @@ func TestEngineToleratesBareLedger(t *testing.T) {
 	clock := &fakeClock{}
 	led := NewLedger()
 	eng := New(clock, telemetry.NewBus(led), RetryPolicy{})
-	err := eng.Run(testSpec(func(x *Exec) {
+	eng.Run("test", func(x *Exec) {
 		x.Do(stSim, func() { clock.now += 5 })
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if got := led.StageTime["simulation"]; got != 5 {
 		t.Errorf("stage time = %v, want 5 (uninstrumented runs still keep the ledger)", got)
 	}
-}
-
-func TestEngineRejectsUndeclaredStage(t *testing.T) {
-	clock := &fakeClock{}
-	eng := New(clock, nil, RetryPolicy{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("executing an undeclared stage did not panic")
-		}
-	}()
-	eng.Run(testSpec(func(x *Exec) { //nolint:errcheck // panics first
-		x.Do(Stage{Kind: Render, Phase: "visualization"}, func() {})
-	}))
 }
 
 func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
@@ -131,7 +78,7 @@ func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
 	eng := New(clock, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
 	failures := 2
 	var ok bool
-	eng.Run(testSpec(func(x *Exec) { //nolint:errcheck // spec is valid
+	eng.Run("test", func(x *Exec) {
 		ok = x.WriteRetry(func() error {
 			if failures > 0 {
 				failures--
@@ -139,7 +86,7 @@ func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
 			}
 			return nil
 		})
-	}))
+	})
 	if !ok {
 		t.Fatal("write failed despite budget covering the failures")
 	}
@@ -157,9 +104,9 @@ func TestWriteRetryExhaustionCountsLostWrite(t *testing.T) {
 	led := NewLedger()
 	eng := New(&fakeClock{}, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
 	var ok bool
-	eng.Run(testSpec(func(x *Exec) { //nolint:errcheck // spec is valid
+	eng.Run("test", func(x *Exec) {
 		ok = x.WriteRetry(func() error { return errors.New("permanent") })
-	}))
+	})
 	if ok {
 		t.Fatal("write reported success despite permanent failure")
 	}
@@ -175,11 +122,11 @@ func TestWriteRetryExhaustionCountsLostWrite(t *testing.T) {
 func TestReadRetryNeverCountsLostWrites(t *testing.T) {
 	led := NewLedger()
 	eng := New(&fakeClock{}, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 2, Backoff: 0.25})
-	eng.Run(testSpec(func(x *Exec) { //nolint:errcheck // spec is valid
+	eng.Run("test", func(x *Exec) {
 		if x.ReadRetry(func() error { return errors.New("corrupt") }) {
 			t.Error("read reported success despite permanent corruption")
 		}
-	}))
+	})
 	rec := led.Recovery
 	if rec.ReadRetries != 1 || rec.LostWrites != 0 {
 		t.Errorf("recovery = %+v, want 1 read retry and no lost writes", rec)

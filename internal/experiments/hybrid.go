@@ -9,11 +9,11 @@ import (
 	"repro/internal/node"
 )
 
-// Hybrid runs the fourth pipeline shape the stage-graph engine makes
-// composable: in-situ rendering on the simulation node plus
-// asynchronous in-transit checkpoint offload to a staging node
-// (Catalyst-ADIOS2 style), against the paper's two single-node
-// pipelines on case study 1.
+// Hybrid runs the fourth pipeline, whose program composes the in-situ
+// visualization event with the in-transit link: in-situ rendering on
+// the simulation node plus asynchronous in-transit checkpoint offload
+// to a staging node (Catalyst-ADIOS2 style), against the paper's two
+// single-node pipelines on case study 1.
 func (s *Suite) Hybrid() Report {
 	cs := core.CaseStudies()[0]
 	post := s.run(core.PostProcessing, cs)

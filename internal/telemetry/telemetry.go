@@ -1,5 +1,5 @@
 // Package telemetry is the single event stream every instrumented
-// subsystem speaks. Producers — the stage-graph engine, the retry and
+// subsystem speaks. Producers — the stagegraph engine, the retry and
 // recovery machinery, the fault injector, the RAPL and Wattsup
 // samplers — emit typed Events into one Bus per run; accountants — the
 // per-stage time and energy ledgers, the trace phase annotator, the
@@ -31,14 +31,14 @@ type Kind uint8
 // The event vocabulary. Every instrumented moment of a run is one of
 // these; consumers switch on Kind and ignore what they don't account.
 const (
-	// KindRunStart opens one pipeline-spec execution (Run is set).
+	// KindRunStart opens one pipeline run (Run is set).
 	KindRunStart Kind = iota
-	// KindStageStart opens one timed stage execution (Stage, StageKind,
-	// On, Start).
+	// KindStageStart opens one timed stage execution (Stage, On,
+	// Start).
 	KindStageStart
-	// KindStageDone closes one timed stage execution (Stage, StageKind,
-	// On, Start, End; StartEnergy/EndEnergy when the engine's clock
-	// meters energy — HasEnergy says so).
+	// KindStageDone closes one timed stage execution (Stage, On, Start,
+	// End; StartEnergy/EndEnergy when the engine's clock meters energy —
+	// HasEnergy says so).
 	KindStageDone
 	// KindEnergySample is one instrument reading: Source names the
 	// series ("system", "rapl.PKG", ...), At is the reading time, Value
@@ -54,7 +54,7 @@ const (
 	// re-simulation), Attempt numbers retries from 1, Backoff is the
 	// simulated wait charged before the retry.
 	KindRetryAttempt
-	// KindRunEnd closes one pipeline-spec execution (Run is set).
+	// KindRunEnd closes one pipeline run (Run is set).
 	KindRunEnd
 	// KindSeriesDefine declares an instrument series (Source, Unit)
 	// before its first sample, so recording consumers can materialize
@@ -123,15 +123,13 @@ func (o RetryOp) String() string {
 type Event struct {
 	Kind Kind
 
-	// Run is the pipeline spec name (KindRunStart / KindRunEnd).
+	// Run is the pipeline name (KindRunStart / KindRunEnd).
 	Run string
-	// Stage is the stage's phase name; StageKind its vocabulary kind
-	// ("Simulate", "Render", ...); On the resource instance it ran
-	// against: "node" (the simulation node, in every pipeline), or
-	// "staging" and "link" on a two-node cluster.
-	Stage     string
-	StageKind string
-	On        string
+	// Stage is the stage's phase name; On the resource instance it ran
+	// against: "node" (the simulation node, in every pipeline) or
+	// "link" (the interconnect of a two-node cluster).
+	Stage string
+	On    string
 	// Start and End bracket a stage execution in virtual time.
 	Start, End units.Seconds
 	// At timestamps point events (energy samples).
