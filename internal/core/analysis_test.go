@@ -35,8 +35,8 @@ func TestCharacterizeStagesTable2(t *testing.T) {
 	}
 	// Fig. 6's profile must contain both stage phases with samples.
 	for _, stage := range []string{StageWrite, StageRead} {
-		if sc.Profile.PhaseTime(stage) <= 0 {
-			t.Errorf("profile lacks %s phase", stage)
+		if sc.Profile.PhaseMean("system", stage) <= 0 {
+			t.Errorf("profile lacks %s phase samples", stage)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestRecorderMaterializesStream(t *testing.T) {
 	if prof.SeriesByName("ghost") != nil {
 		t.Error("undeclared source materialized a series")
 	}
-	if got := prof.PhaseTime("simulation"); got != 2 {
-		t.Errorf("phase time = %v, want 2", got)
+	if want := (Phase{"simulation", 0, 2}); len(prof.Phases) != 1 || prof.Phases[0] != want {
+		t.Errorf("phases = %v, want [%v]", prof.Phases, want)
 	}
 }

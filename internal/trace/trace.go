@@ -172,46 +172,6 @@ func (p *Profile) MarkPhase(name string, start, end units.Seconds) {
 	p.Phases = append(p.Phases, Phase{name, start, end})
 }
 
-// PhaseTime sums the duration of all phases with the given name.
-func (p *Profile) PhaseTime(name string) units.Seconds {
-	var total units.Seconds
-	for _, ph := range p.Phases {
-		if ph.Name == name {
-			total += ph.Duration()
-		}
-	}
-	return total
-}
-
-// PhaseNames returns the distinct phase names in first-seen order.
-func (p *Profile) PhaseNames() []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, ph := range p.Phases {
-		if !seen[ph.Name] {
-			seen[ph.Name] = true
-			names = append(names, ph.Name)
-		}
-	}
-	return names
-}
-
-// PhaseShares returns each phase name's fraction of total phase time.
-func (p *Profile) PhaseShares() map[string]float64 {
-	var total units.Seconds
-	for _, ph := range p.Phases {
-		total += ph.Duration()
-	}
-	out := map[string]float64{}
-	if total == 0 {
-		return out
-	}
-	for _, name := range p.PhaseNames() {
-		out[name] = float64(p.PhaseTime(name)) / float64(total)
-	}
-	return out
-}
-
 // PhaseMean averages a series over every interval of the named phase.
 func (p *Profile) PhaseMean(seriesName, phaseName string) float64 {
 	s := p.SeriesByName(seriesName)

@@ -71,16 +71,17 @@ func TestProfilePhases(t *testing.T) {
 	p.MarkPhase("simulation", 0, 10)
 	p.MarkPhase("write", 10, 15)
 	p.MarkPhase("simulation", 15, 25)
-	if got := p.PhaseTime("simulation"); got != 20 {
-		t.Errorf("PhaseTime(simulation) = %v, want 20", got)
+	want := []Phase{{"simulation", 0, 10}, {"write", 10, 15}, {"simulation", 15, 25}}
+	if len(p.Phases) != len(want) {
+		t.Fatalf("Phases = %v, want %v", p.Phases, want)
 	}
-	names := p.PhaseNames()
-	if len(names) != 2 || names[0] != "simulation" || names[1] != "write" {
-		t.Errorf("PhaseNames = %v", names)
+	for i, ph := range p.Phases {
+		if ph != want[i] {
+			t.Errorf("phase %d = %v, want %v", i, ph, want[i])
+		}
 	}
-	shares := p.PhaseShares()
-	if math.Abs(shares["simulation"]-0.8) > 1e-12 || math.Abs(shares["write"]-0.2) > 1e-12 {
-		t.Errorf("shares = %v", shares)
+	if d := p.Phases[1].Duration(); d != 5 {
+		t.Errorf("write phase duration = %v, want 5", d)
 	}
 }
 
