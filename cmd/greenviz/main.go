@@ -19,7 +19,8 @@
 // additionally dumps the power profiles of the case-study runs as CSV
 // for external plotting. In pipeline mode, -format json emits the
 // canonical RunResult encoding — the same bytes the greenvizd service
-// serves for an identical job.
+// serves for an identical job. The pipeline-mode flags (-app, -case,
+// -device, -events, -format, -frames) are an error without -pipeline.
 //
 // The run flags fill a service.JobSpec, which resolves them as the
 // daemon resolves a job's fields: a zero value takes the default
@@ -85,6 +86,22 @@ func run() int {
 		}
 	}
 	flag.Parse()
+
+	if *pipeline == "" {
+		// Only runPipeline reads these; any other mode would silently
+		// ignore them.
+		pipelineOnly := map[string]bool{"app": true, "case": true, "device": true, "events": true, "format": true, "frames": true}
+		stray := ""
+		flag.Visit(func(f *flag.Flag) {
+			if stray == "" && pipelineOnly[f.Name] {
+				stray = f.Name
+			}
+		})
+		if stray != "" {
+			fmt.Fprintf(os.Stderr, "greenviz: -%s applies only with -pipeline\n", stray)
+			return 2
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

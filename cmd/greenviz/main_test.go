@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,52 @@ import (
 
 	"repro/internal/service"
 )
+
+// buildCLI builds the greenviz binary into a test temp dir.
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "greenviz")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestCLIRejectsPipelineFlagsElsewhere checks that a pipeline-mode flag
+// given without -pipeline is a usage error (exit 2) raised before any
+// run starts, instead of being silently ignored.
+func TestCLIRejectsPipelineFlagsElsewhere(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-experiment", "table1", "-format", "xml", "-quiet"}, "-format"},
+		{[]string{"-experiment", "table1", "-format", "json", "-quiet"}, "-format"},
+		{[]string{"-experiment", "table1", "-events", "-quiet"}, "-events"},
+		{[]string{"-experiment", "table1", "-frames", t.TempDir()}, "-frames"},
+		{[]string{"-experiment", "table1", "-app", "ocean"}, "-app"},
+		{[]string{"-experiment", "table1", "-device", "ssd"}, "-device"},
+		{[]string{"-experiment", "all", "-case", "2"}, "-case"},
+		{[]string{"-list", "-format", "text"}, "-format"},
+		{[]string{"-campaign", "../../examples/campaigns/greenest-config.json", "-app", "heat"}, "-app"},
+	} {
+		cmd := exec.Command(bin, tc.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("greenviz %s: %v, want exit status 2", strings.Join(tc.args, " "), err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("greenviz %s printed to stdout:\n%.300s", strings.Join(tc.args, " "), stdout.Bytes())
+		}
+		if want := "greenviz: " + tc.flag + " applies only with -pipeline"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("greenviz %s: stderr %q, want %q", strings.Join(tc.args, " "), stderr.String(), want)
+		}
+	}
+}
 
 // TestCLIServesDaemonReports builds the real greenviz binary and checks
 // that its flags resolve as greenvizd resolves a job's fields: a run's
@@ -22,11 +69,7 @@ func TestCLIServesDaemonReports(t *testing.T) {
 		t.Skip("builds the CLI and runs pipeline simulations and table3")
 	}
 
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "greenviz")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 
 	m := service.NewManager(service.Options{Workers: 1})
 	t.Cleanup(func() {
