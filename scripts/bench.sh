@@ -7,16 +7,14 @@
 # run never overwrites a committed BENCH_*.json baseline; name a new
 # ledger (BENCH_pr<N>.json) or a scratch file.
 #
-# Three passes feed one JSON file:
+# Four passes feed one JSON file:
 #
 #   1. The comparison pass: the hot-path micro-benchmarks (render,
 #      checkpoint encode, fault hooks, no-consumer stage dispatch, the
 #      telemetry bus's no-consumer and fan-out emit paths),
 #      the greenvizd service-layer benchmarks, the campaign engine's
 #      sweep expansion and report aggregation over a 256-point spec,
-#      and the result-store pass (warm-hit read+CRC-verify latency vs.
-#      the cold durable write path, plus steady-state LRU eviction
-#      throughput), at the
+#      and the result store's warm-hit read+CRC-verify latency, at the
 #      default GOMAXPROCS with a time-based benchtime so the numbers
 #      are steady-state. Each benchmark runs COUNT (default 3) times and
 #      the minimum ns/op is recorded — min-of-N is far more stable
@@ -37,6 +35,14 @@
 #      page-cache range bookkeeping) at -cpu 1, also min-of-COUNT.
 #      Names are recorded as pkg/Benchmark so kernels with equal
 #      benchmark names stay apart.
+#   3. The store pass: the result store's fsync-bound benchmarks (the
+#      cold durable write path and steady-state LRU eviction) at a
+#      fixed 200 iterations, 3 times, min-of-3, recorded bare like the
+#      comparison pass. A time-based benchtime let them grow to about
+#      10,000 fsynced writes, and on a slow device one stalled in fsync
+#      for minutes; a fixed count bounds the writes, and running the
+#      pass last keeps every other row recorded. Its wall time is
+#      printed.
 #
 # Host details (CPU model, core count) are recorded so runs on
 # different hosts are not mistaken for regressions.
@@ -57,7 +63,7 @@ rawk="$(mktemp)"
 trap 'rm -f "$raw" "$rawk"' EXIT
 
 go test -run '^$' \
-    -bench '^(BenchmarkRender|BenchmarkCheckpointEncode|BenchmarkHooksDisabled|BenchmarkHooksEnabled|BenchmarkDoNoConsumer|BenchmarkTelemetryNoConsumer|BenchmarkTelemetryFanout|BenchmarkServiceThroughput|BenchmarkSubmitDedup|BenchmarkSpecDigest|BenchmarkStoreGetHit|BenchmarkStorePutCold|BenchmarkStoreEvict|BenchmarkCampaignExpand|BenchmarkCampaignAggregate)$' \
+    -bench '^(BenchmarkRender|BenchmarkCheckpointEncode|BenchmarkHooksDisabled|BenchmarkHooksEnabled|BenchmarkDoNoConsumer|BenchmarkTelemetryNoConsumer|BenchmarkTelemetryFanout|BenchmarkServiceThroughput|BenchmarkSubmitDedup|BenchmarkSpecDigest|BenchmarkStoreGetHit|BenchmarkCampaignExpand|BenchmarkCampaignAggregate)$' \
     -benchmem -benchtime "${BENCHTIME:-1s}" -count "${COUNT:-3}" \
     . ./internal/fault ./internal/core/stagegraph ./internal/telemetry ./internal/service ./internal/resultstore ./internal/campaign | tee "$raw"
 
@@ -71,6 +77,13 @@ go test -run '^$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
     ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
+
+store_start=$(date +%s)
+go test -run '^$' \
+    -bench '^(BenchmarkStorePutCold|BenchmarkStoreEvict)$' \
+    -benchmem -benchtime 200x -count 3 \
+    ./internal/resultstore | tee -a "$raw"
+echo "bench.sh: store pass took $(($(date +%s) - store_start)) s"
 
 awk -v ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)" '
 BEGIN { n = 0; kernel = 0 }
