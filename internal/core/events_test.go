@@ -48,15 +48,9 @@ func (d *eventDigest) Consume(ev telemetry.Event) {
 	b = append(b, byte(ev.Kind), byte(ev.Op))
 	str(ev.Run)
 	str(ev.Stage)
-	str(ev.On)
 	str(ev.Source)
 	str(ev.Unit)
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(ev.Attempt)))
-	if ev.HasEnergy {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	for _, f := range []float64{
 		float64(ev.Start), float64(ev.End), float64(ev.At), ev.Value,
 		float64(ev.StartEnergy), float64(ev.EndEnergy), float64(ev.Backoff),
