@@ -25,13 +25,8 @@ func (p *eventPrinter) Consume(ev greenviz.TelemetryEvent) {
 	case greenviz.TelemetryRunEnd:
 		fmt.Fprintf(p.w, "event: run %s end t=%.1fs\n", ev.Run, float64(ev.End))
 	case greenviz.TelemetryStageDone:
-		if ev.HasEnergy {
-			fmt.Fprintf(p.w, "event: stage %-13s [%s] %8.2fs  %9.1f J  t=%.1fs\n",
-				ev.Stage, ev.On, float64(ev.Duration()), float64(ev.Energy()), float64(ev.End))
-		} else {
-			fmt.Fprintf(p.w, "event: stage %-13s [%s] %8.2fs  t=%.1fs\n",
-				ev.Stage, ev.On, float64(ev.Duration()), float64(ev.End))
-		}
+		fmt.Fprintf(p.w, "event: stage %-13s %8.2fs  %9.1f J  t=%.1fs\n",
+			ev.Stage, float64(ev.Duration()), float64(ev.Energy()), float64(ev.End))
 	case greenviz.TelemetryRetryAttempt:
 		fmt.Fprintf(p.w, "event: retry %s attempt=%d backoff=%.2fs\n",
 			ev.Op, ev.Attempt, float64(ev.Backoff))

@@ -282,11 +282,6 @@ type FaultStats = fault.Stats
 // run spent absorbing faults (Result.Recovery).
 type RecoveryStats = core.RecoveryStats
 
-// RetryPolicy bounds the recovery from transient storage errors
-// (Config.Retry); its zero value means 3 attempts with a 0.5 s initial
-// simulated-time backoff.
-type RetryPolicy = core.RetryPolicy
-
 // TelemetryEvent is one typed event from a run's telemetry stream:
 // run/stage boundaries, energy samples, fault injections, and retry
 // attempts, all on the shared timeline. Set Config.Telemetry to

@@ -9,10 +9,10 @@
 // §V-D and the Future Work section.
 //
 // Each pipeline is a program (programs.go): a Go function that runs
-// the application and brackets its timed steps in the six stages of
-// stages.go, one per StageNames() phase. One internal/core/stagegraph
-// engine executes every program and owns stage timing, trace-phase
-// annotation, and the retry/recovery policy uniformly.
+// the application and brackets each timed step under one of the six
+// StageNames() phases. One internal/core/stagegraph engine executes
+// every program and owns stage timing, per-stage energy brackets, and
+// the retry/recovery policy uniformly.
 package core
 
 import (
@@ -92,11 +92,13 @@ func PipelineByFlag(name string) (Pipeline, error) {
 // simulation and a staging node) rather than a cluster of one.
 func (p Pipeline) Clustered() bool { return p == InTransit || p == Hybrid }
 
-// Stage names used in phase annotations (Fig. 4's legend).
-// StageRecovery covers fault handling beyond plain retries: the
-// re-simulation of a checkpoint that could not be recovered from
-// storage. StageNet is the network-transfer stage of the in-transit
-// and hybrid pipelines.
+// The phases the pipeline programs time, named after Fig. 4's legend:
+// StageSimulation advances one output iteration, StageWrite stores one
+// checkpoint and StageRead reads one back cold, and StageViz is one
+// visualization event. StageRecovery covers fault handling beyond
+// plain retries: the re-simulation of a checkpoint that could not be
+// recovered from storage. StageNet is the network-transfer stage of
+// the in-transit and hybrid pipelines.
 const (
 	StageSimulation = "simulation"
 	StageWrite      = "nnwrite"
@@ -218,9 +220,6 @@ type AppConfig struct {
 	// Nil or all-zero rates leave every output byte-identical to a
 	// fault-free run.
 	Faults *fault.Config
-	// Retry bounds the recovery from injected (or real) transient
-	// storage errors; the zero value gets sensible defaults.
-	Retry RetryPolicy
 	// Telemetry, when set, is attached to every run's telemetry bus —
 	// after the stock accountants — and receives the full event stream:
 	// run and stage boundaries, energy samples, fault injections, and
@@ -229,11 +228,6 @@ type AppConfig struct {
 	// consumer never changes a run's output.
 	Telemetry telemetry.Consumer
 }
-
-// RetryPolicy bounds the recovery from recoverable storage errors;
-// the stagegraph engine enforces it uniformly across all pipelines.
-// The zero value means 3 attempts with a 0.5 s initial backoff.
-type RetryPolicy = stagegraph.RetryPolicy
 
 // RecoveryStats accounts the fault handling one run performed; the
 // stagegraph engine's ledger accumulates it.

@@ -71,13 +71,13 @@ func (c *Cluster) nodes() []*node.Node {
 // intransitProgram ships every event's data to the staging node,
 // which renders asynchronously: the simulation blocks only for the
 // network transfer.
-func (r *runner) intransitProgram(x *stagegraph.Exec) {
+func (r *runner) intransitProgram(eng *stagegraph.Engine) {
 	c, cfg, cs := r.c, r.cfg, r.cs
 	payload := TotalSizeForGrid(cfg)
 	for i := 1; i <= cs.Iterations; i++ {
 		// Simulate on the sim node (foreground; staging events fire
 		// underneath).
-		r.simulateIteration(x)
+		r.simulateIteration(eng)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
@@ -86,7 +86,7 @@ func (r *runner) intransitProgram(x *stagegraph.Exec) {
 		// charged on the staging node when the data arrives.
 		png, stats := renderAnnotatedFrame(cfg.Render, cfg.Render.Lo, cfg.Render.Hi, r.solver.Field(), r.solver.Steps(), r.solver.Time())
 		r.countFrame(png)
-		r.ship(x, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })
+		r.ship(eng, payload, func() { c.stageRender(stats, units.Bytes(len(png))) })
 	}
 }
 
@@ -96,17 +96,17 @@ func (r *runner) intransitProgram(x *stagegraph.Exec) {
 // asynchronously: in-situ monitoring with post-hoc restart data,
 // without the local ~188 MiB round trip the post-processing pipeline
 // pays.
-func (r *runner) hybridProgram(x *stagegraph.Exec) {
+func (r *runner) hybridProgram(eng *stagegraph.Engine) {
 	c, n, cs := r.c, r.n, r.cs
 	payload := TotalSizeForGrid(r.cfg)
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x)
+		r.simulateIteration(eng)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
-		r.insituVizEvent(x, i)
+		r.insituVizEvent(eng, i)
 		// The staging disk absorbs the write asynchronously.
-		r.ship(x, payload, func() { c.offloadCheckpoint(payload) })
+		r.ship(eng, payload, func() { c.offloadCheckpoint(payload) })
 	}
 	n.WithIO(func() { n.FS.Sync() })
 }
@@ -114,8 +114,8 @@ func (r *runner) hybridProgram(x *stagegraph.Exec) {
 // ship sends one event's payload over the link; the simulation blocks
 // only for the serialized transfer, and deliver fires on arrival at
 // the staging node.
-func (r *runner) ship(x *stagegraph.Exec, payload units.Bytes, deliver func()) {
-	x.Do(stgNetTransfer, func() {
+func (r *runner) ship(eng *stagegraph.Engine, payload units.Bytes, deliver func()) {
+	eng.Do(StageNet, func() {
 		r.n.WithIO(func() { r.c.Engine.AdvanceTo(r.c.Link.Send(payload, deliver)) })
 		r.res.BytesSent += payload
 	})

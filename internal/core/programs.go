@@ -12,15 +12,15 @@ import (
 )
 
 // programs.go holds the pipeline programs: Go functions over a runner
-// that run the application and bracket each timed step in one of the
-// stages of stages.go via Exec.Do. The engine owns timing, trace
-// annotation and the retry policy; everything else is a plain call.
+// that run the application and bracket each timed step under one of the
+// StageNames() phases via Engine.Do. The engine owns timing, energy
+// brackets and the retry policy; everything else is a plain call.
 //
 // To define a new pipeline: write its program and add a case to
 // program.
 
 // program returns pipeline p's program bound to this runner.
-func (r *runner) program(p Pipeline) func(*stagegraph.Exec) {
+func (r *runner) program(p Pipeline) func(*stagegraph.Engine) {
 	switch p {
 	case PostProcessing:
 		return r.postProgram
@@ -50,12 +50,12 @@ type ckptRef struct {
 // checkpoint back cold and visualizes it.
 //
 // Storage errors are recoverable, never fatal: writes and reads retry
-// under the engine's RetryPolicy, and a checkpoint storage cannot
+// under the engine's retry policy, and a checkpoint storage cannot
 // produce intact is re-simulated from the initial conditions — the
 // solver is deterministic, so the recomputed field (and thus the
 // rendered frame) is identical to the lost one. Every recovery path is
 // charged to the virtual time and energy ledgers.
-func (r *runner) postProgram(x *stagegraph.Exec) {
+func (r *runner) postProgram(eng *stagegraph.Engine) {
 	n, cfg, cs := r.n, r.cfg, r.cs
 	store := cfg.Store
 	if store == nil {
@@ -63,13 +63,13 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 	}
 	var ckpts []ckptRef
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x)
+		r.simulateIteration(eng)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
 		c := ckptRef{name: fmt.Sprintf("ckpt-%04d", i), iter: i}
-		x.Do(stgWriteCkpt, func() {
-			c.lost = !x.WriteRetry(func() error {
+		eng.Do(StageWrite, func() {
+			c.lost = !eng.WriteRetry(func() error {
 				return store.WriteCheckpoint(c.name, r.solver.Field(), r.solver.Steps(), r.solver.Time(), cfg.CheckpointPayload)
 			})
 		})
@@ -85,8 +85,8 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 		var simTime float64
 		ok := false
 		if !c.lost {
-			x.Do(stgReadCkpt, func() {
-				ok = x.ReadRetry(func() error {
+			eng.Do(StageRead, func() {
+				ok = eng.ReadRetry(func() error {
 					var err error
 					g, step, simTime, err = store.ReadCheckpoint(c.name)
 					return err
@@ -97,14 +97,14 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 			// The checkpoint is gone (write gave up) or unreadable after
 			// the retry budget: recompute its field from the initial
 			// conditions.
-			x.Do(stgRecover, func() {
+			eng.Do(StageRecovery, func() {
 				g, step, simTime = r.resimulate(c.iter)
-				x.Resimulated()
+				eng.Resimulated()
 			})
 		}
-		x.Do(stgRender, func() {
+		eng.Do(StageViz, func() {
 			png := r.renderFrame(g, step, simTime)
-			n.WithIO(func() { r.writeFrameFile(x, png) })
+			n.WithIO(func() { r.writeFrameFile(eng, png) })
 		})
 	}
 	n.WithIO(func() { n.FS.Sync() })
@@ -113,14 +113,14 @@ func (r *runner) postProgram(x *stagegraph.Exec) {
 // insituProgram is the coupled pipeline: each I/O event renders
 // directly from the live field and synchronously flushes the frame plus
 // a reduced data product so the scientist can monitor the run.
-func (r *runner) insituProgram(x *stagegraph.Exec) {
+func (r *runner) insituProgram(eng *stagegraph.Engine) {
 	n, cs := r.n, r.cs
 	for i := 1; i <= cs.Iterations; i++ {
-		r.simulateIteration(x)
+		r.simulateIteration(eng)
 		if i%cs.IOInterval != 0 {
 			continue
 		}
-		r.insituVizEvent(x, i)
+		r.insituVizEvent(eng, i)
 	}
 	n.WithIO(func() { n.FS.Sync() })
 }
@@ -129,11 +129,11 @@ func (r *runner) insituProgram(x *stagegraph.Exec) {
 // live field, optional cinema variants and compression, then
 // synchronously flush the frame plus the reduced data product. The
 // in-situ and hybrid pipelines share it verbatim.
-func (r *runner) insituVizEvent(x *stagegraph.Exec, i int) {
+func (r *runner) insituVizEvent(eng *stagegraph.Engine, i int) {
 	n, cfg := r.n, r.cfg
-	x.Do(stgRender, func() {
+	eng.Do(StageViz, func() {
 		png := r.renderFrame(r.solver.Field(), r.solver.Steps(), r.solver.Time())
-		r.renderCinemaVariants(x, i)
+		r.renderCinemaVariants(eng, i)
 		payload := cfg.InsituPayload
 		if cfg.CompressInsitu {
 			// Measure the real compression ratio on this event's
@@ -149,9 +149,9 @@ func (r *runner) insituVizEvent(x *stagegraph.Exec, i int) {
 			r.res.CompressionRatio = ratio
 		}
 		n.WithIO(func() {
-			f := r.writeFrameFile(x, png)
+			f := r.writeFrameFile(eng, png)
 			reduced := n.FS.Create(fmt.Sprintf("reduced-%04d", i), storage.AllocContiguous)
-			x.WriteRetry(func() error { return reduced.AppendSparse(payload) })
+			eng.WriteRetry(func() error { return reduced.AppendSparse(payload) })
 			if !cfg.InsituNoSync {
 				f.Fsync()
 				reduced.Fsync()

@@ -20,8 +20,8 @@ type RunResult struct {
 	Case     CaseStudy `json:"case"`
 
 	// Profile holds the instrument series (system, rapl.PKG,
-	// rapl.DRAM) of the simulation node and the stage phase
-	// annotations.
+	// rapl.DRAM) of the simulation node; per-stage time and energy
+	// are in StageTime and StageEnergy.
 	Profile *trace.Profile `json:"-"`
 
 	// ExecTime is the wall (virtual) duration of the run (Fig. 7).

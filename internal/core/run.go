@@ -15,11 +15,11 @@ import (
 )
 
 // runner carries shared state for one pipeline execution: the
-// application state the programs close over. Stage timing, phase
-// annotation and retry/backoff live in the stagegraph engine.
+// application state the programs close over. Stage timing and
+// retry/backoff live in the stagegraph engine.
 type runner struct {
 	c      *Cluster
-	n      *node.Node // c.Sim: the node every pipeline's "node" stages run on
+	n      *node.Node // c.Sim: the simulation node, the engine's metered clock
 	cfg    AppConfig
 	cs     CaseStudy
 	solver Simulator
@@ -79,7 +79,7 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 			sink.SetFaults(r.faults)
 		}
 	}
-	// NewInstruments attaches the trace recorder (series + phases).
+	// NewInstruments attaches the trace recorder of instrument series.
 	inst := n.NewInstruments(fmt.Sprintf("%s/%s", p, cs.Name), tel)
 	ledger := stagegraph.NewLedger()
 	tel.Attach(ledger)
@@ -96,7 +96,7 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 		StageTime:   ledger.StageTime,
 		StageEnergy: ledger.StageEnergy,
 	}
-	eng := stagegraph.New(n, tel, cfg.Retry)
+	eng := stagegraph.New(n, tel)
 
 	startT := c.Engine.Now()
 	e0 := make([]units.Joules, len(nodes))
@@ -134,8 +134,8 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg AppConfig) *RunResul
 
 // simulateIteration advances one output iteration: RealSubsteps of real
 // physics, the full SubstepsPerIteration of charged compute.
-func (r *runner) simulateIteration(x *stagegraph.Exec) {
-	x.Do(stgSimulate, func() {
+func (r *runner) simulateIteration(eng *stagegraph.Engine) {
+	eng.Do(StageSimulation, func() {
 		r.solver.Step(r.cfg.RealSubsteps)
 		r.n.Compute(r.solver.CellUpdates(r.cfg.SubstepsPerIteration))
 	})
@@ -193,10 +193,10 @@ func (r *runner) countFrame(png []byte) {
 // without retaining its bytes. A write that exhausts the retry budget
 // leaves the frame absent from disk (it still counts toward Frames and
 // the checksum: the render happened).
-func (r *runner) writeFrameFile(x *stagegraph.Exec, png []byte) *storage.File {
+func (r *runner) writeFrameFile(eng *stagegraph.Engine, png []byte) *storage.File {
 	f := r.n.FS.Create(fmt.Sprintf("frame-%04d.png", r.frame), storage.AllocContiguous)
 	r.frame++
-	x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
+	eng.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 	return f
 }
 
@@ -218,7 +218,7 @@ func (r *runner) resimulate(iter int) (*field.Grid, uint64, float64) {
 // parameters, stored alongside the primary frame (size only, like
 // frame files). They restore post-hoc exploration without shipping the
 // raw data. The renders run inside the visualization stage.
-func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
+func (r *runner) renderCinemaVariants(eng *stagegraph.Engine, event int) {
 	cfg := r.cfg
 	if cfg.CinemaVariants <= 0 {
 		return
@@ -240,7 +240,7 @@ func (r *runner) renderCinemaVariants(x *stagegraph.Exec, event int) {
 		r.res.CinemaFrames++
 		r.n.WithIO(func() {
 			f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k), storage.AllocContiguous)
-			x.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
+			eng.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 		})
 	}
 }

@@ -8,12 +8,14 @@ import (
 	"repro/internal/units"
 )
 
-// obsClock is a minimal virtual clock: Do brackets advance it so
-// stage intervals are non-degenerate.
+// obsClock is a minimal metered virtual clock: Do brackets advance it
+// so stage intervals are non-degenerate, and it meters 10 J per
+// virtual second, like node.Node reads cumulative energy.
 type obsClock struct{ t units.Seconds }
 
-func (c *obsClock) Now() units.Seconds   { c.t += 0.5; return c.t }
-func (c *obsClock) Idle(d units.Seconds) { c.t += d }
+func (c *obsClock) Now() units.Seconds         { c.t += 0.5; return c.t }
+func (c *obsClock) SystemEnergy() units.Joules { return units.Joules(10 * c.t) }
+func (c *obsClock) Idle(d units.Seconds)       { c.t += d }
 
 // recConsumer records every telemetry event in order.
 type recConsumer struct {
@@ -27,40 +29,34 @@ func (c *recConsumer) Consume(ev telemetry.Event) {
 	case telemetry.KindStageStart:
 		c.events = append(c.events, "begin:"+ev.Stage)
 	case telemetry.KindStageDone:
-		c.events = append(c.events, fmt.Sprintf("stage:%s[%v,%s]", ev.Stage, ev.Start < ev.End, ev.On))
+		c.events = append(c.events, fmt.Sprintf("stage:%s[%v]", ev.Stage, ev.Start < ev.End))
 	case telemetry.KindRunEnd:
 		c.events = append(c.events, "end:"+ev.Run)
 	}
 }
 
-var (
-	obsSim = Stage{Phase: "simulation", On: "node"}
-	obsViz = Stage{Phase: "visualization", On: "node"}
-	obsNet = Stage{Phase: "nettransfer", On: "link"}
-)
-
 // TestTelemetryEventOrder verifies the event contract: RunStart, a
 // StageStart/StageDone pair per execution in execution order, each
-// naming its stage's phase and resource, RunEnd.
+// naming its phase, RunEnd.
 func TestTelemetryEventOrder(t *testing.T) {
 	rec := &recConsumer{}
-	eng := New(&obsClock{}, telemetry.NewBus(rec), RetryPolicy{})
-	eng.Run("observed", func(x *Exec) {
-		x.Do(obsSim, func() {})
-		x.Do(obsViz, func() {})
-		x.Do(obsNet, func() {})
-		x.Do(obsSim, func() {})
+	eng := New(&obsClock{}, telemetry.NewBus(rec))
+	eng.Run("observed", func(eng *Engine) {
+		eng.Do("simulation", func() {})
+		eng.Do("visualization", func() {})
+		eng.Do("nettransfer", func() {})
+		eng.Do("simulation", func() {})
 	})
 	want := []string{
 		"start:observed",
 		"begin:simulation",
-		"stage:simulation[true,node]",
+		"stage:simulation[true]",
 		"begin:visualization",
-		"stage:visualization[true,node]",
+		"stage:visualization[true]",
 		"begin:nettransfer",
-		"stage:nettransfer[true,link]",
+		"stage:nettransfer[true]",
 		"begin:simulation",
-		"stage:simulation[true,node]",
+		"stage:simulation[true]",
 		"end:observed",
 	}
 	if len(rec.events) != len(want) {
@@ -73,15 +69,9 @@ func TestTelemetryEventOrder(t *testing.T) {
 	}
 }
 
-// meterClock is an obsClock that also reads cumulative energy, like
-// node.Node: energy is 10 J per virtual second.
-type meterClock struct{ obsClock }
-
-func (c *meterClock) SystemEnergy() units.Joules { return units.Joules(10 * c.t) }
-
-// TestStageDoneCarriesEnergyBracket verifies that a metering clock
-// gives every StageDone an energy bracket, and that the Ledger folds
-// the brackets into per-stage energy totals.
+// TestStageDoneCarriesEnergyBracket verifies that every StageDone
+// carries the stage's energy bracket, and that the Ledger folds the
+// brackets into per-stage energy totals.
 func TestStageDoneCarriesEnergyBracket(t *testing.T) {
 	var got telemetry.Event
 	led := NewLedger()
@@ -90,12 +80,13 @@ func TestStageDoneCarriesEnergyBracket(t *testing.T) {
 			got = ev
 		}
 	}), led)
-	eng := New(&meterClock{}, bus, RetryPolicy{})
-	eng.Run("observed", func(x *Exec) { x.Do(obsSim, func() {}) })
-	if !got.HasEnergy {
-		t.Fatal("StageDone from a metering clock has no energy bracket")
+	eng := New(&obsClock{}, bus)
+	eng.Run("observed", func(eng *Engine) { eng.Do("simulation", func() {}) })
+	// obsClock.Now advances 0.5 per read and RunStart reads it first:
+	// the stage runs from 1.0 to 1.5 → [10, 15] J.
+	if got.StartEnergy != 10 || got.EndEnergy != 15 {
+		t.Errorf("energy bracket = [%v, %v], want [10, 15] J", got.StartEnergy, got.EndEnergy)
 	}
-	// obsClock.Now advances 0.5 per read: start=0.5, end=1.0 → 5 J.
 	if got.Energy() != 5 {
 		t.Errorf("stage energy = %v J, want 5", got.Energy())
 	}
@@ -130,7 +121,7 @@ var errAbortForTest = fmt.Errorf("abort")
 // unwrapped through Engine.Run and leaves the engine reusable.
 func TestConsumerPanicAborts(t *testing.T) {
 	abort := &panicConsumer{n: 3}
-	eng := New(&obsClock{}, telemetry.NewBus(abort), RetryPolicy{})
+	eng := New(&obsClock{}, telemetry.NewBus(abort))
 
 	func() {
 		defer func() {
@@ -138,9 +129,9 @@ func TestConsumerPanicAborts(t *testing.T) {
 				t.Fatalf("recovered %v, want errAbortForTest", r)
 			}
 		}()
-		eng.Run("observed", func(x *Exec) {
+		eng.Run("observed", func(eng *Engine) {
 			for i := 0; i < 10; i++ {
-				x.Do(obsSim, func() {})
+				eng.Do("simulation", func() {})
 			}
 		})
 		t.Fatal("run completed despite aborting consumer")
@@ -151,8 +142,8 @@ func TestConsumerPanicAborts(t *testing.T) {
 
 	// The engine must be reusable after an aborted run.
 	led := NewLedger()
-	eng.Bus = telemetry.NewBus(led)
-	eng.Run("observed", func(x *Exec) { x.Do(obsSim, func() {}) })
+	eng.bus = telemetry.NewBus(led)
+	eng.Run("observed", func(eng *Engine) { eng.Do("simulation", func() {}) })
 	if led.StageTime["simulation"] <= 0 {
 		t.Fatalf("run after abort timed no stage: %v", led.StageTime)
 	}
@@ -164,11 +155,11 @@ func TestConsumerPanicAborts(t *testing.T) {
 // harness' performance contract.
 func TestNoConsumerZeroAllocs(t *testing.T) {
 	var allocs float64
-	eng := New(&obsClock{}, nil, RetryPolicy{})
-	eng.Run("observed", func(x *Exec) {
-		x.Do(obsSim, func() {}) // warm path
+	eng := New(&obsClock{}, nil)
+	eng.Run("observed", func(eng *Engine) {
+		eng.Do("simulation", func() {}) // warm path
 		allocs = testing.AllocsPerRun(1000, func() {
-			x.Do(obsSim, func() {})
+			eng.Do("simulation", func() {})
 		})
 	})
 	if allocs != 0 {
@@ -177,9 +168,9 @@ func TestNoConsumerZeroAllocs(t *testing.T) {
 }
 
 // TestDoNoConsumerBenchZeroAllocs runs the actual benchmark loop and
-// asserts its allocs/op is exactly 0. AllocsPerRun alone missed the
-// per-call heap copies of the Stage argument once (they were attributed
-// outside its measurement window), so this pins the same number
+// asserts its allocs/op is exactly 0. AllocsPerRun alone once missed
+// per-call heap copies of Do's arguments (they were attributed outside
+// its measurement window), so this pins the same number
 // BenchmarkDoNoConsumer reports.
 func TestDoNoConsumerBenchZeroAllocs(t *testing.T) {
 	if testing.Short() {
@@ -192,14 +183,16 @@ func TestDoNoConsumerBenchZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkDoNoConsumer measures the per-execution engine overhead
-// with no subscriber attached (the default for every CLI run).
+// with no subscriber attached: the floor of Do's cost. Pipeline runs
+// never take this path, since every run attaches the stage Ledger and
+// the trace Recorder to its bus.
 func BenchmarkDoNoConsumer(b *testing.B) {
-	eng := New(&obsClock{}, nil, RetryPolicy{})
-	eng.Run("observed", func(x *Exec) {
+	eng := New(&obsClock{}, nil)
+	eng.Run("observed", func(eng *Engine) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			x.Do(obsSim, func() {})
+			eng.Do("simulation", func() {})
 		}
 	})
 }

@@ -1,13 +1,13 @@
 // Package stagegraph is the engine underneath internal/core's
 // pipelines. A pipeline is a program: a Go function that runs the
-// application and, through Exec.Do, brackets each timed step in a
-// Stage named after its trace phase and resource. The engine times
-// those steps on the run's virtual clock and emits every cross-cutting
-// concern — stage boundaries with their virtual-time and
-// metered-energy brackets, and the bounded retry/backoff recovery
-// actions — as telemetry events; accountants (the per-stage Ledger in
-// this package, trace annotation, progress streams, metrics) subscribe
-// to the run's telemetry.Bus instead of being wired into the engine.
+// application and, through Engine.Do, brackets each timed step under
+// its phase name. The engine times those steps on the run's metered
+// virtual clock and emits every cross-cutting concern — stage
+// boundaries with their virtual-time and energy brackets, and the
+// bounded retry/backoff recovery actions — as telemetry events;
+// accountants (the per-stage Ledger in this package, progress streams,
+// metrics) subscribe to the run's telemetry.Bus instead of being wired
+// into the engine.
 package stagegraph
 
 import (
@@ -15,36 +15,14 @@ import (
 	"repro/internal/units"
 )
 
-// Stage is one timed step of a pipeline program: the trace phase the
-// engine annotates its executions with, and the resource instance it
-// runs on ("node" for the simulation node, "link" for the cluster
-// interconnect). A Stage carries no behaviour of its own; bodies are
-// supplied per execution via Exec.Do.
-type Stage struct {
-	Phase string
-	On    string
-}
-
-// RetryPolicy bounds how a run responds to recoverable storage errors:
-// up to MaxAttempts tries per operation, with an exponential
-// simulated-time backoff starting at Backoff between attempts, all
-// charged to the run's time and energy ledgers. The zero value means
-// 3 attempts with a 0.5 s initial backoff.
-type RetryPolicy struct {
-	MaxAttempts int
-	Backoff     units.Seconds
-}
-
-// WithDefaults fills the zero value's defaults.
-func (p RetryPolicy) WithDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 0.5
-	}
-	return p
-}
+// The retry policy every run recovers from storage errors under: up to
+// maxAttempts tries per operation, with an exponential simulated-time
+// backoff between attempts starting at firstBackoff (0.5 s, then 1 s),
+// all charged to the run's time and energy ledgers.
+const (
+	maxAttempts                = 3
+	firstBackoff units.Seconds = 0.5
+)
 
 // RecoveryStats accounts the fault handling one run performed.
 type RecoveryStats struct {
@@ -68,19 +46,14 @@ func (s RecoveryStats) Total() uint64 {
 	return s.WriteRetries + s.ReadRetries + s.LostWrites + s.Resimulations
 }
 
-// Clock is the virtual clock the engine times stages against, plus
-// the idle primitive backoff charges its waits to.
+// Clock is the metered virtual clock the engine times stages against:
+// the current time, the cumulative system energy that brackets every
+// stage, and the idle primitive backoff charges its waits to.
+// node.Node is one.
 type Clock interface {
 	Now() units.Seconds
-	Idle(units.Seconds)
-}
-
-// EnergyReader is the optional meter a clock can expose. When the
-// engine's clock also reads cumulative system energy (node.Node does),
-// every StageDone event carries the stage's energy bracket, giving
-// consumers per-stage energy attribution for free.
-type EnergyReader interface {
 	SystemEnergy() units.Joules
+	Idle(units.Seconds)
 }
 
 // Ledger is the engine's stock accountant: a telemetry consumer that
@@ -90,8 +63,7 @@ type EnergyReader interface {
 type Ledger struct {
 	// StageTime accumulates execution time per phase name.
 	StageTime map[string]units.Seconds
-	// StageEnergy accumulates metered energy per phase name; it stays
-	// empty when the run's clock exposes no meter.
+	// StageEnergy accumulates metered energy per phase name.
 	StageEnergy map[string]units.Joules
 	// Recovery accounts the retries, losses, and backoff the engine's
 	// recovery policy performed.
@@ -110,10 +82,8 @@ func NewLedger() *Ledger {
 func (l *Ledger) Consume(ev telemetry.Event) {
 	switch ev.Kind {
 	case telemetry.KindStageDone:
-		l.StageTime[ev.Stage] += ev.End - ev.Start
-		if ev.HasEnergy {
-			l.StageEnergy[ev.Stage] += ev.EndEnergy - ev.StartEnergy
-		}
+		l.StageTime[ev.Stage] += ev.Duration()
+		l.StageEnergy[ev.Stage] += ev.Energy()
 	case telemetry.KindRetryAttempt:
 		switch ev.Op {
 		case telemetry.RetryWrite:
@@ -129,156 +99,111 @@ func (l *Ledger) Consume(ev telemetry.Event) {
 	}
 }
 
-// Engine executes pipeline programs on one virtual clock and narrates
-// them onto one telemetry bus: run boundaries, timed stage executions
-// (with energy brackets when the clock meters energy), and every
-// recovery action under the bounded retry/backoff policy.
+// Engine executes pipeline programs on one metered virtual clock and
+// narrates them onto one telemetry bus: run boundaries, timed stage
+// executions with their energy brackets, and every recovery action
+// under the bounded retry/backoff policy. A program receives the
+// engine itself as its handle.
 type Engine struct {
-	Clock Clock
-	// Bus receives the engine's events. With no consumers attached the
+	clock Clock
+	// bus receives the engine's events. With no consumers attached the
 	// hot path pays one branch and nothing else (guarded by a
 	// 0 allocs/op regression test).
-	Bus   *telemetry.Bus
-	Retry RetryPolicy
-
-	meter EnergyReader // Clock's meter view, nil if it has none
+	bus *telemetry.Bus
 }
 
-// New builds an engine emitting into bus (nil means an inert private
-// bus). The retry policy is defaulted. If clock also implements
-// EnergyReader, stage events carry energy brackets.
-func New(clock Clock, bus *telemetry.Bus, retry RetryPolicy) *Engine {
+// New builds an engine timing stages on clock and emitting into bus
+// (nil means an inert private bus).
+func New(clock Clock, bus *telemetry.Bus) *Engine {
 	if clock == nil {
 		panic("stagegraph: engine needs a clock")
 	}
 	if bus == nil {
 		bus = telemetry.NewBus()
 	}
-	meter, _ := clock.(EnergyReader)
-	return &Engine{Clock: clock, Bus: bus, Retry: retry.WithDefaults(), meter: meter}
+	return &Engine{clock: clock, bus: bus}
 }
 
 // Run executes program as the run called name, bracketed by RunStart
 // and RunEnd events. The program emits stage executions through the
-// Exec it receives. A consumer panic (e.g. job cancellation)
+// engine it receives. A consumer panic (e.g. job cancellation)
 // propagates unwrapped to the caller.
-func (e *Engine) Run(name string, program func(*Exec)) {
-	if e.Bus.Active() {
-		now := e.Clock.Now()
-		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunStart, Run: name, Start: now, End: now})
+func (e *Engine) Run(name string, program func(*Engine)) {
+	if e.bus.Active() {
+		now := e.clock.Now()
+		e.bus.Emit(telemetry.Event{Kind: telemetry.KindRunStart, Run: name, Start: now, End: now})
 	}
-	program(&Exec{eng: e})
-	if e.Bus.Active() {
-		now := e.Clock.Now()
-		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRunEnd, Run: name, Start: now, End: now})
+	program(e)
+	if e.bus.Active() {
+		now := e.clock.Now()
+		e.bus.Emit(telemetry.Event{Kind: telemetry.KindRunEnd, Run: name, Start: now, End: now})
 	}
 }
 
-// Exec is the execution context a program runs under: it emits stage
-// executions and reaches the engine's recovery policy.
-type Exec struct {
-	eng *Engine
-}
-
-// Do executes one instance of stage st: body runs on the virtual
-// clock, and the engine brackets the interval in a StageStart/StageDone
-// event pair carrying the stage's phase and resource, its virtual
-// times, and — when the clock meters energy — its energy bracket.
-func (x *Exec) Do(st Stage, body func()) {
-	e := x.eng
-	if !e.Bus.Active() {
-		// Nobody listening: the clock reads would be discarded (Now is a
-		// pure read on every production clock), so skip them and the
-		// event construction entirely. This is the 0 allocs/op
+// Do executes one timed step of the named phase: body runs on the
+// virtual clock, and the engine brackets the interval in a
+// StageStart/StageDone event pair carrying the phase, its virtual times
+// and its energy bracket.
+func (e *Engine) Do(phase string, body func()) {
+	if !e.bus.Active() {
+		// Nobody listening: the clock and meter reads would be discarded
+		// (both are pure reads on every production clock), so skip them
+		// and the event construction entirely. This is the 0 allocs/op
 		// no-consumer path.
 		body()
 		return
 	}
-	start := e.Clock.Now()
-	var startE units.Joules
-	if e.meter != nil {
-		startE = e.meter.SystemEnergy()
-	}
-	e.Bus.Emit(telemetry.Event{
-		Kind:  telemetry.KindStageStart,
-		Stage: st.Phase,
-		On:    st.On,
-		Start: start,
-	})
+	start, startE := e.clock.Now(), e.clock.SystemEnergy()
+	e.bus.Emit(telemetry.Event{Kind: telemetry.KindStageStart, Stage: phase, Start: start})
 	body()
-	end := e.Clock.Now()
-	done := telemetry.Event{
-		Kind:  telemetry.KindStageDone,
-		Stage: st.Phase,
-		On:    st.On,
-		Start: start,
-		End:   end,
-	}
-	if e.meter != nil {
-		done.StartEnergy = startE
-		done.EndEnergy = e.meter.SystemEnergy()
-		done.HasEnergy = true
-	}
-	e.Bus.Emit(done)
+	end, endE := e.clock.Now(), e.clock.SystemEnergy()
+	e.bus.Emit(telemetry.Event{
+		Kind:        telemetry.KindStageDone,
+		Stage:       phase,
+		Start:       start,
+		End:         end,
+		StartEnergy: startE,
+		EndEnergy:   endE,
+	})
 }
 
-// backoff charges the exponential simulated-time wait before retry
-// attempt number attempt (1-based): Backoff, 2*Backoff, 4*Backoff...
-// The clock sits idle — the time and its static energy land on the
-// run's ledgers like any other stall. Returns the charged wait so the
-// retry event can carry it.
-func (x *Exec) backoff(attempt int) units.Seconds {
-	e := x.eng
-	d := e.Retry.Backoff * units.Seconds(int64(1)<<uint(attempt-1))
-	e.Clock.Idle(d)
-	return d
+// retry runs f until it succeeds, at most maxAttempts times, and
+// reports whether it ever did. Before each repeat it charges the
+// exponential simulated-time backoff (firstBackoff, twice that, ...)
+// as idle time, so the time and its static energy land on the run's
+// ledgers like any other stall, and emits the attempt as an op event.
+func (e *Engine) retry(op telemetry.RetryOp, f func() error) bool {
+	err := f()
+	for attempt := 1; err != nil && attempt < maxAttempts; attempt++ {
+		d := firstBackoff * units.Seconds(int64(1)<<uint(attempt-1))
+		e.clock.Idle(d)
+		e.bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: op, Attempt: attempt, Backoff: d})
+		err = f()
+	}
+	return err == nil
 }
 
 // WriteRetry runs write under the retry budget and reports whether it
 // ever succeeded; a final failure counts as a lost write.
-func (x *Exec) WriteRetry(write func() error) bool {
-	e := x.eng
-	err := write()
-	for attempt := 1; err != nil && attempt < e.Retry.MaxAttempts; attempt++ {
-		d := x.backoff(attempt)
-		e.Bus.Emit(telemetry.Event{
-			Kind:    telemetry.KindRetryAttempt,
-			Op:      telemetry.RetryWrite,
-			Attempt: attempt,
-			Backoff: d,
-		})
-		err = write()
+func (e *Engine) WriteRetry(write func() error) bool {
+	if e.retry(telemetry.RetryWrite, write) {
+		return true
 	}
-	if err != nil {
-		e.Bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: telemetry.RetryLostWrite})
-		return false
-	}
-	return true
+	e.bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: telemetry.RetryLostWrite})
+	return false
 }
 
 // ReadRetry runs read under the retry budget and reports whether it
 // ever succeeded. Both transient errors and corruption (a tripped CRC)
 // are retried: bit-rot hits the delivered copy, not the media, so a
 // re-read can come back intact.
-func (x *Exec) ReadRetry(read func() error) bool {
-	e := x.eng
-	err := read()
-	for attempt := 1; err != nil && attempt < e.Retry.MaxAttempts; attempt++ {
-		d := x.backoff(attempt)
-		e.Bus.Emit(telemetry.Event{
-			Kind:    telemetry.KindRetryAttempt,
-			Op:      telemetry.RetryRead,
-			Attempt: attempt,
-			Backoff: d,
-		})
-		err = read()
-	}
-	return err == nil
+func (e *Engine) ReadRetry(read func() error) bool {
+	return e.retry(telemetry.RetryRead, read)
 }
 
 // Resimulated records one checkpoint recomputed from initial
 // conditions, for stage bodies that perform the recovery themselves
 // (the recovery stage).
-func (x *Exec) Resimulated() {
-	x.eng.Bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: telemetry.RetryResimulate})
+func (e *Engine) Resimulated() {
+	e.bus.Emit(telemetry.Event{Kind: telemetry.KindRetryAttempt, Op: telemetry.RetryResimulate})
 }

@@ -5,37 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
-// fakeClock advances only when a body or a backoff asks it to.
+// fakeClock advances only when a body or a backoff asks it to, and
+// meters 1 J per virtual second.
 type fakeClock struct {
 	now  units.Seconds
 	idle units.Seconds
 }
 
-func (c *fakeClock) Now() units.Seconds { return c.now }
+func (c *fakeClock) Now() units.Seconds         { return c.now }
+func (c *fakeClock) SystemEnergy() units.Joules { return units.Joules(c.now) }
 func (c *fakeClock) Idle(d units.Seconds) {
 	c.now += d
 	c.idle += d
 }
 
-var (
-	stSim   = Stage{Phase: "simulation", On: "node"}
-	stWrite = Stage{Phase: "nnwrite", On: "node"}
-)
+// stageDone collects the StageDone events of a run.
+func stageDone(into *[]telemetry.Event) telemetry.Consumer {
+	return telemetry.ConsumerFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindStageDone {
+			*into = append(*into, ev)
+		}
+	})
+}
 
 func TestEngineTimesAndAnnotatesStages(t *testing.T) {
 	clock := &fakeClock{}
-	prof := trace.NewProfile("test")
 	led := NewLedger()
-	eng := New(clock, telemetry.NewBus(trace.NewRecorder(prof), led), RetryPolicy{})
+	var done []telemetry.Event
+	eng := New(clock, telemetry.NewBus(led, stageDone(&done)))
 
-	eng.Run("test", func(x *Exec) {
+	eng.Run("test", func(eng *Engine) {
 		for i := 0; i < 3; i++ {
-			x.Do(stSim, func() { clock.now += 2 })
-			x.Do(stWrite, func() { clock.now += 1 })
+			eng.Do("simulation", func() { clock.now += 2 })
+			eng.Do("nnwrite", func() { clock.now += 1 })
 		}
 	})
 	if got := led.StageTime["simulation"]; got != 6 {
@@ -44,18 +49,23 @@ func TestEngineTimesAndAnnotatesStages(t *testing.T) {
 	if got := led.StageTime["nnwrite"]; got != 3 {
 		t.Errorf("nnwrite stage time = %v, want 3", got)
 	}
-	// The recorder annotates every execution as its own phase, in
-	// execution order.
-	if len(prof.Phases) != 6 {
-		t.Fatalf("annotated phases = %v, want 6", prof.Phases)
+	if got := led.StageEnergy["simulation"]; got != 6 {
+		t.Errorf("simulation stage energy = %v, want 6", got)
 	}
-	for i, ph := range prof.Phases {
-		want := trace.Phase{Name: "simulation", Start: units.Seconds(3 * (i / 2)), End: units.Seconds(3*(i/2) + 2)}
+	// Every execution is its own StageDone, in execution order, with
+	// its phase, virtual-time and energy brackets.
+	if len(done) != 6 {
+		t.Fatalf("stage executions = %d, want 6", len(done))
+	}
+	for i, ev := range done {
+		phase, start, end := "simulation", units.Seconds(3*(i/2)), units.Seconds(3*(i/2)+2)
 		if i%2 == 1 {
-			want = trace.Phase{Name: "nnwrite", Start: want.End, End: want.End + 1}
+			phase, start, end = "nnwrite", end, end+1
 		}
-		if ph != want {
-			t.Errorf("phase %d = %v, want %v", i, ph, want)
+		if ev.Stage != phase || ev.Start != start || ev.End != end ||
+			ev.StartEnergy != units.Joules(start) || ev.EndEnergy != units.Joules(end) {
+			t.Errorf("execution %d = %s [%v,%v] [%v,%v] J, want %s [%v,%v]",
+				i, ev.Stage, ev.Start, ev.End, ev.StartEnergy, ev.EndEnergy, phase, start, end)
 		}
 	}
 }
@@ -63,23 +73,33 @@ func TestEngineTimesAndAnnotatesStages(t *testing.T) {
 func TestEngineToleratesBareLedger(t *testing.T) {
 	clock := &fakeClock{}
 	led := NewLedger()
-	eng := New(clock, telemetry.NewBus(led), RetryPolicy{})
-	eng.Run("test", func(x *Exec) {
-		x.Do(stSim, func() { clock.now += 5 })
+	eng := New(clock, telemetry.NewBus(led))
+	eng.Run("test", func(eng *Engine) {
+		eng.Do("simulation", func() { clock.now += 5 })
 	})
 	if got := led.StageTime["simulation"]; got != 5 {
 		t.Errorf("stage time = %v, want 5 (uninstrumented runs still keep the ledger)", got)
 	}
 }
 
+// retryBackoffs collects the backoff of every write or read retry.
+func retryBackoffs(into *[]units.Seconds) telemetry.Consumer {
+	return telemetry.ConsumerFunc(func(ev telemetry.Event) {
+		if ev.Kind == telemetry.KindRetryAttempt && (ev.Op == telemetry.RetryWrite || ev.Op == telemetry.RetryRead) {
+			*into = append(*into, ev.Backoff)
+		}
+	})
+}
+
 func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
 	clock := &fakeClock{}
 	led := NewLedger()
-	eng := New(clock, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
+	var backoffs []units.Seconds
+	eng := New(clock, telemetry.NewBus(led, retryBackoffs(&backoffs)))
 	failures := 2
 	var ok bool
-	eng.Run("test", func(x *Exec) {
-		ok = x.WriteRetry(func() error {
+	eng.Run("test", func(eng *Engine) {
+		ok = eng.WriteRetry(func() error {
 			if failures > 0 {
 				failures--
 				return errors.New("transient")
@@ -94,7 +114,10 @@ func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
 	if rec.WriteRetries != 2 || rec.LostWrites != 0 {
 		t.Errorf("recovery = %+v, want 2 retries, 0 lost", rec)
 	}
-	// Exponential backoff: 0.5 + 1.0 seconds of charged idle time.
+	// Exponential backoff: 0.5 then 1.0 seconds of charged idle time.
+	if len(backoffs) != 2 || backoffs[0] != 0.5 || backoffs[1] != 1 {
+		t.Errorf("backoffs = %v, want [0.5 1]", backoffs)
+	}
 	if clock.idle != 1.5 || rec.BackoffTime != 1.5 {
 		t.Errorf("backoff charged %v (ledger %v), want 1.5", clock.idle, rec.BackoffTime)
 	}
@@ -102,13 +125,17 @@ func TestWriteRetrySucceedsWithinBudget(t *testing.T) {
 
 func TestWriteRetryExhaustionCountsLostWrite(t *testing.T) {
 	led := NewLedger()
-	eng := New(&fakeClock{}, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 3, Backoff: 0.5})
+	eng := New(&fakeClock{}, telemetry.NewBus(led))
 	var ok bool
-	eng.Run("test", func(x *Exec) {
-		ok = x.WriteRetry(func() error { return errors.New("permanent") })
+	attempts := 0
+	eng.Run("test", func(eng *Engine) {
+		ok = eng.WriteRetry(func() error { attempts++; return errors.New("permanent") })
 	})
 	if ok {
 		t.Fatal("write reported success despite permanent failure")
+	}
+	if attempts != 3 {
+		t.Errorf("write attempted %d times, want 3", attempts)
 	}
 	rec := led.Recovery
 	if rec.WriteRetries != 2 || rec.LostWrites != 1 {
@@ -120,26 +147,24 @@ func TestWriteRetryExhaustionCountsLostWrite(t *testing.T) {
 }
 
 func TestReadRetryNeverCountsLostWrites(t *testing.T) {
+	clock := &fakeClock{}
 	led := NewLedger()
-	eng := New(&fakeClock{}, telemetry.NewBus(led), RetryPolicy{MaxAttempts: 2, Backoff: 0.25})
-	eng.Run("test", func(x *Exec) {
-		if x.ReadRetry(func() error { return errors.New("corrupt") }) {
+	var backoffs []units.Seconds
+	eng := New(clock, telemetry.NewBus(led, retryBackoffs(&backoffs)))
+	attempts := 0
+	eng.Run("test", func(eng *Engine) {
+		if eng.ReadRetry(func() error { attempts++; return errors.New("corrupt") }) {
 			t.Error("read reported success despite permanent corruption")
 		}
 	})
+	if attempts != 3 {
+		t.Errorf("read attempted %d times, want 3", attempts)
+	}
 	rec := led.Recovery
-	if rec.ReadRetries != 1 || rec.LostWrites != 0 {
-		t.Errorf("recovery = %+v, want 1 read retry and no lost writes", rec)
+	if rec.ReadRetries != 2 || rec.LostWrites != 0 {
+		t.Errorf("recovery = %+v, want 2 read retries and no lost writes", rec)
 	}
-}
-
-func TestRetryPolicyDefaults(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
-	if p.MaxAttempts != 3 || p.Backoff != 0.5 {
-		t.Errorf("defaults = %+v, want 3 attempts / 0.5 s", p)
-	}
-	q := RetryPolicy{MaxAttempts: 7, Backoff: 2}.WithDefaults()
-	if q.MaxAttempts != 7 || q.Backoff != 2 {
-		t.Errorf("explicit policy clobbered: %+v", q)
+	if len(backoffs) != 2 || backoffs[0] != 0.5 || backoffs[1] != 1 || clock.idle != 1.5 {
+		t.Errorf("backoffs = %v (idle %v), want [0.5 1] (1.5)", backoffs, clock.idle)
 	}
 }

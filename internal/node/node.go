@@ -438,8 +438,8 @@ type Instruments struct {
 
 // NewInstruments attaches a Wattsup meter and a RAPL monitor emitting
 // onto tel (nil means a fresh private bus), with a trace recorder
-// materializing their samples — and the engine's stage annotations —
-// into a fresh profile, mirroring the paper's Figure 3 setup. The
+// materializing their samples into a fresh profile, mirroring the
+// paper's Figure 3 setup. The
 // recorder is attached before the samplers are built so it sees their
 // series definitions; series order (system, rapl.PKG, rapl.DRAM) is
 // therefore stable, which fixes the trace CSV column order.

@@ -160,10 +160,8 @@ func (o *jobTelemetry) Consume(ev telemetry.Event) {
 	case telemetry.KindRunStart:
 		o.log.Emit(Event{Type: "run", Run: ev.Run})
 	case telemetry.KindStageDone:
-		o.met.addStageTime(ev.Stage, ev.End-ev.Start)
-		if ev.HasEnergy {
-			o.met.addStageEnergy(ev.Stage, ev.EndEnergy-ev.StartEnergy)
-		}
+		o.met.addStageTime(ev.Stage, ev.Duration())
+		o.met.addStageEnergy(ev.Stage, ev.Energy())
 		o.mu.Lock()
 		first := !o.seen[ev.Stage]
 		o.seen[ev.Stage] = true

@@ -2,13 +2,13 @@
 // subsystem speaks. Producers — the stagegraph engine, the retry and
 // recovery machinery, the fault injector, the RAPL and Wattsup
 // samplers — emit typed Events into one Bus per run; accountants — the
-// per-stage time and energy ledgers, the trace phase annotator, the
-// greenness meter summary, the service daemon's SSE progress log and
-// Prometheus counters — subscribe as Consumers and derive their view
-// from the same stream. Faithful in-situ simulation frameworks
-// converge on exactly this shape (SIM-SITU, arXiv:2112.15067; the
-// in-situ survey arXiv:2212.14817): one instrumented event stream all
-// analyses consume, instead of one bespoke hook per analysis.
+// per-stage time and energy ledger, the trace recorder of instrument
+// series, the service daemon's SSE progress log and Prometheus
+// counters — subscribe as Consumers and derive their view from the
+// same stream. Faithful in-situ simulation frameworks converge on
+// exactly this shape (SIM-SITU, arXiv:2112.15067; the in-situ survey
+// arXiv:2212.14817): one instrumented event stream all analyses
+// consume, instead of one bespoke hook per analysis.
 //
 // The hot-path contract mirrors the nil-observer discipline this
 // stream replaces: with no consumers attached, emitting costs a nil
@@ -33,12 +33,10 @@ type Kind uint8
 const (
 	// KindRunStart opens one pipeline run (Run is set).
 	KindRunStart Kind = iota
-	// KindStageStart opens one timed stage execution (Stage, On,
-	// Start).
+	// KindStageStart opens one timed stage execution (Stage, Start).
 	KindStageStart
-	// KindStageDone closes one timed stage execution (Stage, On, Start,
-	// End; StartEnergy/EndEnergy when the engine's clock meters energy —
-	// HasEnergy says so).
+	// KindStageDone closes one timed stage execution (Stage, Start,
+	// End, StartEnergy, EndEnergy).
 	KindStageDone
 	// KindEnergySample is one instrument reading: Source names the
 	// series ("system", "rapl.PKG", ...), At is the reading time, Value
@@ -125,11 +123,8 @@ type Event struct {
 
 	// Run is the pipeline name (KindRunStart / KindRunEnd).
 	Run string
-	// Stage is the stage's phase name; On the resource instance it ran
-	// against: "node" (the simulation node, in every pipeline) or
-	// "link" (the interconnect of a two-node cluster).
+	// Stage is the stage's phase name.
 	Stage string
-	On    string
 	// Start and End bracket a stage execution in virtual time.
 	Start, End units.Seconds
 	// At timestamps point events (energy samples).
@@ -141,11 +136,9 @@ type Event struct {
 	// Value is the sample reading, or a fault's charged stall.
 	Value float64
 	// StartEnergy and EndEnergy bracket a stage execution in cumulative
-	// system energy when HasEnergy is set (the engine's clock exposes a
-	// meter) — the per-stage energy attribution the paper's greenness
-	// argument rests on.
+	// system energy — the per-stage energy attribution the paper's
+	// greenness argument rests on.
 	StartEnergy, EndEnergy units.Joules
-	HasEnergy              bool
 	// Op, Attempt, and Backoff describe one KindRetryAttempt.
 	Op      RetryOp
 	Attempt int
@@ -155,14 +148,8 @@ type Event struct {
 // Duration returns the stage execution's virtual length.
 func (e Event) Duration() units.Seconds { return e.End - e.Start }
 
-// Energy returns the stage execution's metered energy (0 when the run
-// was not energy-metered).
-func (e Event) Energy() units.Joules {
-	if !e.HasEnergy {
-		return 0
-	}
-	return e.EndEnergy - e.StartEnergy
-}
+// Energy returns the stage execution's metered energy.
+func (e Event) Energy() units.Joules { return e.EndEnergy - e.StartEnergy }
 
 // Consumer receives events. Consume runs synchronously on the
 // producing goroutine, in attachment order; it must not block. A

@@ -58,10 +58,6 @@ func TestAttachNilConsumerPanics(t *testing.T) {
 
 func TestEnergyHelper(t *testing.T) {
 	ev := Event{Kind: KindStageDone, StartEnergy: 10, EndEnergy: 25}
-	if ev.Energy() != 0 {
-		t.Errorf("Energy() without HasEnergy = %v, want 0", ev.Energy())
-	}
-	ev.HasEnergy = true
 	if ev.Energy() != 15 {
 		t.Errorf("Energy() = %v, want 15", ev.Energy())
 	}
