@@ -140,9 +140,6 @@ func (s *Solver) Params() Params { return s.params }
 // Field returns the height-anomaly field (the visualized quantity).
 func (s *Solver) Field() *field.Grid { return s.h }
 
-// Velocity returns the velocity component fields.
-func (s *Solver) Velocity() (u, v *field.Grid) { return s.u, s.v }
-
 // Steps returns the sub-steps taken.
 func (s *Solver) Steps() uint64 { return s.steps }
 

@@ -139,9 +139,6 @@ func (fs *FileSystem) ServersEnergy() units.Joules {
 // Stats returns the client-observed counters.
 func (fs *FileSystem) Stats() Stats { return fs.stats }
 
-// Uplink returns the shared client link (for tests and reports).
-func (fs *FileSystem) Uplink() *netio.Link { return fs.uplink }
-
 // SetFaults attaches a fault injector; nil detaches it. The injector
 // covers the RPC layer here (drops, header rot); the server disks keep
 // their own timing model and are not individually faulted.

@@ -91,17 +91,6 @@ func (m *CPUModel) SetFrequency(ghz float64) {
 	m.apply()
 }
 
-// FrequencyScale returns the dynamic-power multiplier for the
-// effective (cap-throttled) DVFS point: (f/fnom)³, the classic f·V²
-// approximation.
-func (m *CPUModel) FrequencyScale() float64 {
-	if m.NominalGHz == 0 {
-		return 1
-	}
-	r := m.EffectiveGHz() / m.NominalGHz
-	return r * r * r
-}
-
 // EffectiveGHz returns the operating frequency after the power cap is
 // applied: CurrentGHz when uncapped or under the cap, otherwise the
 // highest frequency that keeps package power at the cap (floored at

@@ -42,9 +42,6 @@ func (d Domain) String() string {
 // EnergyUnit is the Sandy Bridge RAPL energy resolution: 2^-16 J.
 const EnergyUnit = 1.0 / 65536
 
-// CounterBits is the width of the energy-status MSR field.
-const CounterBits = 32
-
 // EnergySource yields cumulative joules for a domain. PKG and DRAM wrap
 // power.Domain energies; PP0 subtracts the modeled uncore floor.
 type EnergySource func() units.Joules

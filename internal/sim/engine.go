@@ -31,9 +31,6 @@ type Event struct {
 	cancelled bool
 }
 
-// When returns the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.when }
-
 // Cancel prevents the event's callback from running. Cancelling an
 // already-fired or already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.cancelled = true }
@@ -88,10 +85,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many event callbacks have run, for diagnostics.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled (including cancelled
-// ones not yet reaped).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute virtual time t. It panics if t is
 // in the past.
 func (e *Engine) At(t Time, fn func()) *Event {
@@ -141,16 +134,12 @@ func (e *Engine) AdvanceTo(t Time) {
 
 // Drain fires all remaining events, advancing the clock as needed, until
 // the queue is empty. Periodic samplers must be stopped first or Drain
-// will never terminate; use DrainUntil to bound it.
+// will never terminate; use AdvanceTo to bound it.
 func (e *Engine) Drain() {
 	for len(e.queue) > 0 {
 		e.step()
 	}
 }
-
-// DrainUntil fires events up to and including time t, then sets the
-// clock to t.
-func (e *Engine) DrainUntil(t Time) { e.AdvanceTo(t) }
 
 // runUntil fires all events with when <= target, then sets now = target.
 func (e *Engine) runUntil(target Time) {

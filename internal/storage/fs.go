@@ -225,10 +225,6 @@ func (f *File) Name() string { return f.name }
 // Size returns the logical length.
 func (f *File) Size() units.Bytes { return f.size }
 
-// Extents returns the file's media extents in logical order. The slice
-// is owned by the file.
-func (f *File) Extents() []Range { return f.extents }
-
 // FragmentRuns returns how many physically-contiguous runs the file
 // occupies: 1 means perfectly sequential on media.
 func (f *File) FragmentRuns() int {

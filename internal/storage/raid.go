@@ -57,9 +57,6 @@ func (s *StripedDisk) SetFaults(inj *fault.Injector) {
 	}
 }
 
-// StripeUnit returns the stripe size.
-func (s *StripedDisk) StripeUnit() units.Bytes { return s.stripe }
-
 // Capacity returns the array capacity (sum of members).
 func (s *StripedDisk) Capacity() units.Bytes {
 	return units.Bytes(len(s.members)) * s.members[0].Capacity()

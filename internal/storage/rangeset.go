@@ -79,9 +79,6 @@ func (s *RangeSet) First() Range { return s.chunks[0][0] }
 // Empty reports whether the set covers no bytes.
 func (s *RangeSet) Empty() bool { return s.n == 0 }
 
-// Clear removes all ranges.
-func (s *RangeSet) Clear() { *s = RangeSet{} }
-
 // Clone returns an independent copy of the set.
 func (s *RangeSet) Clone() *RangeSet {
 	c := &RangeSet{chunks: make([][]Range, len(s.chunks)), n: s.n, bytes: s.bytes}

@@ -42,52 +42,9 @@ func TestSummarizeAllNonFinite(t *testing.T) {
 	}
 }
 
-func TestStatsHelpersSkipNonFinite(t *testing.T) {
-	s := mixedSeries()
-	if p := s.Percentile(50); math.IsNaN(p) || math.IsInf(p, 0) || p < 100 || p > 160 {
-		t.Errorf("Percentile(50) = %v", p)
-	}
-	if sd := s.StdDev(); math.IsNaN(sd) || math.IsInf(sd, 0) {
-		t.Errorf("StdDev = %v", sd)
-	}
-	for _, b := range s.Histogram(4) {
-		if b.Count < 0 || b.Count > 4 {
-			t.Errorf("histogram bin %+v counts non-finite samples", b)
-		}
-	}
-	if e := s.EnergyAbove(0); math.IsNaN(float64(e)) || math.IsInf(float64(e), 0) {
-		t.Errorf("EnergyAbove = %v", e)
-	}
-	if in := s.Integral(); math.IsNaN(float64(in)) || math.IsInf(float64(in), 0) {
+func TestIntegralSkipsNonFinite(t *testing.T) {
+	if in := mixedSeries().Integral(); math.IsNaN(float64(in)) || math.IsInf(float64(in), 0) {
 		t.Errorf("Integral = %v", in)
-	}
-}
-
-func TestHistogramAllNonFinite(t *testing.T) {
-	s := NewSeries("dead", "W")
-	s.Append(0, math.NaN())
-	if bins := s.Histogram(4); bins != nil {
-		t.Errorf("Histogram of all-NaN series = %v, want nil", bins)
-	}
-}
-
-func TestMovingAverageBridgesNonFinite(t *testing.T) {
-	s := NewSeries("noisy", "W")
-	for i := 0; i < 10; i++ {
-		v := 100.0
-		if i == 4 {
-			v = math.NaN()
-		}
-		s.Append(units.Seconds(i), v)
-	}
-	ma := s.MovingAverage(3)
-	for _, sm := range ma.Samples() {
-		if math.IsNaN(sm.V) || math.IsInf(sm.V, 0) {
-			t.Fatalf("moving average emitted non-finite at t=%v despite finite neighbors", sm.T)
-		}
-		if sm.V != 100 {
-			t.Errorf("moving average at t=%v = %v, want 100", sm.T, sm.V)
-		}
 	}
 }
 
