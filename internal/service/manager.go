@@ -272,11 +272,15 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		// submit landing in that window would otherwise attach to the
 		// doomed execution and observe its stale error even though an
 		// identical resubmit is supposed to retry. A terminal non-done
-		// entry here is exactly that window — drop it and fall through
-		// to a fresh execution (finish's own eviction is guarded by an
-		// identity check, so it won't delete the replacement).
+		// entry here is exactly that window. So is an unfinished one
+		// whose context Cancel has canceled: it ends canceled at its
+		// next cancellation point (a done execution's context is always
+		// canceled, by finish). Drop it and fall through to a fresh
+		// execution (finish's own eviction is guarded by an identity
+		// check, so it won't delete the replacement).
 		e.mu.Lock()
-		stale := e.state == StateFailed || e.state == StateCanceled
+		stale := e.state == StateFailed || e.state == StateCanceled ||
+			(e.state != StateDone && e.ctx.Err() != nil)
 		if !stale {
 			e.refs++
 			done := e.state == StateDone

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -304,6 +305,53 @@ func TestFailureEvicted(t *testing.T) {
 	waitState(t, retry, StateDone)
 	if stub.callCount() != 2 {
 		t.Errorf("retry did not re-run (calls = %d)", stub.callCount())
+	}
+}
+
+// TestResubmitAfterCancelRunsAfresh: a cancel takes effect at the
+// run's next cancellation point, so a resubmit can land while the
+// canceled execution is still running. It must not attach to that
+// doomed execution: it runs afresh and ends done.
+func TestResubmitAfterCancelRunsAfresh(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int32
+	m := newStubManager(t, Options{Workers: 1}, &stubRunner{})
+	m.run = func(ctx context.Context, _ JobSpec, _ *jobTelemetry) ([]byte, error) {
+		calls.Add(1)
+		<-release // deaf to ctx, like a run between two telemetry events
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return []byte("fresh"), nil
+	}
+	spec := JobSpec{Experiment: "fig4"}
+	first, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, first, StateRunning)
+	if _, err := m.Cancel(first.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	second, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	close(release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if st := second.Wait(ctx); st != StateDone {
+		t.Fatalf("resubmitted job ended %s, want done", st)
+	}
+	if second.Deduped() {
+		t.Error("resubmit was deduped onto the canceled execution")
+	}
+	if body, _ := second.Report(); string(body) != "fresh" {
+		t.Errorf("resubmit report = %q, want fresh", body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("runner called %d times, want 2", n)
 	}
 }
 
