@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -86,20 +85,20 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if err := service.DecodeStrict(r.Body, &spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				service.HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("campaign spec exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
+			service.HTTPError(w, http.StatusBadRequest, fmt.Errorf("decode campaign spec: %w", err))
 			return
 		}
 		c, known, err := m.start(spec)
 		if err != nil {
 			var bad *service.BadSpecError
 			if errors.As(err, &bad) {
-				httpError(w, http.StatusBadRequest, err)
+				service.HTTPError(w, http.StatusBadRequest, err)
 			} else {
-				httpError(w, http.StatusServiceUnavailable, err)
+				service.HTTPError(w, http.StatusServiceUnavailable, err)
 			}
 			return
 		}
@@ -107,7 +106,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if known {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, viewOf(c, false))
+		service.WriteJSON(w, status, viewOf(c, false))
 	})
 
 	mux.HandleFunc("GET /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
@@ -115,7 +114,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		for _, c := range m.List() {
 			out = append(out, viewOf(c, false))
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -123,7 +122,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, viewOf(c, true))
+		service.WriteJSON(w, http.StatusOK, viewOf(c, true))
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}/report", func(w http.ResponseWriter, r *http.Request) {
@@ -133,7 +132,7 @@ func (m *Manager) Register(mux *http.ServeMux) {
 		}
 		body, done := c.Report()
 		if !done {
-			httpError(w, http.StatusConflict,
+			service.HTTPError(w, http.StatusConflict,
 				fmt.Errorf("campaign %s is %s, report available once done", c.ID, c.State()))
 			return
 		}
@@ -155,22 +154,8 @@ func (m *Manager) Register(mux *http.ServeMux) {
 func (m *Manager) lookup(w http.ResponseWriter, r *http.Request) (*Campaign, bool) {
 	c, err := m.Get(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		service.HTTPError(w, http.StatusNotFound, err)
 		return nil, false
 	}
 	return c, true
-}
-
-// writeJSON writes v as an indented JSON response (the service API's
-// encoding, duplicated here because the helpers are unexported there).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -64,11 +64,11 @@ func Handler(m *Manager) *http.ServeMux {
 		if err := DecodeStrict(r.Body, &spec); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				httpError(w, http.StatusRequestEntityTooLarge,
+				HTTPError(w, http.StatusRequestEntityTooLarge,
 					fmt.Errorf("spec body exceeds %d bytes", tooBig.Limit))
 				return
 			}
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 			return
 		}
 		job, err := m.Submit(spec)
@@ -76,17 +76,17 @@ func Handler(m *Manager) *http.ServeMux {
 			var bad *BadSpecError
 			switch {
 			case errors.As(err, &bad):
-				httpError(w, http.StatusBadRequest, err)
+				HTTPError(w, http.StatusBadRequest, err)
 			case errors.Is(err, ErrQueueFull):
-				httpError(w, http.StatusTooManyRequests, err)
+				HTTPError(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, ErrDraining):
-				httpError(w, http.StatusServiceUnavailable, err)
+				HTTPError(w, http.StatusServiceUnavailable, err)
 			default:
-				httpError(w, http.StatusInternalServerError, err)
+				HTTPError(w, http.StatusInternalServerError, err)
 			}
 			return
 		}
-		writeJSON(w, http.StatusAccepted, viewOf(job))
+		WriteJSON(w, http.StatusAccepted, viewOf(job))
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -99,7 +99,7 @@ func Handler(m *Manager) *http.ServeMux {
 		if s := r.URL.Query().Get("limit"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n <= 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("limit %q must be a positive integer", s))
+				HTTPError(w, http.StatusBadRequest, fmt.Errorf("limit %q must be a positive integer", s))
 				return
 			}
 			limit = n
@@ -112,7 +112,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, j := range jobs {
 			views = append(views, viewOf(j))
 		}
-		writeJSON(w, http.StatusOK, jobsPage{Jobs: views, Next: next})
+		WriteJSON(w, http.StatusOK, jobsPage{Jobs: views, Next: next})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -120,16 +120,16 @@ func Handler(m *Manager) *http.ServeMux {
 		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, viewOf(job))
+		WriteJSON(w, http.StatusOK, viewOf(job))
 	})
 
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		state, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			httpError(w, http.StatusNotFound, err)
+			HTTPError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]State{"state": state})
+		WriteJSON(w, http.StatusOK, map[string]State{"state": state})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}/report", func(w http.ResponseWriter, r *http.Request) {
@@ -140,7 +140,7 @@ func Handler(m *Manager) *http.ServeMux {
 		body, done := job.Report()
 		if !done {
 			st := job.State()
-			httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s, report available once done", job.ID, st))
+			HTTPError(w, http.StatusConflict, fmt.Errorf("job %s is %s, report available once done", job.ID, st))
 			return
 		}
 		if job.Spec.Kind == KindPipeline {
@@ -169,7 +169,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, e := range experiments.Registry() {
 			out = append(out, expView{e.ID, e.Description})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /v1/pipelines", func(w http.ResponseWriter, r *http.Request) {
@@ -182,7 +182,7 @@ func Handler(m *Manager) *http.ServeMux {
 		for _, p := range core.Pipelines() {
 			out = append(out, pipeView{p.Flag(), p.String(), p.Clustered()})
 		}
-		writeJSON(w, http.StatusOK, out)
+		WriteJSON(w, http.StatusOK, out)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -203,14 +203,15 @@ func Handler(m *Manager) *http.ServeMux {
 func lookup(w http.ResponseWriter, m *Manager, r *http.Request) (*Job, bool) {
 	job, err := m.Job(r.PathValue("id"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, err)
+		HTTPError(w, http.StatusNotFound, err)
 		return nil, false
 	}
 	return job, true
 }
 
-// writeJSON writes v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as an indented JSON response. The job API and
+// the campaign API both answer through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -218,7 +219,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// HTTPError writes a JSON error body, {"error": "..."}, with the given
+// status.
+func HTTPError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -28,7 +28,7 @@ import (
 func (l *EventLog[E]) Serve(w http.ResponseWriter, r *http.Request, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		HTTPError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
