@@ -127,8 +127,8 @@ func (c *Colormap) Map(t float64) color.RGBA {
 // lookup returns the color of t in (0, 1) packed as
 // R | G<<8 | B<<16 | A<<24: one table load, which for a mixed bucket
 // seeds the exact search. A NaN t indexes out of range and panics.
-// It inlines into the render fill's pixel loop at cost 80, exactly the
-// compiler's budget: check -gcflags=-m after any edit.
+// The render fill's row kernel does the table load itself; lookup
+// serves Map and the fill's slow pixels.
 func (c *Colormap) lookup(t float64) uint32 {
 	e := c.table[int(t*tableSize)]
 	if e < 1<<24 {
@@ -149,9 +149,11 @@ func (c *Colormap) exact(lower uint32, t float64) uint32 {
 	lo, hi := c.stops[i-1], c.stops[i]
 	f := (t - lo) / (hi - lo)
 	s := &c.seg[i-1]
-	return uint32(uint8(s.r0+f*s.dr+0.5)) |
-		uint32(uint8(s.g0+f*s.dg+0.5))<<8 |
-		uint32(uint8(s.b0+f*s.db+0.5))<<16 |
+	// The products are rounded before the sums, so no GOARCH fuses
+	// them (a fused multiply-add would change colours off amd64).
+	return uint32(uint8(s.r0+float64(f*s.dr)+0.5)) |
+		uint32(uint8(s.g0+float64(f*s.dg)+0.5))<<8 |
+		uint32(uint8(s.b0+float64(f*s.db)+0.5))<<16 |
 		0xff<<24
 }
 

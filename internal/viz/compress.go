@@ -104,7 +104,7 @@ func DecompressField(blob []byte) (*field.Grid, error) {
 	var q uint16
 	for i := range g.Data {
 		q += binary.LittleEndian.Uint16(raw[24+i*2:])
-		g.Data[i] = lo + float64(q)/65535*span
+		g.Data[i] = lo + float64(float64(q)/65535*span) // no fused multiply-add
 	}
 	return g, nil
 }

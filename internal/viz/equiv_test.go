@@ -490,26 +490,30 @@ func countRowFilters(tb testing.TB, data []byte, counts *[5]int) {
 	}
 }
 
-// solverFrame renders and annotates a default heat or ocean field
-// after steps solver steps, with the app's pipeline colormap and
+// solverField returns a default heat or ocean field after steps solver
+// steps, and the app's pipeline render options: its colormap and
 // isolines at 512×512.
-func solverFrame(app string, steps int) *image.RGBA {
-	var g *heat.Grid
+func solverField(app string, steps int) (*heat.Grid, RenderOptions) {
 	opts := DefaultRenderOptions()
 	switch app {
 	case "heat":
 		s := heat.NewSolver(heat.DefaultParams())
 		s.Step(steps)
-		g = s.Field()
 		opts.Colormap, opts.Isolines = Inferno(), []float64{250, 500, 750}
+		return s.Field(), opts
 	case "ocean":
 		s := ocean.NewSolver(ocean.DefaultParams())
 		s.Step(steps)
-		g = s.Field()
 		opts.Colormap, opts.Isolines = CoolWarm(), []float64{0}
+		return s.Field(), opts
 	default:
 		panic("unknown app " + app)
 	}
+}
+
+// solverFrame renders and annotates solverField(app, steps).
+func solverFrame(app string, steps int) *image.RGBA {
+	g, opts := solverField(app, steps)
 	img, _ := Render(g, opts)
 	lo, hi := g.MinMax()
 	Annotate(img, AnnotateOptions{Step: uint64(steps), SimTime: float64(steps) / 4, Colormap: opts.Colormap, Lo: lo, Hi: hi})

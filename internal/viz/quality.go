@@ -45,7 +45,7 @@ func MSE(a, b *image.RGBA) float64 {
 			dr := float64(ca.R) - float64(cb.R)
 			dg := float64(ca.G) - float64(cb.G)
 			db := float64(ca.B) - float64(cb.B)
-			sum += dr*dr + dg*dg + db*db
+			sum += float64(dr*dr) + float64(dg*dg) + float64(db*db) // no fused multiply-add
 			n += 3
 		}
 	}

@@ -50,22 +50,35 @@ type renderScratch struct {
 	colX []int32
 	colW []float64
 
+	// t and slow are fillRow's per-row outputs: every pixel's
+	// normalized value, and the pixels whose colour is not one pure
+	// table entry.
+	t    []float64
+	slow []int32
+
 	// segs is the contour segment buffer every isoline reuses.
 	segs []Segment
 }
 
 // prepareColumns fills the per-column resample tables for a width-pixel
 // row over an nx-cell field row (identical values to the per-pixel
-// computation they replace).
+// computation they replace), and sizes the row scratch. Every x0 lies
+// in [0, nx-2] for nx >= 2.
 func (rs *renderScratch) prepareColumns(width, nx int, sx float64) {
 	if cap(rs.colX) < width {
 		rs.colX = make([]int32, width)
 		rs.colW = make([]float64, width)
+		rs.t = make([]float64, width)
+		rs.slow = make([]int32, width)
 	}
 	rs.colX = rs.colX[:width]
 	rs.colW = rs.colW[:width]
+	rs.t = rs.t[:width]
+	rs.slow = rs.slow[:width]
 	for px := 0; px < width; px++ {
-		fx := float64(px) * sx
+		// The explicit conversion rounds the product, so no GOARCH
+		// fuses it into fx - float64(x0) below.
+		fx := float64(float64(px) * sx)
 		x0 := int(fx)
 		if x0 >= nx-1 {
 			x0 = nx - 2
@@ -75,49 +88,78 @@ func (rs *renderScratch) prepareColumns(width, nx int, sx float64) {
 	}
 }
 
-// fill colormaps every pixel row of img: bilinear field resample at
-// the prepared columns and row step sy, then the colormap lookup of
-// (v-lo)*inv, stored as one 32-bit word per pixel. The per-row field
-// and Pix slices keep the inner loop free of offset math and interface
-// dispatch; the blend expression is the exact left-to-right form of
-// the naive version, so output bytes are unchanged.
+// fill colormaps every pixel row of img: fillRow resamples the field
+// bilinearly at the prepared columns and row step sy, normalizes to
+// t = (v-lo)*inv and stores each pixel whose bucket is one pure table
+// entry; the pixels it lists as slow get the clamps or the exact
+// colour here.
 func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, inv, sy float64) {
 	gnx := g.NX
-	colX, colW := rs.colX, rs.colW
-	width := len(colX)
+	width := len(rs.colX)
+	t, slow := rs.t, rs.slow
 	first, last := cm.first, cm.last
 	for py := 0; py < img.Rect.Dy(); py++ {
-		fy := float64(py) * sy
+		fy := float64(float64(py) * sy) // rounded, as in prepareColumns
 		y0 := int(fy)
 		if y0 >= g.NY-1 {
 			y0 = g.NY - 2
 		}
 		wy := fy - float64(y0)
-		omwy := 1 - wy
 		r0 := g.Data[y0*gnx : y0*gnx+gnx]
 		r1 := g.Data[(y0+1)*gnx : (y0+1)*gnx+gnx]
 		off := img.PixOffset(0, py)
 		row := img.Pix[off : off+width*4]
-		for px := 0; px < width; px++ {
-			x0 := int(colX[px])
-			wx := colW[px]
-			omwx := 1 - wx
-			v := omwx*omwy*r0[x0] +
-				wx*omwy*r0[x0+1] +
-				omwx*wy*r1[x0] +
-				wx*wy*r1[x0+1]
+		n := fillRow(row, t, slow, rs.colX, rs.colW, r0, r1, cm.table, 1-wy, wy, lo, inv)
+		for _, px := range slow[:n] {
 			var c uint32
-			switch t := (v - lo) * inv; {
-			case t <= 0:
+			switch v := t[px]; {
+			case v <= 0:
 				c = first
-			case t >= 1:
+			case v >= 1:
 				c = last
 			default:
-				c = cm.lookup(t)
+				c = cm.lookup(v)
 			}
 			binary.LittleEndian.PutUint32(row[4*px:], c)
 		}
 	}
+}
+
+// fillRowPortable colours one pixel row, the first n = min(len(row)/4,
+// len(t), len(slow), len(colX), len(colW)) pixels. For each pixel px it
+// resamples rows r0 and r1 of the field at column colX[px] with weight
+// colW[px], in the exact left-to-right form of the naive render, sets
+// t[px] = (v-lo)*inv, and writes table[int(t*tableSize)] to the row
+// when that index lies in [1, tableSize-1] and the entry is pure. It
+// appends every other pixel (t <= 0 or in bucket 0, t >= 1, NaN, a
+// mixed bucket) to slow, leaves its row bytes alone, and returns how
+// many it appended. It is fillRow on GOARCHes without an assembly
+// kernel, and the kernel's reference in the tests.
+func fillRowPortable(row []byte, t []float64, slow []int32, colX []int32, colW []float64, r0, r1 []float64, table *[tableSize]uint32, omwy, wy, lo, inv float64) int {
+	n := min(len(row)/4, len(t), len(slow), len(colX), len(colW))
+	ns := 0
+	for px := 0; px < n; px++ {
+		x0 := int(colX[px])
+		wx := colW[px]
+		omwx := 1 - wx
+		// Each product is rounded before the sum, so no GOARCH fuses
+		// a multiply into an add.
+		v := float64(omwx*omwy*r0[x0]) +
+			float64(wx*omwy*r0[x0+1]) +
+			float64(omwx*wy*r1[x0]) +
+			float64(wx*wy*r1[x0+1])
+		tv := (v - lo) * inv
+		t[px] = tv
+		if k := int(tv * tableSize); k >= 1 && k < tableSize {
+			if e := table[k]; e >= 1<<24 {
+				binary.LittleEndian.PutUint32(row[4*px:], e)
+				continue
+			}
+		}
+		slow[ns] = int32(px)
+		ns++
+	}
+	return ns
 }
 
 // RenderOptions configures a frame render.
@@ -152,10 +194,16 @@ type RenderStats struct {
 // Render rasterizes the field: bilinear resampling to Width×Height,
 // colormap application, optional isoline overlay. The returned raster
 // may come from the frame pool; hand it back with ReleaseFrame when
-// done to keep steady-state rendering allocation-free.
+// done to keep steady-state rendering allocation-free. It panics on a
+// field of fewer than 2×2 cells, which has nothing to resample.
 func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		panic(fmt.Sprintf("viz: render size %dx%d must be positive", opts.Width, opts.Height))
+	}
+	// fillRow reads the field at the prepared columns unchecked; they
+	// lie inside it only from two cells on.
+	if g.NX < 2 || g.NY < 2 {
+		panic(fmt.Sprintf("viz: render needs a field of at least 2x2 cells, not %dx%d", g.NX, g.NY))
 	}
 	cm := opts.Colormap
 	if cm == nil {
@@ -188,9 +236,10 @@ func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 		scaleX := float64(opts.Width-1) / float64(g.NX-1)
 		scaleY := float64(opts.Height-1) / float64(g.NY-1)
 		for _, s := range rs.segs {
+			// Rounded products, so no GOARCH fuses them into the + 0.5.
 			drawLine(img,
-				int(s.X0*scaleX+0.5), int(s.Y0*scaleY+0.5),
-				int(s.X1*scaleX+0.5), int(s.Y1*scaleY+0.5),
+				int(float64(s.X0*scaleX)+0.5), int(float64(s.Y0*scaleY)+0.5),
+				int(float64(s.X1*scaleX)+0.5), int(float64(s.Y1*scaleY)+0.5),
 				lineColor)
 		}
 	}

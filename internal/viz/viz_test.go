@@ -270,6 +270,37 @@ func BenchmarkRender512(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderFrame renders pipeline frames: each op renders one
+// of eight 128² solver fields, heat and ocean after 16, 80, 320 and 800
+// steps in turn, at 512×512 with the app's colormap and isolines.
+// BenchmarkRender512's 32×32 hot spot is no such frame.
+func BenchmarkRenderFrame(b *testing.B) {
+	type frame struct {
+		g    *heat.Grid
+		opts RenderOptions
+	}
+	var frames []frame
+	for _, steps := range []int{16, 80, 320, 800} {
+		for _, app := range []string{"heat", "ocean"} {
+			g, opts := solverField(app, steps)
+			frames = append(frames, frame{g, opts})
+		}
+	}
+	// The solver runs above may have emptied the pools; render every
+	// frame once, so the loop measures rendering, not the raster and
+	// the contour buffer growing.
+	for _, f := range frames {
+		img, _ := Render(f.g, f.opts)
+		ReleaseFrame(img)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := frames[i%len(frames)]
+		img, _ := Render(f.g, f.opts)
+		ReleaseFrame(img)
+	}
+}
+
 // pngSink keeps BenchmarkEncodePNG512's result live.
 var pngSink []byte
 

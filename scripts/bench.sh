@@ -26,10 +26,11 @@
 #      iteration each (they run the whole 24-experiment registry,
 #      ~30 s/op).
 #   2. The kernel pass: the serial hot kernels (heat/ocean
-#      BenchmarkStep128, viz BenchmarkRender512, BenchmarkEncodePNG512
-#      and BenchmarkEncodePNG512Ocean (an annotated heat and ocean
-#      frame), BenchmarkCompressField, checkpoint
-#      BenchmarkCheckpointEncode)
+#      BenchmarkStep128, viz BenchmarkRender512 (a 32×32 hot spot),
+#      BenchmarkRenderFrame (heat and ocean pipeline frames),
+#      BenchmarkEncodePNG512 and BenchmarkEncodePNG512Ocean (an
+#      annotated heat and ocean frame), BenchmarkCompressField,
+#      checkpoint BenchmarkCheckpointEncode)
 #      and the storage layer (fio
 #      BenchmarkRandWrite: one 64 MiB random-write test, nearly all
 #      page-cache range bookkeeping) at -cpu 1, also min-of-COUNT.
@@ -73,7 +74,7 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkRenderFrame|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
     ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
