@@ -12,23 +12,26 @@ test:
 # go vet (whose asmdecl pass checks the amd64 assembly against its Go
 # declarations), go vet and go build for arm64, so the portable code
 # that replaces the assembly on other GOARCHes compiles and vets too,
-# and a scan of internal/viz's arm64 assembly listing for fused
-# multiply-adds (FMADDD, FMSUBD, FNMADDD, FNMSUBD): Go may fuse x*y + z
-# on arm64 but never on amd64, so a fused product renders different
-# pixels there (wrap the product in float64() to round it). Runs in
-# under a minute once the build cache is warm; use it as the fast
-# pre-commit check.
+# and a scan of the arm64 assembly listings of internal/viz,
+# internal/heat and internal/ocean for fused multiply-adds (FMADDD,
+# FMSUBD, FNMADDD, FNMSUBD): Go may fuse x*y + z on arm64 but never on
+# amd64, so a fused product renders different pixels or steps
+# different fields there (wrap the product in float64() to round it).
+# Runs in under a minute once the build cache is warm; use it as the
+# fast pre-commit check.
 static:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/viz 2>&1) || { echo "$$asm"; exit 1; }; \
-	if ! echo "$$asm" | grep -q 'STEXT'; then \
-		echo "no arm64 assembly listing for internal/viz"; exit 1; fi; \
-	fma=$$(echo "$$asm" | grep -E 'FN?M(ADD|SUB)D[[:space:]]'); if [ -n "$$fma" ]; then \
-		echo "fused multiply-add in internal/viz on arm64:"; echo "$$fma"; exit 1; fi
+	@for pkg in viz heat ocean; do \
+		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
+		if ! echo "$$asm" | grep -q 'STEXT'; then \
+			echo "no arm64 assembly listing for internal/$$pkg"; exit 1; fi; \
+		fma=$$(echo "$$asm" | grep -E 'FN?M(ADD|SUB)D[[:space:]]'); if [ -n "$$fma" ]; then \
+			echo "fused multiply-add in internal/$$pkg on arm64:"; echo "$$fma"; exit 1; fi; \
+	done
 
 # check is the full pre-merge gate: the static-analysis gate, build
 # (library, CLI, daemon, and examples), vet and tests of the perfbench
@@ -40,12 +43,14 @@ static:
 # report against the committed golden digest), the golden-output
 # regression suites (run without race — the full experiment suite and
 # the campaign report golden are infeasible under the detector, so
-# they are skipped there and must run here explicitly), the viz and
-# deflate tests at GOARCH=386, which run the portable code that stands
-# in for the amd64 assembly (the render fill's row loop, the SWAR row
-# filter and the scalar Adler-32), and short fuzz passes over the
-# checkpoint decoder, the PNG encoder, the PNG encoder's Adler-32
-# (against hash/adler32), the render fill's row kernel (against the
+# they are skipped there and must run here explicitly), the viz,
+# deflate, heat and ocean tests at GOARCH=386, which run the portable
+# code that stands in for the amd64 assembly (the render fill's row
+# loop, the SWAR row filter, the scalar Adler-32 and the solvers'
+# stencil row loops), and short fuzz passes over the checkpoint
+# decoder, the PNG encoder, the PNG encoder's Adler-32 (against
+# hash/adler32), the render fill's row kernel, the heat sweep's and
+# the ocean momentum and continuity row kernels (each against its
 # portable loop), the job-spec decoder, the campaign-spec decoder and
 # expander, the deflate port (against compress/flate), the GET /v1/jobs
 # cursor and the result-store record decoder (seeds plus 10s of
@@ -58,11 +63,13 @@ check: static
 	$(GO) test -run '^TestDaemonSmoke$$' -timeout 10m ./cmd/greenvizd
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
-	GOARCH=386 $(GO) test ./internal/viz ./internal/deflate
+	GOARCH=386 $(GO) test ./internal/viz ./internal/deflate ./internal/heat ./internal/ocean
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzAdler32$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzFillRow$$' -fuzztime 10s ./internal/viz
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRow$$' -fuzztime 10s ./internal/heat
+	$(GO) test -run '^$$' -fuzz '^FuzzOceanRows$$' -fuzztime 10s ./internal/ocean
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignSpec$$' -fuzztime 10s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDeflate$$' -fuzztime 10s ./internal/deflate

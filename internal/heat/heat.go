@@ -86,7 +86,8 @@ func DefaultParams() Params {
 // StabilityLimit returns the largest stable FTCS time step for the
 // given diffusivity and spacing.
 func StabilityLimit(alpha, dx, dy float64) float64 {
-	return (dx * dx * dy * dy) / (2 * alpha * (dx*dx + dy*dy))
+	// Rounded squares, so no GOARCH fuses one into the sum.
+	return (dx * dx * dy * dy) / (2 * alpha * (float64(dx*dx) + float64(dy*dy)))
 }
 
 // Solver advances the heat equation. Distinct solvers may step
@@ -229,36 +230,45 @@ func (s *Solver) stepOnce() {
 }
 
 // sweep applies the FTCS stencil to every interior row of cur, writing
-// next.
+// next, one sweepRow call per row.
 func (s *Solver) sweep() {
-	cur, next := s.cur, s.next
+	cur, next := s.cur.Data, s.next.Data
 	nx := s.params.NX
-	rx, ry := s.rx, s.ry
 	for y := 1; y < s.params.NY-1; y++ {
 		row := y * nx
-		// Equal-length row slices let the prove pass drop the five
-		// per-cell bounds checks: x < nx-1 bounds every index below.
-		c := cur.Data[row : row+nx]
-		up := cur.Data[row-nx : row]
-		down := cur.Data[row+nx : row+2*nx]
-		out := next.Data[row : row+nx]
-		// Interior-aligned equal-length views: ranging over the output
-		// view bounds every index, so the loop body carries no bounds
-		// checks at all (verified with -d=ssa/check_bce).
-		o := out[1 : nx-1]
-		cn := c[2 : 2+len(o)]
-		upi := up[1 : 1+len(o)]
-		dni := down[1 : 1+len(o)]
-		// Roll the center row through registers: the store to out
-		// could alias cur for all the compiler knows, so without the
-		// rolling window it reloads c[x-1], c[x], c[x+1] every cell.
-		cl, cc := c[0], c[1]
-		for k := range o {
-			cr := cn[k]
-			o[k] = cc +
-				rx*(cl-2*cc+cr) +
-				ry*(upi[k]-2*cc+dni[k])
-			cl, cc = cc, cr
-		}
+		sweepRow(next[row+1:row+nx-1], cur[row:row+nx],
+			cur[row-nx+1:row-1], cur[row+nx+1:row+2*nx-1], s.rx, s.ry)
+	}
+}
+
+// sweepRowPortable is the FTCS stencil over one row: for each of the
+// first n = min(len(o), len(c)-2, len(up), len(dn)) cells it sets
+//
+//	o[k] = c[k+1] + rx*(c[k]-2*c[k+1]+c[k+2]) + ry*(up[k]-2*c[k+1]+dn[k])
+//
+// left to right, and writes nothing past n. o must not overlap the
+// inputs. It is sweepRow on GOARCHes without an assembly kernel, and
+// the kernel's reference in the tests.
+func sweepRowPortable(o, c, up, dn []float64, rx, ry float64) {
+	n := min(len(o), len(c)-2, len(up), len(dn))
+	if n <= 0 {
+		return
+	}
+	// Equal-length views: ranging over o bounds every index, so the
+	// loop carries no bounds checks.
+	o, up, dn = o[:n], up[:n], dn[:n]
+	cn := c[2 : 2+n]
+	// Roll the center row through registers: the store to o could
+	// alias c for all the compiler knows, so without the rolling
+	// window it reloads c[k], c[k+1], c[k+2] every cell.
+	cl, cc := c[0], c[1]
+	for k := range o {
+		cr := cn[k]
+		// The rounded products keep arm64 from fusing them into the
+		// sums, so every GOARCH rounds as amd64 does.
+		o[k] = cc +
+			float64(rx*(cl-float64(2*cc)+cr)) +
+			float64(ry*(up[k]-float64(2*cc)+dn[k]))
+		cl, cc = cc, cr
 	}
 }

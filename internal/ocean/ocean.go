@@ -115,7 +115,8 @@ func (s *Solver) applyDrop(d Drop) {
 	for y := 0; y < s.params.NY; y++ {
 		for x := 0; x < s.params.NX; x++ {
 			dx, dy := float64(x-d.CX), float64(y-d.CY)
-			s.h.Data[y*s.params.NX+x] += d.Amplitude * math.Exp(-(dx*dx+dy*dy)*inv)
+			// Rounded products, so no GOARCH fuses one into a sum.
+			s.h.Data[y*s.params.NX+x] += float64(d.Amplitude * math.Exp(-(float64(dx*dx)+float64(dy*dy))*inv))
 		}
 	}
 }
@@ -176,7 +177,8 @@ func (s *Solver) Energy() float64 {
 		hh := s.h.Data[i]
 		uu := s.u.Data[i]
 		vv := s.v.Data[i]
-		e += 0.5*p.Gravity*hh*hh + 0.5*p.Depth*(uu*uu+vv*vv)
+		// Rounded products, so no GOARCH fuses one into a sum.
+		e += float64(0.5*p.Gravity*hh*hh) + float64(0.5*p.Depth*(float64(uu*uu)+float64(vv*vv)))
 	}
 	return e * p.DX * p.DY
 }
@@ -207,13 +209,9 @@ func (s *Solver) stepOnce() {
 	s.steps++
 }
 
-// Both passes sweep every interior row. They hoist equal-length row
-// slices so the prove pass drops the per-cell bounds checks, and roll
-// the gradient row through registers: the writes to the next-step
-// buffers could alias the current-step fields for all the compiler
-// knows, so without the rolling window every neighbor is reloaded each
-// cell. The arithmetic is the exact expression of the naive form —
-// output bits unchanged.
+// Both passes hand every interior row to a row function: momentumRow
+// and continuityRow, SSE2 kernels on amd64 (stencil_amd64.s) and the
+// portable loops below elsewhere, which round alike.
 
 // momentumPass writes nu, nv from the height gradient of h (+ Coriolis).
 func (s *Solver) momentumPass() {
@@ -222,33 +220,13 @@ func (s *Solver) momentumPass() {
 	gdtx := p.Gravity * p.DT / p.DX
 	gdty := p.Gravity * p.DT / p.DY
 	f := p.Coriolis * p.DT
+	h, u, v := s.h.Data, s.u.Data, s.v.Data
 	for y := 1; y < p.NY-1; y++ {
 		row := y * nx
-		h := s.h.Data[row : row+nx]
-		hup := s.h.Data[row-nx : row]
-		hdn := s.h.Data[row+nx : row+2*nx]
-		u := s.u.Data[row : row+nx]
-		v := s.v.Data[row : row+nx]
-		nu := s.nu.Data[row : row+nx]
-		nv := s.nv.Data[row : row+nx]
-		// Interior-aligned equal-length views: ranging over the nu view
-		// bounds every index, so the loop body carries no bounds checks
-		// (verified with -d=ssa/check_bce).
-		no := nu[1 : nx-1]
-		nvo := nv[1 : 1+len(no)]
-		hn := h[2 : 2+len(no)]
-		ui := u[1 : 1+len(no)]
-		vi := v[1 : 1+len(no)]
-		upi := hup[1 : 1+len(no)]
-		dni := hdn[1 : 1+len(no)]
-		hl, hc := h[0], h[1]
-		for k := range no {
-			hr := hn[k]
-			ux, vx := ui[k], vi[k]
-			no[k] = ux - gdtx*(hr-hl)/2 + f*vx
-			nvo[k] = vx - gdty*(dni[k]-upi[k])/2 - f*ux
-			hl, hc = hc, hr
-		}
+		in := row + 1 // the row's first interior cell
+		momentumRow(s.nu.Data[in:row+nx-1], s.nv.Data[in:row+nx-1],
+			h[row:row+nx], h[in-nx:row-1], h[in+nx:row+2*nx-1],
+			u[in:row+nx-1], v[in:row+nx-1], gdtx, gdty, f)
 	}
 }
 
@@ -258,26 +236,72 @@ func (s *Solver) continuityPass() {
 	nx := p.NX
 	hdtx := p.Depth * p.DT / p.DX
 	hdty := p.Depth * p.DT / p.DY
+	h, u, v := s.h.Data, s.u.Data, s.v.Data
 	for y := 1; y < p.NY-1; y++ {
 		row := y * nx
-		h := s.h.Data[row : row+nx]
-		u := s.u.Data[row : row+nx]
-		vup := s.v.Data[row-nx : row]
-		vdn := s.v.Data[row+nx : row+2*nx]
-		nh := s.nh.Data[row : row+nx]
-		no := nh[1 : nx-1]
-		hm := h[1 : 1+len(no)]
-		un := u[2 : 2+len(no)]
-		upi := vup[1 : 1+len(no)]
-		dni := vdn[1 : 1+len(no)]
-		ul, uc := u[0], u[1]
-		for k := range no {
-			ur := un[k]
-			no[k] = hm[k] -
-				hdtx*(ur-ul)/2 -
-				hdty*(dni[k]-upi[k])/2
-			ul, uc = uc, ur
-		}
+		in := row + 1
+		continuityRow(s.nh.Data[in:row+nx-1], h[in:row+nx-1], u[row:row+nx],
+			v[in-nx:row-1], v[in+nx:row+2*nx-1], hdtx, hdty)
+	}
+}
+
+// momentumRowPortable is the momentum update over one row: for each of
+// the first n = min(len(nu), len(nv), len(h)-2, len(hup), len(hdn),
+// len(u), len(v)) cells it sets
+//
+//	nu[k] = u[k] - gdtx*(h[k+2]-h[k])/2 + f*v[k]
+//	nv[k] = v[k] - gdty*(hdn[k]-hup[k])/2 - f*u[k]
+//
+// left to right, and writes nothing past n. nu and nv must not overlap
+// the inputs. It is momentumRow on GOARCHes without an assembly
+// kernel, and the kernel's reference in the tests.
+func momentumRowPortable(nu, nv, h, hup, hdn, u, v []float64, gdtx, gdty, f float64) {
+	n := min(len(nu), len(nv), len(h)-2, len(hup), len(hdn), len(u), len(v))
+	if n <= 0 {
+		return
+	}
+	// Equal-length views: ranging over nu bounds every index, so the
+	// loop carries no bounds checks.
+	nu, nv, hup, hdn, u, v = nu[:n], nv[:n], hup[:n], hdn[:n], u[:n], v[:n]
+	hn := h[2 : 2+n]
+	// Roll the gradient row through registers: the stores could alias
+	// h for all the compiler knows, so without the rolling window it
+	// reloads both neighbors every cell.
+	hl, hc := h[0], h[1]
+	for k := range nu {
+		hr := hn[k]
+		ux, vx := u[k], v[k]
+		// The rounded products keep arm64 from fusing them into the
+		// sums, so every GOARCH rounds as amd64 does.
+		nu[k] = ux - float64(gdtx*(hr-hl)/2) + float64(f*vx)
+		nv[k] = vx - float64(gdty*(hdn[k]-hup[k])/2) - float64(f*ux)
+		hl, hc = hc, hr
+	}
+}
+
+// continuityRowPortable is the continuity update over one row: for
+// each of the first n = min(len(nh), len(h), len(u)-2, len(vup),
+// len(vdn)) cells it sets
+//
+//	nh[k] = h[k] - hdtx*(u[k+2]-u[k])/2 - hdty*(vdn[k]-vup[k])/2
+//
+// left to right, and writes nothing past n. nh must not overlap the
+// inputs. It is continuityRow on GOARCHes without an assembly kernel,
+// and the kernel's reference in the tests.
+func continuityRowPortable(nh, h, u, vup, vdn []float64, hdtx, hdty float64) {
+	n := min(len(nh), len(h), len(u)-2, len(vup), len(vdn))
+	if n <= 0 {
+		return
+	}
+	nh, h, vup, vdn = nh[:n], h[:n], vup[:n], vdn[:n]
+	un := u[2 : 2+n]
+	ul, uc := u[0], u[1]
+	for k := range nh {
+		ur := un[k]
+		nh[k] = h[k] -
+			float64(hdtx*(ur-ul)/2) -
+			float64(hdty*(vdn[k]-vup[k])/2)
+		ul, uc = uc, ur
 	}
 }
 

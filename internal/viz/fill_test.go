@@ -3,9 +3,11 @@ package viz
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/heat"
@@ -290,20 +292,81 @@ func FuzzFillRow(f *testing.F) {
 	})
 }
 
+// renderPanic returns the message Render(g, opts) panics with, or ""
+// if it returns.
+func renderPanic(g *heat.Grid, opts RenderOptions) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	Render(g, opts)
+	return ""
+}
+
 // TestRenderPanicsOnNaN pins what a NaN field value does: the pixels
-// it reaches take the slow path, whose table lookup at
-// int(NaN·tableSize) indexes out of range (on amd64 and 386) and
-// panics, as the scalar fill did.
+// it reaches take the slow path, which panics with its own message on
+// every GOARCH (arm64 converts NaN to index 0, so the table lookup
+// alone would colour it there).
 func TestRenderPanicsOnNaN(t *testing.T) {
 	g := heat.NewGrid(128, 128)
 	for i := range g.Data {
 		g.Data[i] = float64(i % 97)
 	}
 	g.Set(70, 40, math.NaN())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Render of a field with a NaN cell did not panic")
+	if msg := renderPanic(g, DefaultRenderOptions()); !strings.Contains(msg, "normalizes to NaN") {
+		t.Fatalf("Render of a field with a NaN cell: panic %q, want one naming the NaN", msg)
+	}
+}
+
+// TestRenderFiniteRanges renders finite fields whose range has no
+// finite inverse: flat fields too large for the flat-field rule's +1
+// and spans of a few subnormals must render (they used to panic with
+// an index error), every pixel in the first or the last colour, since
+// t = v − lo is then a few ulps of v at most; a span that overflows
+// must panic with a message naming its ends.
+func TestRenderFiniteRanges(t *testing.T) {
+	fill := func(vals ...float64) *heat.Grid {
+		g := heat.NewGrid(16, 16)
+		for i := range g.Data {
+			g.Data[i] = vals[i%len(vals)]
 		}
-	}()
-	Render(g, DefaultRenderOptions())
+		return g
+	}
+	cm := Inferno()
+	for _, tc := range []struct {
+		name   string
+		g      *heat.Grid
+		lo, hi float64
+		panics string // the message names this, "" if it renders
+	}{
+		{name: "flat 1e16", g: fill(1e16)},
+		{name: "flat 2^53", g: fill(0x1p53)},
+		{name: "flat -max", g: fill(-math.MaxFloat64)},
+		{name: "0 and 5e-324", g: fill(0, 0, 0, 5e-324)},
+		{name: "range 0 to 1e-320", g: fill(0, 1e-320, 0, 5e-324), lo: 0, hi: 1e-320},
+		{name: "field -1e308 to 1e308", g: fill(-1e308, 1e308), panics: "-1e+308 to 1e+308 overflows"},
+		{name: "range -1e308 to 1e308", g: fill(0, 1), lo: -1e308, hi: 1e308, panics: "-1e+308 to 1e+308 overflows"},
+		{name: "range 1e308 to -1e308", g: fill(0, 1), lo: 1e308, hi: -1e308, panics: "1e+308 to -1e+308 overflows"},
+	} {
+		opts := RenderOptions{Width: 32, Height: 32, Colormap: cm, Lo: tc.lo, Hi: tc.hi}
+		msg := renderPanic(tc.g, opts)
+		if tc.panics != "" {
+			if !strings.Contains(msg, tc.panics) {
+				t.Errorf("%s: Render panic %q, want one naming %q", tc.name, msg, tc.panics)
+			}
+			continue
+		}
+		if msg != "" {
+			t.Errorf("%s: Render panicked: %s", tc.name, msg)
+			continue
+		}
+		img, _ := Render(tc.g, opts)
+		for i := 0; i < len(img.Pix); i += 4 {
+			if c := binary.LittleEndian.Uint32(img.Pix[i:]); c != cm.first && c != cm.last {
+				t.Errorf("%s: pixel %d is %#08x, neither the first colour %#08x nor the last %#08x", tc.name, i/4, c, cm.first, cm.last)
+				break
+			}
+		}
+	}
 }

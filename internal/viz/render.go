@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"math"
 	"sync"
 
 	"repro/internal/heat"
@@ -117,6 +118,8 @@ func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, i
 				c = first
 			case v >= 1:
 				c = last
+			case math.IsNaN(v):
+				panic(fmt.Sprintf("viz: pixel (%d, %d) normalizes to NaN: the field or its range holds a NaN", px, py))
 			default:
 				c = cm.lookup(v)
 			}
@@ -195,7 +198,9 @@ type RenderStats struct {
 // colormap application, optional isoline overlay. The returned raster
 // may come from the frame pool; hand it back with ReleaseFrame when
 // done to keep steady-state rendering allocation-free. It panics on a
-// field of fewer than 2×2 cells, which has nothing to resample.
+// field of fewer than 2×2 cells, which has nothing to resample, on a
+// range whose span overflows a float64 (such as −1e308 to 1e308), and
+// on a NaN in the field or the range.
 func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		panic(fmt.Sprintf("viz: render size %dx%d must be positive", opts.Width, opts.Height))
@@ -216,7 +221,16 @@ func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 			hi = lo + 1
 		}
 	}
+	if math.IsInf(hi-lo, 0) {
+		panic(fmt.Sprintf("viz: render range %g to %g overflows a float64", lo, hi))
+	}
 	inv := 1 / (hi - lo)
+	if math.IsInf(inv, 0) {
+		// A flat field of magnitude 2^53 or more absorbs the +1 above,
+		// and a span below about 2.2e-308 has no finite inverse: scale
+		// as for a flat field, or t at lo would be 0·Inf = NaN.
+		inv = 1
+	}
 
 	img := acquireRGBA(opts.Width, opts.Height)
 	rs := scratchPool.Get().(*renderScratch)
