@@ -13,10 +13,11 @@ test:
 # declarations), go vet and go build for arm64, so the portable code
 # that replaces the assembly on other GOARCHes compiles and vets too,
 # and a scan of the arm64 assembly listings of internal/viz,
-# internal/heat and internal/ocean for fused multiply-adds (FMADDD,
-# FMSUBD, FNMADDD, FNMSUBD): Go may fuse x*y + z on arm64 but never on
-# amd64, so a fused product renders different pixels or steps
-# different fields there (wrap the product in float64() to round it).
+# internal/heat, internal/ocean, internal/power and internal/node for
+# fused multiply-adds (FMADDD, FMSUBD, FNMADDD, FNMSUBD): Go may fuse
+# x*y + z on arm64 but never on amd64, so a fused product renders
+# different pixels, steps different fields or models different power
+# there (wrap the product in float64() to round it).
 # Runs in under a minute once the build cache is warm; use it as the
 # fast pre-commit check.
 static:
@@ -25,7 +26,7 @@ static:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
-	@for pkg in viz heat ocean; do \
+	@for pkg in viz heat ocean power node; do \
 		asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/$$pkg 2>&1) || { echo "$$asm"; exit 1; }; \
 		if ! echo "$$asm" | grep -q 'STEXT'; then \
 			echo "no arm64 assembly listing for internal/$$pkg"; exit 1; fi; \

@@ -55,7 +55,7 @@ func SandyBridgeSSD() Platform { return node.SandyBridgeSSD() }
 type Node = node.Node
 
 // NewNode instantiates a platform. The seed drives every stochastic
-// element (disk rotation, meter noise, OS jitter, allocation scatter).
+// element (disk rotation, meter noise, OS jitter).
 func NewNode(p Platform, seed uint64) *Node { return node.New(p, seed) }
 
 // Pipeline selects a visualization pipeline.

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // TestEncodeToSteadyStateAllocs is the allocation-regression guard for
@@ -44,7 +42,7 @@ func TestEncoderWriteRoundTrip(t *testing.T) {
 	g := sampleGrid()
 	var e Encoder
 	for i := uint64(0); i < 3; i++ {
-		f := fs.Create(fmt.Sprintf("enc-ckpt-%d", i), storage.AllocContiguous)
+		f := fs.Create(fmt.Sprintf("enc-ckpt-%d", i))
 		e.Write(f, g, i, float64(i)*0.5, 2048)
 		h, got, err := Read(f)
 		if err != nil {

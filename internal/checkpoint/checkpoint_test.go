@@ -19,7 +19,7 @@ func testFS(t *testing.T) (*sim.Engine, *storage.FileSystem) {
 	p.DeterministicRotation = true
 	d := storage.NewDisk(e, p, nil, xrand.New(1))
 	c := storage.NewPageCache(e, d, storage.LinuxPageCache())
-	return e, storage.NewFileSystem(e, d, c, storage.DefaultFS(), xrand.New(2))
+	return e, storage.NewFileSystem(e, d, c, storage.DefaultFS())
 }
 
 func sampleGrid() *heat.Grid {
@@ -32,7 +32,7 @@ func sampleGrid() *heat.Grid {
 
 func TestRoundTrip(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("ckpt-000", storage.AllocContiguous)
+	f := fs.Create("ckpt-000")
 	g := sampleGrid()
 	Write(f, g, 42, 3.5, 4096)
 
@@ -52,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRoundTripSurvivesColdRead(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("ckpt", storage.AllocContiguous)
+	f := fs.Create("ckpt")
 	g := sampleGrid()
 	Write(f, g, 1, 0.5, units.MiB)
 	f.Fsync()
@@ -72,7 +72,7 @@ func TestTotalSize(t *testing.T) {
 		t.Errorf("TotalSize = %d, want %d", got, want)
 	}
 	_, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	Write(f, heat.NewGrid(16, 12), 0, 0, 4096)
 	if f.Size() != want {
 		t.Errorf("file size = %d, want %d", f.Size(), want)
@@ -81,7 +81,7 @@ func TestTotalSize(t *testing.T) {
 
 func TestCorruptMagicDetected(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	Write(f, sampleGrid(), 0, 0, 0)
 	f.WriteAt([]byte("XXXXXXXX"), 0) // clobber magic
 	if _, _, err := Read(f); !errors.Is(err, ErrCorrupt) {
@@ -91,7 +91,7 @@ func TestCorruptMagicDetected(t *testing.T) {
 
 func TestCorruptFieldDetectedByCRC(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	Write(f, sampleGrid(), 0, 0, 0)
 	f.WriteAt([]byte{0xDE, 0xAD}, HeaderSize+100) // flip field bytes
 	if _, _, err := Read(f); !errors.Is(err, ErrCorrupt) {
@@ -101,7 +101,7 @@ func TestCorruptFieldDetectedByCRC(t *testing.T) {
 
 func TestTruncatedFileDetected(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	// Header claims a big payload the file doesn't have.
 	g := heat.NewGrid(8, 8)
 	Write(f, g, 0, 0, 0)
@@ -115,7 +115,7 @@ func TestTruncatedFileDetected(t *testing.T) {
 
 func TestImplausibleDimensionsDetected(t *testing.T) {
 	_, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	Write(f, sampleGrid(), 0, 0, 0)
 	h := Header{Version: 1, NX: 0, NY: 12}
 	f.WriteAt(encodeHeader(h), 0)
@@ -137,7 +137,7 @@ func TestHeaderEncodeDecode(t *testing.T) {
 
 func TestReadChargesPayloadTime(t *testing.T) {
 	e, fs := testFS(t)
-	f := fs.Create("c", storage.AllocContiguous)
+	f := fs.Create("c")
 	Write(f, sampleGrid(), 0, 0, 64*units.MiB)
 	f.Fsync()
 	fs.DropCaches()

@@ -206,7 +206,7 @@ func TestObserveWorkloadDetectsRandomTraffic(t *testing.T) {
 	// Drive a random-read pattern directly and confirm the observation
 	// classifies it as random and the advisor flips to reorganization.
 	n := testNode(62)
-	f := n.FS.Create("rnd", 0)
+	f := n.FS.Create("rnd")
 	n.WithIO(func() {
 		f.AppendSparse(256 * units.MiB)
 		f.Fsync()

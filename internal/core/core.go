@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/field"
 	"repro/internal/heat"
-	"repro/internal/storage"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/internal/viz"
@@ -185,8 +184,6 @@ type AppConfig struct {
 	InsituPayload units.Bytes
 	// Render configures the per-event visualization.
 	Render viz.RenderOptions
-	// CheckpointPolicy controls on-disk layout of checkpoint files.
-	CheckpointPolicy storage.AllocPolicy
 	// InsituNoSync skips the per-frame fsync of the in-situ pipeline
 	// (ablation knob: live monitoring without durability).
 	InsituNoSync bool
@@ -254,7 +251,6 @@ func DefaultAppConfig() AppConfig {
 			Width: 512, Height: 512,
 			Isolines: []float64{250, 500, 750},
 		},
-		CheckpointPolicy: storage.AllocContiguous,
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core/stagegraph"
 	"repro/internal/field"
-	"repro/internal/storage"
 	"repro/internal/units"
 	"repro/internal/viz"
 )
@@ -59,7 +58,7 @@ func (r *runner) postProgram(eng *stagegraph.Engine) {
 	n, cfg, cs := r.n, r.cfg, r.cs
 	store := cfg.Store
 	if store == nil {
-		store = localStore{n: n, policy: cfg.CheckpointPolicy, async: cfg.AsyncCheckpoint, enc: &checkpoint.Encoder{}}
+		store = localStore{n: n, async: cfg.AsyncCheckpoint, enc: &checkpoint.Encoder{}}
 	}
 	var ckpts []ckptRef
 	for i := 1; i <= cs.Iterations; i++ {
@@ -150,7 +149,7 @@ func (r *runner) insituVizEvent(eng *stagegraph.Engine, i int) {
 		}
 		n.WithIO(func() {
 			f := r.writeFrameFile(eng, png)
-			reduced := n.FS.Create(fmt.Sprintf("reduced-%04d", i), storage.AllocContiguous)
+			reduced := n.FS.Create(fmt.Sprintf("reduced-%04d", i))
 			eng.WriteRetry(func() error { return reduced.AppendSparse(payload) })
 			if !cfg.InsituNoSync {
 				f.Fsync()

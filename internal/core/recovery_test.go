@@ -7,6 +7,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/fault"
 	"repro/internal/node"
+	"repro/internal/units"
 )
 
 // faultyConfig arms the injector at rates high enough that a case-1
@@ -125,7 +126,7 @@ func TestDisabledFaultsAreFree(t *testing.T) {
 func TestLocalStoreReadErrorReturnsZeroValues(t *testing.T) {
 	n := testNode(9)
 	cfg := testConfig()
-	store := localStore{n: n, policy: cfg.CheckpointPolicy, enc: &checkpoint.Encoder{}}
+	store := localStore{n: n, enc: &checkpoint.Encoder{}}
 
 	g := newSimulator(cfg).Field()
 	if err := store.WriteCheckpoint("ck", g, 10, 1.5, cfg.CheckpointPayload); err != nil {
@@ -148,5 +149,34 @@ func TestLocalStoreReadErrorReturnsZeroValues(t *testing.T) {
 	}
 	if got == nil || step != 10 || simTime != 1.5 {
 		t.Errorf("clean re-read = grid %v, step %d, time %v; want original values", got, step, simTime)
+	}
+}
+
+// TestInstallFaultsReachesEveryDevice installs an always-spiking
+// latency injector on a node of each device platform, writes and
+// fsyncs a file and waits for the device to go idle: one spike per
+// media request shows the injector reached all the media under the
+// filesystem, every RAID member and the disk behind the NVRAM tier
+// included.
+func TestInstallFaultsReachesEveryDevice(t *testing.T) {
+	for _, dev := range DeviceFlags() {
+		p, err := PlatformByFlag(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := node.New(p, 1)
+		inj := fault.New(fault.Config{Seed: 1, Latency: 1})
+		n.InstallFaults(inj)
+		f := n.FS.Create("ckpt")
+		n.WithIO(func() {
+			f.AppendSparse(16 * units.MiB)
+			f.Fsync()
+		})
+		n.WaitDiskIdle()
+		n.StopNoise()
+		st := n.DiskStats()
+		if got, want := inj.Stats().LatencySpikes, st.Reads+st.Writes; got == 0 || got != want {
+			t.Errorf("%s: the injector counted %d latency spikes over %d media requests, want one each", dev, got, want)
+		}
 	}
 }

@@ -194,7 +194,7 @@ func (r *runner) countFrame(png []byte) {
 // leaves the frame absent from disk (it still counts toward Frames and
 // the checksum: the render happened).
 func (r *runner) writeFrameFile(eng *stagegraph.Engine, png []byte) *storage.File {
-	f := r.n.FS.Create(fmt.Sprintf("frame-%04d.png", r.frame), storage.AllocContiguous)
+	f := r.n.FS.Create(fmt.Sprintf("frame-%04d.png", r.frame))
 	r.frame++
 	eng.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 	return f
@@ -239,7 +239,7 @@ func (r *runner) renderCinemaVariants(eng *stagegraph.Engine, event int) {
 		r.n.Render(stats.Pixels, stats.ContourCells, units.Bytes(len(png)))
 		r.res.CinemaFrames++
 		r.n.WithIO(func() {
-			f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k), storage.AllocContiguous)
+			f := r.n.FS.Create(fmt.Sprintf("cinema-%04d-%02d.png", event, k))
 			eng.WriteRetry(func() error { return f.WriteSparseAt(0, units.Bytes(len(png))) })
 		})
 	}

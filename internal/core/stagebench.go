@@ -55,7 +55,7 @@ func CharacterizeStages(n *node.Node, cfg AppConfig, events int) StageCharacteri
 	for i := 0; i < events; i++ {
 		name := fmt.Sprintf("stage-ckpt-%04d", i)
 		names = append(names, name)
-		f := n.FS.Create(name, cfg.CheckpointPolicy)
+		f := n.FS.Create(name)
 		n.WithIO(func() {
 			// The characterization node carries no fault injector, so the
 			// write cannot fail transiently.

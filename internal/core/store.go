@@ -6,7 +6,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/field"
 	"repro/internal/node"
-	"repro/internal/storage"
 	"repro/internal/units"
 )
 
@@ -33,16 +32,15 @@ type CheckpointStore interface {
 // across the run's events; a store therefore serves one run at a time,
 // like the node it wraps.
 type localStore struct {
-	n      *node.Node
-	policy storage.AllocPolicy
-	async  bool
-	enc    *checkpoint.Encoder
+	n     *node.Node
+	async bool
+	enc   *checkpoint.Encoder
 }
 
 func (s localStore) WriteCheckpoint(name string, g *field.Grid, step uint64, simTime float64, payload units.Bytes) error {
 	// Replace any partial file a failed earlier attempt left behind.
 	s.n.FS.Delete(name)
-	f := s.n.FS.Create(name, s.policy)
+	f := s.n.FS.Create(name)
 	var err error
 	s.n.WithIO(func() {
 		if err = s.enc.Write(f, g, step, simTime, payload); err != nil {

@@ -136,15 +136,6 @@ func (s *Suite) comparison(i int) core.Comparison {
 // to export profiles without re-running pipelines.
 func (s *Suite) ComparisonFor(i int) core.Comparison { return s.comparison(i) }
 
-// comparisons returns all three case-study comparisons.
-func (s *Suite) comparisons() []core.Comparison {
-	out := make([]core.Comparison, 0, 3)
-	for i := range core.CaseStudies() {
-		out = append(out, s.comparison(i))
-	}
-	return out
-}
-
 // fioResults returns the cached Table III runs.
 func (s *Suite) fioResults() []fio.Result {
 	return s.fioOut.get(func() []fio.Result {

@@ -1,7 +1,10 @@
 // Package fio reimplements the fio disk-benchmark tests of the paper's
 // §V-D: sequential and random reads and writes of 4 GiB against the
 // simulated disk, measuring execution time, full-system power, and the
-// disk's dynamic power and energy (Table III).
+// disk's dynamic power and energy (Table III). The request sizes are
+// the paper's, 128 KiB sequential and 16 KiB random, and the disk's
+// dynamic power is the residual above the paper's 104.5 W idle node;
+// only the file size is configurable.
 //
 // Random tests use a shuffled full-coverage block map, like fio's
 // default randommap: every block is touched exactly once, in random
@@ -12,8 +15,15 @@ import (
 	"fmt"
 
 	"repro/internal/node"
-	"repro/internal/storage"
 	"repro/internal/units"
+)
+
+// The paper's request sizes, and the idle system power it attributes
+// the "disk dynamic power" residual against.
+const (
+	seqBlock     = 128 * units.KiB
+	randBlock    = 16 * units.KiB
+	idleBaseline = units.Watts(104.5)
 )
 
 // TestKind selects one of the four Table III workloads.
@@ -46,25 +56,10 @@ func (k TestKind) String() string {
 type Config struct {
 	// FileSize is the total data moved (4 GiB in the paper).
 	FileSize units.Bytes
-	// SeqBlock is the request size of sequential tests (128 KiB).
-	SeqBlock units.Bytes
-	// RandBlock is the request size of random tests (16 KiB).
-	RandBlock units.Bytes
-	// IdleBaseline is the idle system power used to attribute the
-	// "disk dynamic power" residual, as the paper does. Zero means
-	// "use the node's own static floor".
-	IdleBaseline units.Watts
 }
 
 // DefaultConfig returns the paper's 4 GiB test setup.
-func DefaultConfig() Config {
-	return Config{
-		FileSize:     4 * units.GiB,
-		SeqBlock:     128 * units.KiB,
-		RandBlock:    16 * units.KiB,
-		IdleBaseline: 104.5,
-	}
-}
+func DefaultConfig() Config { return Config{FileSize: 4 * units.GiB} }
 
 // Result is one Table III row.
 type Result struct {
@@ -87,11 +82,11 @@ type Result struct {
 // writes trigger no allocation or journaling — matching fio on a
 // preallocated test file.
 func Run(n *node.Node, kind TestKind, cfg Config) Result {
-	if cfg.FileSize <= 0 || cfg.SeqBlock <= 0 || cfg.RandBlock <= 0 {
-		panic("fio: config sizes must be positive")
+	if cfg.FileSize <= 0 {
+		panic("fio: file size must be positive")
 	}
 	name := fmt.Sprintf("fio-%d.dat", kind)
-	f := n.FS.Create(name, storage.AllocContiguous)
+	f := n.FS.Create(name)
 	n.WithIO(func() {
 		f.AppendSparse(cfg.FileSize)
 		f.Fsync()
@@ -99,9 +94,9 @@ func Run(n *node.Node, kind TestKind, cfg Config) Result {
 	})
 	n.WaitDiskIdle()
 
-	block := cfg.SeqBlock
+	block := seqBlock
 	if kind == RandRead || kind == RandWrite {
-		block = cfg.RandBlock
+		block = randBlock
 	}
 	blocks := int(cfg.FileSize / block)
 	order := make([]int, blocks)
@@ -137,11 +132,7 @@ func Run(n *node.Node, kind TestKind, cfg Config) Result {
 	elapsed := n.Now() - startT
 	energy := n.SystemEnergy() - startE
 	avg := units.AveragePower(energy, elapsed)
-	baseline := cfg.IdleBaseline
-	if baseline == 0 {
-		baseline = n.IdleSystemPower()
-	}
-	dyn := avg - baseline
+	dyn := avg - idleBaseline
 	if dyn < 0 {
 		dyn = 0
 	}

@@ -1,5 +1,7 @@
 // Package heat implements the proxy application of the paper: a 2-D
-// explicit finite-difference (FTCS) heat-conduction simulation. The
+// explicit finite-difference (FTCS) heat-conduction simulation whose
+// edges are held at one fixed temperature (a Dirichlet boundary) and
+// whose rectangular sources are held at theirs on every step. The
 // solver does real numerical work on real buffers — the checkpoints the
 // pipelines write and the frames the visualizer renders are genuine
 // data products of this solver — while the platform model separately
@@ -20,38 +22,11 @@ type Grid = field.Grid
 func NewGrid(nx, ny int) *Grid { return field.New(nx, ny) }
 
 // Source holds a rectangular region at a fixed temperature — the
-// "heating element" driving the simulation. A source with
-// PeriodSteps > 0 cycles: it holds its temperature for
-// PeriodSteps*Duty steps, then releases the region for the rest of the
-// period (a pulsed heater).
+// "heating element" driving the simulation.
 type Source struct {
 	X0, Y0, X1, Y1 int // half-open cell rectangle
 	Temp           float64
-	// PeriodSteps is the duty cycle length in sub-steps (0 = always on).
-	PeriodSteps uint64
-	// Duty is the active fraction of the period (0 < Duty <= 1).
-	Duty float64
 }
-
-// activeAt reports whether the source is clamping at a given sub-step.
-func (s Source) activeAt(step uint64) bool {
-	if s.PeriodSteps == 0 {
-		return true
-	}
-	return float64(step%s.PeriodSteps) < s.Duty*float64(s.PeriodSteps)
-}
-
-// BoundaryKind selects the edge condition.
-type BoundaryKind int
-
-// Boundary conditions.
-const (
-	// BoundaryDirichlet clamps the edges to BoundaryTemp (a cold bath).
-	BoundaryDirichlet BoundaryKind = iota
-	// BoundaryNeumann insulates the edges (zero flux): edge cells copy
-	// their interior neighbor, so no heat leaves the domain.
-	BoundaryNeumann
-)
 
 // Params configures the solver.
 type Params struct {
@@ -60,9 +35,8 @@ type Params struct {
 	Alpha, DX, DY float64
 	// DT is the time step; 0 selects 90 % of the FTCS stability limit.
 	DT float64
-	// Boundary selects the edge condition (default Dirichlet).
-	Boundary BoundaryKind
-	// BoundaryTemp is the fixed edge temperature under Dirichlet.
+	// BoundaryTemp is the fixed edge temperature (a Dirichlet cold
+	// bath).
 	BoundaryTemp float64
 	// InitialTemp fills the interior at start.
 	InitialTemp float64
@@ -129,9 +103,6 @@ func NewSolver(p Params) *Solver {
 			panic(fmt.Sprintf("heat: source %+v outside %dx%d grid", s, p.NX, p.NY))
 		}
 		finite("source temp", s.Temp)
-		if s.PeriodSteps > 0 && !(s.Duty > 0 && s.Duty <= 1) {
-			panic(fmt.Sprintf("heat: pulsed source duty %v outside (0,1]", s.Duty))
-		}
 	}
 	s := &Solver{params: p, cur: NewGrid(p.NX, p.NY), next: NewGrid(p.NX, p.NY)}
 	s.rx = p.Alpha * p.DT / (p.DX * p.DX)
@@ -175,36 +146,20 @@ func (s *Solver) CellUpdates(n int) uint64 {
 	return uint64(n) * uint64(s.params.NX-2) * uint64(s.params.NY-2)
 }
 
+// applyBoundary clamps the edge cells to BoundaryTemp.
 func (s *Solver) applyBoundary(g *Grid) {
-	switch s.params.Boundary {
-	case BoundaryDirichlet:
-		for x := 0; x < g.NX; x++ {
-			g.Set(x, 0, s.params.BoundaryTemp)
-			g.Set(x, g.NY-1, s.params.BoundaryTemp)
-		}
-		for y := 0; y < g.NY; y++ {
-			g.Set(0, y, s.params.BoundaryTemp)
-			g.Set(g.NX-1, y, s.params.BoundaryTemp)
-		}
-	case BoundaryNeumann:
-		for x := 0; x < g.NX; x++ {
-			g.Set(x, 0, g.At(x, 1))
-			g.Set(x, g.NY-1, g.At(x, g.NY-2))
-		}
-		for y := 0; y < g.NY; y++ {
-			g.Set(0, y, g.At(1, y))
-			g.Set(g.NX-1, y, g.At(g.NX-2, y))
-		}
-	default:
-		panic(fmt.Sprintf("heat: unknown boundary kind %d", s.params.Boundary))
+	for x := 0; x < g.NX; x++ {
+		g.Set(x, 0, s.params.BoundaryTemp)
+		g.Set(x, g.NY-1, s.params.BoundaryTemp)
+	}
+	for y := 0; y < g.NY; y++ {
+		g.Set(0, y, s.params.BoundaryTemp)
+		g.Set(g.NX-1, y, s.params.BoundaryTemp)
 	}
 }
 
 func (s *Solver) applySources(g *Grid) {
 	for _, src := range s.params.Sources {
-		if !src.activeAt(s.steps) {
-			continue
-		}
 		for y := src.Y0; y < src.Y1; y++ {
 			row := g.Data[y*g.NX:]
 			for x := src.X0; x < src.X1; x++ {

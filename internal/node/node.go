@@ -47,16 +47,14 @@ type Profile struct {
 	RestBase units.Watts
 	FanCoeff float64
 	FanRef   units.Watts
-	PSULoss  float64
 
 	// Storage stack.
 	Disk  storage.DiskParams
 	Cache storage.CacheParams
 	FS    storage.FSParams
 	// RAIDMembers > 1 replaces the single disk with a RAID-0 array of
-	// that many members (stripe unit RAIDStripe) — Future Work.
+	// that many members (stripe unit raidStripe) — Future Work.
 	RAIDMembers int
-	RAIDStripe  units.Bytes
 	// NVRAM, when non-nil, inserts a burst-buffer tier in front of the
 	// disk — the Future Work deep-memory-hierarchy study.
 	NVRAM *storage.NVRAMParams
@@ -100,7 +98,6 @@ func SandyBridge() Profile {
 		RestBase: 47.5,
 		FanCoeff: 0.07,
 		FanRef:   52,
-		PSULoss:  0,
 
 		Disk:  storage.SeagateHDD(),
 		Cache: storage.LinuxPageCache(),
@@ -141,9 +138,11 @@ func SandyBridgeRAID(n int) Profile {
 	p := SandyBridge()
 	p.Name = fmt.Sprintf("2x Intel Xeon E5-2665 (Sandy Bridge), 64 GB DDR3, RAID-0 x%d 7200 rpm", n)
 	p.RAIDMembers = n
-	p.RAIDStripe = 256 * units.KiB
 	return p
 }
+
+// raidStripe is the stripe unit of a RAID-0 profile's array.
+const raidStripe = 256 * units.KiB
 
 // SandyBridgeNVRAM returns the node with an NVRAM burst-buffer tier in
 // front of the disk — the Future Work deep-memory-hierarchy study
@@ -180,8 +179,8 @@ type Node struct {
 }
 
 // New builds a node from a profile. seed drives all stochastic parts
-// (disk rotation, meter noise, OS noise, scattered allocation); equal
-// seeds give bit-identical runs.
+// (disk rotation, meter noise, OS noise); equal seeds give
+// bit-identical runs.
 func New(profile Profile, seed uint64) *Node {
 	return NewOnEngine(sim.NewEngine(), profile, seed)
 }
@@ -190,7 +189,7 @@ func New(profile Profile, seed uint64) *Node {
 // share one virtual clock — the multi-node (in-transit) experiments.
 func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 	rng := xrand.New(seed)
-	bus := power.NewBus(engine, profile.PSULoss)
+	bus := power.NewBus(engine)
 
 	n := &Node{Profile: profile, Engine: engine, Bus: bus, rng: rng}
 
@@ -210,11 +209,7 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 	n.DRAM.Bind(dramDom)
 
 	if profile.RAIDMembers > 1 {
-		stripe := profile.RAIDStripe
-		if stripe <= 0 {
-			stripe = 256 * units.KiB
-		}
-		n.Device = storage.NewStripedDisk(engine, profile.RAIDMembers, profile.Disk, stripe, bus, rng.Split())
+		n.Device = storage.NewStripedDisk(engine, profile.RAIDMembers, profile.Disk, raidStripe, bus, rng.Split())
 	} else {
 		diskDom := bus.NewDomain("disk", 0)
 		n.Device = storage.NewDisk(engine, profile.Disk, diskDom, rng.Split())
@@ -224,7 +219,11 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 		n.Device = storage.NewBurstBuffer(engine, n.Device, *profile.NVRAM, nvDom)
 	}
 	n.Cache = storage.NewPageCache(engine, n.Device, profile.Cache)
-	n.FS = storage.NewFileSystem(engine, n.Device, n.Cache, profile.FS, rng.Split())
+	n.FS = storage.NewFileSystem(engine, n.Device, n.Cache, profile.FS)
+	// Skip one stream: the OS-noise and meter streams are split after
+	// this point, and every seeded run's output depends on which
+	// streams they get.
+	rng.Split()
 
 	restDom := bus.NewDomain("rest", 0)
 	n.Rest = &power.RestModel{Base: profile.RestBase, FanCoeff: profile.FanCoeff, FanRef: profile.FanRef}
@@ -237,7 +236,9 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 		noiseRng := rng.Split()
 		n.noise = sim.NewTicker(engine, 0.31, func(sim.Time) {
 			// Replace the previous perturbation with a fresh one.
-			delta := units.Watts(noiseRng.NormFloat64()) * profile.OSNoiseSigma
+			// The product is rounded, so no GOARCH fuses it into the
+			// difference below.
+			delta := units.Watts(noiseRng.NormFloat64() * float64(profile.OSNoiseSigma))
 			pkg := n.Bus.Domain("package")
 			pkg.Add(delta - n.noiseCur)
 			n.noiseCur = delta
@@ -358,49 +359,20 @@ func (n *Node) WaitDiskIdle() {
 // fire their storage events in a deterministic order, so the shared
 // decision stream is part of the run's deterministic state.
 func (n *Node) InstallFaults(inj *fault.Injector) {
-	switch d := n.Device.(type) {
-	case *storage.Disk:
-		d.SetFaults(inj)
-	case *storage.StripedDisk:
-		d.SetFaults(inj)
-	case *storage.BurstBuffer:
-		d.SetFaults(inj)
-	}
+	n.Device.SetFaults(inj)
 	n.FS.SetFaults(inj)
 }
 
-// DiskStats aggregates media statistics across whatever device the
-// profile configured.
-func (n *Node) DiskStats() storage.DiskStats {
-	switch d := n.Device.(type) {
-	case *storage.Disk:
-		return d.Stats()
-	case *storage.StripedDisk:
-		return d.Stats()
-	case *storage.BurstBuffer:
-		return n.backingStats(d)
-	default:
-		return storage.DiskStats{}
-	}
-}
-
-// backingStats digs the media stats out from under a burst buffer.
-func (n *Node) backingStats(b *storage.BurstBuffer) storage.DiskStats {
-	switch d := b.Backing().(type) {
-	case *storage.Disk:
-		return d.Stats()
-	case *storage.StripedDisk:
-		return d.Stats()
-	default:
-		return storage.DiskStats{}
-	}
-}
+// DiskStats returns the media statistics of whatever device the
+// profile configured (behind a burst buffer, its backing store's).
+func (n *Node) DiskStats() storage.DiskStats { return n.Device.Stats() }
 
 // IdleSystemPower returns the node's static floor: the wall power with
 // every subsystem quiescent.
 func (n *Node) IdleSystemPower() units.Watts {
 	p := n.Profile
-	return units.Watts(float64(p.Sockets))*p.PkgStaticPerSocket +
+	// The product is rounded, so no GOARCH fuses it into the sum.
+	return units.Watts(float64(p.Sockets)*float64(p.PkgStaticPerSocket)) +
 		p.DRAMStatic + p.Disk.IdlePower + p.RestBase
 }
 

@@ -101,7 +101,7 @@ func TestIOPhasePowerWithWriteStream(t *testing.T) {
 	n := quiet(1)
 	// Stream a write through cache + media: during the drain the system
 	// should sit near the paper's ~115 W write-stage level.
-	f := n.FS.Create("w", 0)
+	f := n.FS.Create("w")
 	var during float64
 	n.WithIO(func() {
 		f.AppendSparse(256 * units.MiB)
@@ -118,7 +118,7 @@ func TestDeterminismAcrossNodes(t *testing.T) {
 		p := SandyBridge()
 		p.Disk.DeterministicRotation = false // exercise the rng path
 		n := New(p, 42)
-		f := n.FS.Create("x", 1)
+		f := n.FS.Create("x")
 		n.WithIO(func() {
 			f.AppendSparse(64 * units.MiB)
 			f.Fsync()
@@ -238,7 +238,7 @@ func TestRAIDNodeVariant(t *testing.T) {
 	if got := float64(n.SystemPower()); math.Abs(got-want) > 0.01 {
 		t.Errorf("RAID idle power = %v, want %v", got, want)
 	}
-	f := n.FS.Create("x", 0)
+	f := n.FS.Create("x")
 	n.WithIO(func() {
 		f.AppendSparse(64 * units.MiB)
 		f.Fsync()
@@ -257,7 +257,7 @@ func TestNVRAMNodeVariant(t *testing.T) {
 	if got := float64(n.SystemPower()); math.Abs(got-106.5) > 0.01 {
 		t.Errorf("NVRAM node idle power = %v, want 106.5", got)
 	}
-	f := n.FS.Create("ck", 0)
+	f := n.FS.Create("ck")
 	start := n.Now()
 	n.WithIO(func() {
 		f.AppendSparse(64 * units.MiB)
@@ -303,7 +303,7 @@ func TestPowerCappedNodeStretchesCompute(t *testing.T) {
 
 func TestWaitDiskIdle(t *testing.T) {
 	n := quiet(5)
-	f := n.FS.Create("bg", 0)
+	f := n.FS.Create("bg")
 	n.WithIO(func() {
 		f.AppendSparse(n.Profile.Cache.BackgroundDirty + 32*units.MiB)
 	})

@@ -5,7 +5,13 @@
 // virtual time: models call SetLevel whenever activity changes, and the
 // domain integrates energy exactly between changes. Samplers (the RAPL
 // emulation, the Wattsup meter) read instantaneous power and cumulative
-// energy without disturbing the integration.
+// energy without disturbing the integration. Wall power is the plain
+// sum of the domains.
+//
+// The models turn activity into levels: the CPU model runs at one
+// nominal frequency, which only a package power cap throttles (to no
+// less than half of it); DRAM power tracks bandwidth; the rest of the
+// system adds a fan term that tracks the other domains' draw.
 package power
 
 import (
@@ -100,25 +106,16 @@ func (d *Domain) AveragePower() units.Watts {
 }
 
 // Bus aggregates domains into the full system. The wall meter reads the
-// bus; RAPL reads individual domains.
+// bus; RAPL reads individual domains. Wall power is the plain sum of
+// the domains: the "rest of system" domain already absorbs PSU
+// inefficiency, as the paper's attribution does.
 type Bus struct {
 	engine  *sim.Engine
 	domains []*Domain
-	// psuLoss converts DC load to wall power: wall = dc * (1 + psuLoss).
-	// The paper's "rest of system" row already absorbs PSU inefficiency,
-	// so profiles normally leave this at zero, but it is modeled so the
-	// attribution experiments can separate it.
-	psuLoss float64
 }
 
-// NewBus creates an empty bus. psuLoss is the fractional PSU conversion
-// loss applied on top of the summed domain power (0 for none).
-func NewBus(engine *sim.Engine, psuLoss float64) *Bus {
-	if psuLoss < 0 {
-		panic("power: negative PSU loss")
-	}
-	return &Bus{engine: engine, psuLoss: psuLoss}
-}
+// NewBus creates an empty bus.
+func NewBus(engine *sim.Engine) *Bus { return &Bus{engine: engine} }
 
 // Attach registers a domain on the bus and returns it, for chaining.
 func (b *Bus) Attach(d *Domain) *Domain {
@@ -145,13 +142,13 @@ func (b *Bus) Domain(name string) *Domain {
 func (b *Bus) Domains() []*Domain { return b.domains }
 
 // SystemPower returns the instantaneous wall power: the sum of all
-// domain levels scaled by PSU loss.
+// domain levels.
 func (b *Bus) SystemPower() units.Watts {
 	var sum units.Watts
 	for _, d := range b.domains {
 		sum += d.level
 	}
-	return units.Watts(float64(sum) * (1 + b.psuLoss))
+	return sum
 }
 
 // SystemEnergy returns cumulative wall energy across all domains.
@@ -160,5 +157,5 @@ func (b *Bus) SystemEnergy() units.Joules {
 	for _, d := range b.domains {
 		sum += d.Energy()
 	}
-	return units.Joules(float64(sum) * (1 + b.psuLoss))
+	return sum
 }

@@ -127,7 +127,7 @@ func TestDomainEnergyProperty(t *testing.T) {
 
 func TestBusAggregation(t *testing.T) {
 	e := sim.NewEngine()
-	b := NewBus(e, 0)
+	b := NewBus(e)
 	pkg := b.NewDomain("package", 42)
 	dram := b.NewDomain("dram", 10)
 	disk := b.NewDomain("disk", 5)
@@ -148,18 +148,9 @@ func TestBusAggregation(t *testing.T) {
 	}
 }
 
-func TestBusPSULoss(t *testing.T) {
-	e := sim.NewEngine()
-	b := NewBus(e, 0.10)
-	b.NewDomain("pkg", 100)
-	if got := b.SystemPower(); !almostEqual(float64(got), 110, 1e-9) {
-		t.Errorf("SystemPower with 10%% PSU loss = %v, want 110", got)
-	}
-}
-
 func TestBusDomainLookup(t *testing.T) {
 	e := sim.NewEngine()
-	b := NewBus(e, 0)
+	b := NewBus(e)
 	b.NewDomain("dram", 10)
 	if d := b.Domain("dram"); d == nil || d.Name() != "dram" {
 		t.Error("Domain(\"dram\") lookup failed")
@@ -217,31 +208,6 @@ func TestCPUModelIntensity(t *testing.T) {
 	}
 }
 
-func TestCPUModelDVFS(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDomain(e, "package", 0)
-	m := &CPUModel{Sockets: 1, CoresPerSocket: 1, StaticPerSocket: 10, DynamicPerCore: 8, NominalGHz: 2.0}
-	m.Bind(d)
-	m.SetLoad(1, IntensityCompute)
-	if got := d.Level(); !almostEqual(float64(got), 18, 1e-9) {
-		t.Errorf("nominal power = %v, want 18", got)
-	}
-	m.SetFrequency(1.0) // half frequency -> dynamic scales by (1/2)^3
-	if got := d.Level(); !almostEqual(float64(got), 11, 1e-9) {
-		t.Errorf("half-frequency power = %v, want 11", got)
-	}
-}
-
-func TestCPUModelBadFrequencyPanics(t *testing.T) {
-	m := &CPUModel{Sockets: 1, CoresPerSocket: 1, StaticPerSocket: 1, DynamicPerCore: 1, NominalGHz: 2}
-	defer func() {
-		if recover() == nil {
-			t.Error("SetFrequency(0) did not panic")
-		}
-	}()
-	m.SetFrequency(0)
-}
-
 func TestDRAMModel(t *testing.T) {
 	e := sim.NewEngine()
 	d := NewDomain(e, "dram", 0)
@@ -292,9 +258,6 @@ func TestCPUModelPowerCapThrottles(t *testing.T) {
 	if got := float64(d.Level()); got > 60.001 {
 		t.Errorf("capped package power = %v, want <= 60", got)
 	}
-	if !m.Throttled() {
-		t.Error("model not reporting throttled")
-	}
 	if m.SlowdownFactor() <= 1 {
 		t.Errorf("SlowdownFactor = %v, want > 1 under the cap", m.SlowdownFactor())
 	}
@@ -305,8 +268,8 @@ func TestCPUModelPowerCapThrottles(t *testing.T) {
 	}
 	// Idle load unthrottles.
 	m.SetLoad(0, IntensityCompute)
-	if m.Throttled() {
-		t.Error("still throttled at idle")
+	if got := m.EffectiveGHz(); got != 2.4 {
+		t.Errorf("EffectiveGHz at idle = %v, want the nominal 2.4", got)
 	}
 	if got := float64(d.Level()); math.Abs(got-42) > 1e-9 {
 		t.Errorf("idle power under cap = %v, want 42", got)
@@ -319,13 +282,13 @@ func TestCPUModelCapBelowStaticFloorsAtMinGHz(t *testing.T) {
 	m := &CPUModel{
 		Sockets: 2, CoresPerSocket: 8,
 		StaticPerSocket: 21, DynamicPerCore: 1.875,
-		NominalGHz: 2.4, MinGHz: 1.2,
-		PowerCap: 40, // below the 42 W static floor
+		NominalGHz: 2.4,
+		PowerCap:   40, // below the 42 W static floor
 	}
 	m.Bind(d)
 	m.SetLoad(16, IntensityCompute)
 	if got := m.EffectiveGHz(); math.Abs(got-1.2) > 1e-9 {
-		t.Errorf("EffectiveGHz = %v, want MinGHz 1.2", got)
+		t.Errorf("EffectiveGHz = %v, want the floor NominalGHz/2 = 1.2", got)
 	}
 	// Power exceeds the impossible cap but sits at the min-frequency level.
 	want := 42 + 30*math.Pow(0.5, 3)
@@ -340,8 +303,8 @@ func TestCPUModelUncappedUnchanged(t *testing.T) {
 	m := &CPUModel{Sockets: 2, CoresPerSocket: 8, StaticPerSocket: 21, DynamicPerCore: 1.875, NominalGHz: 2.4}
 	m.Bind(d)
 	m.SetLoad(16, IntensityCompute)
-	if m.Throttled() || m.SlowdownFactor() != 1 {
-		t.Error("uncapped model reports throttling")
+	if m.EffectiveGHz() != 2.4 || m.SlowdownFactor() != 1 {
+		t.Errorf("uncapped model runs at %v GHz, slowdown %v; want 2.4 and 1", m.EffectiveGHz(), m.SlowdownFactor())
 	}
 	if got := float64(d.Level()); math.Abs(got-72) > 1e-9 {
 		t.Errorf("uncapped power = %v, want 72", got)
@@ -349,11 +312,11 @@ func TestCPUModelUncappedUnchanged(t *testing.T) {
 }
 
 // Property: bus system energy equals the sum of per-domain energies
-// (with zero PSU loss) under random schedules.
+// under random schedules.
 func TestBusEnergyAdditivityProperty(t *testing.T) {
 	f := func(levels []uint8) bool {
 		e := sim.NewEngine()
-		b := NewBus(e, 0)
+		b := NewBus(e)
 		d1 := b.NewDomain("a", 1)
 		d2 := b.NewDomain("b", 2)
 		for i, lv := range levels {

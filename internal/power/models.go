@@ -1,10 +1,6 @@
 package power
 
-import (
-	"fmt"
-
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // Intensity characterizes how power-hungry a core's activity is relative
 // to a fully compute-bound loop. Memory-bound code stalls more and draws
@@ -19,11 +15,11 @@ const (
 	IntensityIO      Intensity = 0.10 // syscall submission, page-cache bookkeeping
 )
 
-// CPUModel converts "N cores active at intensity i, frequency f" into
-// package power. Power splits into a static per-socket floor (uncore,
-// leakage, idle cores in C1) and a dynamic per-core component that
-// scales with intensity and, for the frequency-scaling experiments, with
-// f·V² approximated as (f/fNominal)³.
+// CPUModel converts "N cores active at intensity i" into package
+// power. Power splits into a static per-socket floor (uncore, leakage,
+// idle cores in C1) and a dynamic per-core component that scales with
+// intensity and, when a power cap throttles the frequency f, with f·V²
+// approximated as (f/fNominal)³.
 type CPUModel struct {
 	Sockets        int
 	CoresPerSocket int
@@ -33,11 +29,9 @@ type CPUModel struct {
 	// DynamicPerCore is the extra power of one core running
 	// compute-bound at nominal frequency.
 	DynamicPerCore units.Watts
-	// NominalGHz and CurrentGHz implement DVFS; equal by default.
+	// NominalGHz is the operating frequency; a power cap throttles
+	// down from it, to no lower than NominalGHz/2.
 	NominalGHz float64
-	CurrentGHz float64
-	// MinGHz bounds downward throttling (default: NominalGHz / 2).
-	MinGHz float64
 	// PowerCap, when positive, emulates a RAPL package power limit
 	// (PL1): the model throttles frequency just enough to keep package
 	// power at or under the cap. Compute durations scale accordingly
@@ -56,9 +50,6 @@ type CPUModel struct {
 func (m *CPUModel) Bind(d *Domain) {
 	if m.Sockets <= 0 || m.CoresPerSocket <= 0 {
 		panic("power: CPUModel needs at least one socket and core")
-	}
-	if m.CurrentGHz == 0 {
-		m.CurrentGHz = m.NominalGHz
 	}
 	m.domain = d
 	m.apply()
@@ -81,40 +72,31 @@ func (m *CPUModel) SetLoad(cores int, intensity Intensity) {
 	m.apply()
 }
 
-// SetFrequency changes the DVFS operating point (GHz) and reapplies
-// power. It panics on non-positive frequencies.
-func (m *CPUModel) SetFrequency(ghz float64) {
-	if ghz <= 0 {
-		panic(fmt.Sprintf("power: frequency %v GHz must be positive", ghz))
-	}
-	m.CurrentGHz = ghz
-	m.apply()
-}
-
 // EffectiveGHz returns the operating frequency after the power cap is
-// applied: CurrentGHz when uncapped or under the cap, otherwise the
+// applied: NominalGHz when uncapped or under the cap, otherwise the
 // highest frequency that keeps package power at the cap (floored at
-// MinGHz).
+// NominalGHz/2).
 func (m *CPUModel) EffectiveGHz() float64 {
 	if m.throttledGHz > 0 {
 		return m.throttledGHz
 	}
-	return m.CurrentGHz
-}
-
-// Throttled reports whether the cap is currently limiting frequency.
-func (m *CPUModel) Throttled() bool {
-	return m.throttledGHz > 0 && m.throttledGHz < m.CurrentGHz
+	return m.NominalGHz
 }
 
 // SlowdownFactor returns how much longer compute takes at the
 // effective frequency (nominal / effective), for charging time.
 func (m *CPUModel) SlowdownFactor() float64 {
 	eff := m.EffectiveGHz()
-	if eff <= 0 || m.NominalGHz == 0 {
+	if eff <= 0 {
 		return 1
 	}
-	return m.CurrentGHz / eff
+	return m.NominalGHz / eff
+}
+
+// staticPower is the sockets' load-independent floor. The product is
+// rounded, so no GOARCH fuses it into the sum or difference it meets.
+func (m *CPUModel) staticPower() units.Watts {
+	return units.Watts(float64(m.Sockets) * float64(m.StaticPerSocket))
 }
 
 // powerAt computes package power at frequency f for the current load.
@@ -123,10 +105,9 @@ func (m *CPUModel) powerAt(f float64) units.Watts {
 	if m.NominalGHz > 0 {
 		r = f / m.NominalGHz
 	}
-	static := units.Watts(float64(m.Sockets)) * m.StaticPerSocket
 	dynamic := units.Watts(float64(m.activeCores) * float64(m.intensity) *
 		float64(m.DynamicPerCore) * r * r * r)
-	return static + dynamic
+	return m.staticPower() + dynamic
 }
 
 // Power returns the current package power for the configured load,
@@ -136,15 +117,12 @@ func (m *CPUModel) Power() units.Watts { return m.powerAt(m.EffectiveGHz()) }
 // enforceCap solves for the throttled frequency.
 func (m *CPUModel) enforceCap() {
 	m.throttledGHz = 0
-	if m.PowerCap <= 0 || m.powerAt(m.CurrentGHz) <= m.PowerCap {
+	if m.PowerCap <= 0 || m.powerAt(m.NominalGHz) <= m.PowerCap {
 		return
 	}
-	static := units.Watts(float64(m.Sockets)) * m.StaticPerSocket
+	static := m.staticPower()
 	dynNominal := float64(m.activeCores) * float64(m.intensity) * float64(m.DynamicPerCore)
-	minGHz := m.MinGHz
-	if minGHz <= 0 {
-		minGHz = m.NominalGHz / 2
-	}
+	minGHz := m.NominalGHz / 2
 	if dynNominal <= 0 || m.PowerCap <= static {
 		m.throttledGHz = minGHz
 		return
@@ -155,8 +133,8 @@ func (m *CPUModel) enforceCap() {
 	if f < minGHz {
 		f = minGHz
 	}
-	if f > m.CurrentGHz {
-		f = m.CurrentGHz
+	if f > m.NominalGHz {
+		f = m.NominalGHz
 	}
 	m.throttledGHz = f
 }

@@ -67,7 +67,7 @@ func TestCounterWrapsAt32Bits(t *testing.T) {
 
 func TestMonitorRecordsAveragePower(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 42)
 	bus.NewDomain("dram", 10)
 	msr := NewMSR(Sources(bus, 42, e))
@@ -98,7 +98,7 @@ func TestMonitorRecordsAveragePower(t *testing.T) {
 
 func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 42)
 	bus.NewDomain("dram", 10)
 	msr := NewMSR(Sources(bus, 42, e))
@@ -122,7 +122,7 @@ func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 
 func TestPP0SubtractsUncore(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 42)
 	bus.NewDomain("dram", 10)
 	srcs := Sources(bus, 30, e) // 30 W uncore floor
@@ -139,7 +139,7 @@ func TestMonitorLongRunSurvivesCounterWrap(t *testing.T) {
 	// At 150 W the 32-bit counter wraps every ~437 s; run 1200 s and
 	// check no sample goes wild.
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 150)
 	bus.NewDomain("dram", 10)
 	msr := NewMSR(Sources(bus, 42, e))

@@ -81,24 +81,15 @@ func NewBurstBuffer(engine *sim.Engine, backing Device, params NVRAMParams, doma
 	return b
 }
 
-// Stats returns a copy of the tier counters.
-func (b *BurstBuffer) Stats() BurstBufferStats { return b.stats }
+// TierStats returns a copy of the tier counters.
+func (b *BurstBuffer) TierStats() BurstBufferStats { return b.stats }
 
-// Backing returns the device under the tier.
-func (b *BurstBuffer) Backing() Device { return b.backing }
+// Stats returns the backing store's media statistics (Device).
+func (b *BurstBuffer) Stats() DiskStats { return b.backing.Stats() }
 
 // SetFaults forwards the injector to the backing device (the NVRAM tier
 // itself is assumed fault-free; the spinning media under it is not).
-func (b *BurstBuffer) SetFaults(inj *fault.Injector) {
-	switch dev := b.backing.(type) {
-	case *Disk:
-		dev.SetFaults(inj)
-	case *StripedDisk:
-		dev.SetFaults(inj)
-	case *BurstBuffer:
-		dev.SetFaults(inj)
-	}
-}
+func (b *BurstBuffer) SetFaults(inj *fault.Injector) { b.backing.SetFaults(inj) }
 
 // ResidentBytes returns how much data currently lives in the tier.
 func (b *BurstBuffer) ResidentBytes() units.Bytes { return b.resident.Bytes() }

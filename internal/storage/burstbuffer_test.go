@@ -52,7 +52,7 @@ func TestBurstBufferDrainsToBackingStore(t *testing.T) {
 	if !b.Idle() {
 		t.Error("buffer not idle after drain")
 	}
-	if got := b.Stats().DrainedBytes; got != 64*units.MiB {
+	if got := b.TierStats().DrainedBytes; got != 64*units.MiB {
 		t.Errorf("DrainedBytes = %v", got)
 	}
 }
@@ -74,8 +74,8 @@ func TestBurstBufferReadHitWhileResident(t *testing.T) {
 	if d.Stats().Reads != 0 {
 		t.Error("resident read hit the backing disk")
 	}
-	if b.Stats().HitBytes != 32*units.MiB {
-		t.Errorf("HitBytes = %v", b.Stats().HitBytes)
+	if b.TierStats().HitBytes != 32*units.MiB {
+		t.Errorf("HitBytes = %v", b.TierStats().HitBytes)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestBurstBufferReadMissGoesToBacking(t *testing.T) {
 	if d.Stats().Reads != 1 {
 		t.Errorf("backing reads = %d, want 1", d.Stats().Reads)
 	}
-	if b.Stats().MissBytes != units.MiB {
-		t.Errorf("MissBytes = %v", b.Stats().MissBytes)
+	if b.TierStats().MissBytes != units.MiB {
+		t.Errorf("MissBytes = %v", b.TierStats().MissBytes)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestBurstBufferUnderFilesystemSpeedsUpFsync(t *testing.T) {
 			dev = NewBurstBuffer(e, d, DefaultNVRAM(), nil)
 		}
 		cache := NewPageCache(e, dev, smallCacheParams())
-		fs := NewFileSystem(e, dev, cache, DefaultFS(), xrand.New(2))
-		f := fs.Create("ckpt", AllocContiguous)
+		fs := NewFileSystem(e, dev, cache, DefaultFS())
+		f := fs.Create("ckpt")
 		f.AppendSparse(64 * units.MiB)
 		start := e.Now()
 		f.Fsync()

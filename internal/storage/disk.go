@@ -157,6 +157,13 @@ type Device interface {
 	Idle() bool
 	// Capacity returns the addressable size.
 	Capacity() units.Bytes
+	// Stats returns the spinning media's statistics: a disk's own, an
+	// array's summed over its members, a burst buffer's backing
+	// store's.
+	Stats() DiskStats
+	// SetFaults attaches a fault injector to the media (nil detaches
+	// it); a burst buffer forwards it to its backing store.
+	SetFaults(inj *fault.Injector)
 }
 
 // Disk is the mechanical disk model. All requests are serialized FCFS

@@ -14,7 +14,7 @@ import (
 // untouched.
 func TestFaultLatencySpike(t *testing.T) {
 	e, _, _, fs := testFS(t)
-	clean := fs.Create("clean", AllocContiguous)
+	clean := fs.Create("clean")
 	data := make([]byte, 256*units.KiB)
 	for i := range data {
 		data[i] = byte(i)
@@ -35,7 +35,7 @@ func TestFaultLatencySpike(t *testing.T) {
 	e2, d2, _, fs2 := testFS(t)
 	inj := fault.New(fault.Config{Seed: 7, Latency: 1, Spike: 5})
 	d2.SetFaults(inj)
-	f2 := fs2.Create("spiky", AllocContiguous)
+	f2 := fs2.Create("spiky")
 	if err := f2.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFaultReadWriteErrors(t *testing.T) {
 	data := []byte("payload under test")
 
 	// Write the file before arming the injector so reads have content.
-	f := fs.Create("victim", AllocContiguous)
+	f := fs.Create("victim")
 	if err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFaultBitRotDeliveredOnly(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 13)
 	}
-	f := fs.Create("rotting", AllocContiguous)
+	f := fs.Create("rotting")
 	if err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFaultDisabledIdentical(t *testing.T) {
 		if install {
 			fs.SetFaults(nil)
 		}
-		f := fs.Create("same", AllocContiguous)
+		f := fs.Create("same")
 		data := make([]byte, 64*units.KiB)
 		for i := range data {
 			data[i] = byte(i * 3)

@@ -7,28 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/units"
-	"repro/internal/xrand"
 )
-
-// AllocPolicy controls where a file's extents land on the platter.
-type AllocPolicy int
-
-// Allocation policies.
-const (
-	// AllocContiguous packs extents back-to-back (a fresh filesystem,
-	// or one that has been reorganized by the §V-D technique).
-	AllocContiguous AllocPolicy = iota
-	// AllocScattered places each extent at a random free location — an
-	// aged, fragmented filesystem, the "random I/O" regime of Table III.
-	AllocScattered
-)
-
-func (p AllocPolicy) String() string {
-	if p == AllocContiguous {
-		return "contiguous"
-	}
-	return "scattered"
-}
 
 // FSParams configures the filesystem model.
 type FSParams struct {
@@ -58,15 +37,16 @@ func DefaultFS() FSParams {
 }
 
 // FileSystem is an extent-based filesystem on one disk + page cache.
+// It lays every file out contiguously: extents are allocated back to
+// back from DataStart, like a fresh filesystem's, and the extents of a
+// deleted file are not reused.
 type FileSystem struct {
 	params FSParams
 	engine *sim.Engine
 	disk   Device
 	cache  *PageCache
-	rng    *xrand.Rand
 
 	files      map[string]*File
-	allocated  RangeSet
 	nextFree   units.Bytes
 	journalPos units.Bytes
 	fileSeq    uint64
@@ -77,25 +57,19 @@ type FileSystem struct {
 }
 
 // NewFileSystem creates an empty filesystem.
-func NewFileSystem(engine *sim.Engine, disk Device, cache *PageCache, params FSParams, rng *xrand.Rand) *FileSystem {
+func NewFileSystem(engine *sim.Engine, disk Device, cache *PageCache, params FSParams) *FileSystem {
 	if params.ExtentSize <= 0 {
 		panic("storage: filesystem needs a positive extent size")
 	}
-	if rng == nil {
-		panic("storage: filesystem needs an rng for scattered allocation")
-	}
-	fs := &FileSystem{
+	return &FileSystem{
 		params:     params,
 		engine:     engine,
 		disk:       disk,
 		cache:      cache,
-		rng:        rng,
 		files:      make(map[string]*File),
 		nextFree:   params.DataStart,
 		journalPos: params.JournalStart,
 	}
-	fs.allocated.Add(Range{0, params.DataStart}) // reserve metadata+journal
-	return fs
 }
 
 // Cache returns the page cache backing the filesystem.
@@ -112,10 +86,9 @@ func (fs *FileSystem) SetFaults(inj *fault.Injector) { fs.faults = inj }
 // logical ranges written with data (WriteAt); ranges written sparsely
 // read back as a deterministic per-file pattern.
 type File struct {
-	fs     *FileSystem
-	name   string
-	seed   uint64
-	policy AllocPolicy
+	fs   *FileSystem
+	name string
+	seed uint64
 
 	extents []Range     // logical order; all ExtentSize except maybe last
 	size    units.Bytes // logical length
@@ -130,14 +103,13 @@ type segment struct {
 	Data []byte
 }
 
-// Create makes an empty file with the given allocation policy. It
-// panics if the name exists.
-func (fs *FileSystem) Create(name string, policy AllocPolicy) *File {
+// Create makes an empty file. It panics if the name exists.
+func (fs *FileSystem) Create(name string) *File {
 	if _, ok := fs.files[name]; ok {
 		panic(fmt.Sprintf("storage: file %q already exists", name))
 	}
 	fs.fileSeq++
-	f := &File{fs: fs, name: name, seed: fs.fileSeq, policy: policy}
+	f := &File{fs: fs, name: name, seed: fs.fileSeq}
 	fs.files[name] = f
 	return f
 }
@@ -145,15 +117,14 @@ func (fs *FileSystem) Create(name string, policy AllocPolicy) *File {
 // Open returns the named file, or nil.
 func (fs *FileSystem) Open(name string) *File { return fs.files[name] }
 
-// Delete removes a file, frees its extents, and invalidates its cached
-// pages (dirty data is discarded).
+// Delete removes a file and invalidates its cached pages (dirty data
+// is discarded). Its extents are not reused.
 func (fs *FileSystem) Delete(name string) {
 	f, ok := fs.files[name]
 	if !ok {
 		return
 	}
 	for _, e := range f.extents {
-		fs.allocated.Remove(e)
 		fs.cache.Invalidate(e)
 	}
 	delete(fs.files, name)
@@ -167,37 +138,18 @@ func (fs *FileSystem) Sync() { fs.cache.Sync() }
 // DropCaches evicts clean pages (used between pipeline phases).
 func (fs *FileSystem) DropCaches() { fs.cache.DropCaches() }
 
-// allocExtent claims one extent according to policy.
-func (fs *FileSystem) allocExtent(policy AllocPolicy) Range {
-	size := fs.params.ExtentSize
-	switch policy {
-	case AllocContiguous:
-		r := Range{fs.nextFree, fs.nextFree + size}
-		fs.nextFree += size
-		fs.allocated.Add(r)
-		return r
-	case AllocScattered:
-		span := fs.disk.Capacity() - fs.params.DataStart - size
-		for tries := 0; tries < 64; tries++ {
-			off := fs.params.DataStart + units.Bytes(fs.rng.Int64n(int64(span/size)))*size
-			r := Range{off, off + size}
-			if len(fs.allocated.Intersect(r)) == 0 {
-				fs.allocated.Add(r)
-				return r
-			}
-		}
-		// Disk effectively full of scatter targets; fall back.
-		return fs.allocExtent(AllocContiguous)
-	default:
-		panic(fmt.Sprintf("storage: unknown allocation policy %d", policy))
-	}
+// allocExtent claims the next extent.
+func (fs *FileSystem) allocExtent() Range {
+	r := Range{fs.nextFree, fs.nextFree + fs.params.ExtentSize}
+	fs.nextFree = r.End
+	return r
 }
 
 // ensureAllocated grows the file's extent list to cover logical offset
 // end, counting new extents for journaling.
 func (f *File) ensureAllocated(end units.Bytes) {
 	for units.Bytes(len(f.extents))*f.fs.params.ExtentSize < end {
-		f.extents = append(f.extents, f.fs.allocExtent(f.policy))
+		f.extents = append(f.extents, f.fs.allocExtent())
 		f.unjournaled++
 	}
 }
@@ -224,21 +176,6 @@ func (f *File) Name() string { return f.name }
 
 // Size returns the logical length.
 func (f *File) Size() units.Bytes { return f.size }
-
-// FragmentRuns returns how many physically-contiguous runs the file
-// occupies: 1 means perfectly sequential on media.
-func (f *File) FragmentRuns() int {
-	if len(f.extents) == 0 {
-		return 0
-	}
-	runs := 1
-	for i := 1; i < len(f.extents); i++ {
-		if f.extents[i].Start != f.extents[i-1].End {
-			runs++
-		}
-	}
-	return runs
-}
 
 // WriteAt writes real bytes at the logical offset, growing the file as
 // needed. Blocks for buffering time; media time is deferred to
@@ -365,36 +302,6 @@ func (fs *FileSystem) journalCommit() {
 	end := fs.disk.Submit(OpWrite, fs.journalPos, fs.params.JournalRecord, nil)
 	fs.journalPos += fs.params.JournalRecord
 	fs.engine.AdvanceTo(end)
-}
-
-// Reorganize rewrites the file into a single contiguous run — the
-// software-directed data reorganization of the paper's §V-D [30], [31].
-// It reads every extent, writes the data contiguously, frees the old
-// extents, and syncs. Timing flows through the normal cache/disk path.
-func (f *File) Reorganize() {
-	if len(f.extents) == 0 {
-		return
-	}
-	old := f.extents
-	// Read the whole file (through the cache, real media time).
-	for _, e := range old {
-		f.fs.cache.Read(e.Start, e.Len())
-	}
-	// Allocate a fresh contiguous region and write it back.
-	var fresh []Range
-	for range old {
-		fresh = append(fresh, f.fs.allocExtent(AllocContiguous))
-	}
-	f.extents = fresh
-	f.unjournaled = len(fresh)
-	for _, e := range fresh {
-		f.fs.cache.Write(e.Start, e.Len())
-	}
-	f.Fsync()
-	for _, e := range old {
-		f.fs.allocated.Remove(e)
-		f.fs.cache.Invalidate(e)
-	}
 }
 
 // retain stores real bytes for [off, off+len(p)).

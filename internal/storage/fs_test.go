@@ -18,13 +18,13 @@ func testFS(t *testing.T) (*sim.Engine, *Disk, *PageCache, *FileSystem) {
 	p.DeterministicRotation = true
 	d := NewDisk(e, p, nil, xrand.New(1))
 	c := NewPageCache(e, d, smallCacheParams())
-	fs := NewFileSystem(e, d, c, DefaultFS(), xrand.New(2))
+	fs := NewFileSystem(e, d, c, DefaultFS())
 	return e, d, c, fs
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("ckpt", AllocContiguous)
+	f := fs.Create("ckpt")
 	data := []byte("the quick brown fox jumps over the lazy dog")
 	f.WriteAt(data, 0)
 	got := make([]byte, len(data))
@@ -36,7 +36,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestRoundTripSurvivesSyncAndDrop(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("ckpt", AllocContiguous)
+	f := fs.Create("ckpt")
 	data := make([]byte, 64*units.KiB)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -53,7 +53,7 @@ func TestRoundTripSurvivesSyncAndDrop(t *testing.T) {
 
 func TestSparseReadsAreDeterministic(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("bulk", AllocContiguous)
+	f := fs.Create("bulk")
 	f.AppendSparse(units.MiB)
 	a := make([]byte, 4096)
 	b := make([]byte, 4096)
@@ -75,7 +75,7 @@ func TestSparseReadsAreDeterministic(t *testing.T) {
 
 func TestMixedRealAndSparseContent(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("mixed", AllocContiguous)
+	f := fs.Create("mixed")
 	header := []byte("HEADERv1")
 	f.WriteAt(header, 0)
 	f.AppendSparse(units.MiB)
@@ -88,7 +88,7 @@ func TestMixedRealAndSparseContent(t *testing.T) {
 
 func TestOverwriteRetainedData(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("f", AllocContiguous)
+	f := fs.Create("f")
 	f.WriteAt([]byte("aaaaaaaaaa"), 0)
 	f.WriteAt([]byte("BBBB"), 3)
 	got := make([]byte, 10)
@@ -100,65 +100,23 @@ func TestOverwriteRetainedData(t *testing.T) {
 
 func TestContiguousAllocationIsOneRun(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("big", AllocContiguous)
+	f := fs.Create("big")
 	f.AppendSparse(64 * units.MiB)
-	if runs := f.FragmentRuns(); runs != 1 {
-		t.Errorf("contiguous file has %d runs, want 1", runs)
+	g := fs.Create("next")
+	g.AppendSparse(units.MiB)
+	for i := 1; i < len(f.extents); i++ {
+		if f.extents[i].Start != f.extents[i-1].End {
+			t.Fatalf("extent %d starts at %d, not where extent %d ends (%d)", i, f.extents[i].Start, i-1, f.extents[i-1].End)
+		}
 	}
-}
-
-func TestScatteredAllocationFragments(t *testing.T) {
-	_, _, _, fs := testFS(t)
-	f := fs.Create("frag", AllocScattered)
-	f.AppendSparse(64 * units.MiB) // 16 extents
-	if runs := f.FragmentRuns(); runs < 8 {
-		t.Errorf("scattered file has only %d runs, expected heavy fragmentation", runs)
-	}
-}
-
-// testFragFS uses 256 KiB extents so per-extent seeks dominate the
-// transfer time and fragmentation effects are unmistakable.
-func testFragFS(t *testing.T) (*sim.Engine, *Disk, *PageCache, *FileSystem) {
-	t.Helper()
-	e := sim.NewEngine()
-	p := SeagateHDD()
-	p.DeterministicRotation = true
-	d := NewDisk(e, p, nil, xrand.New(1))
-	c := NewPageCache(e, d, smallCacheParams())
-	params := DefaultFS()
-	params.ExtentSize = 256 * units.KiB
-	fs := NewFileSystem(e, d, c, params, xrand.New(2))
-	return e, d, c, fs
-}
-
-func TestScatteredReadSlowerThanContiguous(t *testing.T) {
-	e, _, _, fs := testFragFS(t)
-	const size = 64 * units.MiB
-	cf := fs.Create("c", AllocContiguous)
-	cf.AppendSparse(size)
-	cf.Fsync()
-	sf := fs.Create("s", AllocScattered)
-	sf.AppendSparse(size)
-	sf.Fsync()
-	fs.DropCaches()
-
-	start := e.Now()
-	cf.ReadSparseAt(0, size)
-	contigTime := e.Now() - start
-
-	fs.DropCaches()
-	start = e.Now()
-	sf.ReadSparseAt(0, size)
-	scatTime := e.Now() - start
-
-	if float64(scatTime) < 1.5*float64(contigTime) {
-		t.Errorf("scattered read %v not clearly slower than contiguous %v", scatTime, contigTime)
+	if len(f.extents) != 16 || g.extents[0].Start != f.extents[15].End {
+		t.Errorf("64 MiB file has %d extents, next file starts at %d; want 16 and %d", len(f.extents), g.extents[0].Start, f.extents[len(f.extents)-1].End)
 	}
 }
 
 func TestFsyncCommitsJournalPerNewExtent(t *testing.T) {
 	_, d, _, fs := testFS(t)
-	f := fs.Create("j", AllocContiguous)
+	f := fs.Create("j")
 	f.AppendSparse(6 * units.MiB) // 2 extents, below background dirty
 	writesBefore := d.Stats().Writes
 	f.Fsync()
@@ -176,7 +134,7 @@ func TestFsyncCommitsJournalPerNewExtent(t *testing.T) {
 
 func TestFsyncDurableAndDirtyFree(t *testing.T) {
 	_, _, c, fs := testFS(t)
-	f := fs.Create("f", AllocContiguous)
+	f := fs.Create("f")
 	f.AppendSparse(10 * units.MiB)
 	f.Fsync()
 	if c.DirtyBytes() != 0 {
@@ -186,7 +144,7 @@ func TestFsyncDurableAndDirtyFree(t *testing.T) {
 
 func TestDeleteFreesSpaceAndInvalidates(t *testing.T) {
 	_, d, _, fs := testFS(t)
-	f := fs.Create("tmp", AllocContiguous)
+	f := fs.Create("tmp")
 	f.AppendSparse(8 * units.MiB)
 	fs.Delete("tmp")
 	if fs.Open("tmp") != nil {
@@ -198,7 +156,7 @@ func TestDeleteFreesSpaceAndInvalidates(t *testing.T) {
 		t.Errorf("deleted file's data reached media: %v", d.Stats().BytesWritten)
 	}
 	// Space is reusable: a contiguous file can land on the freed run.
-	g := fs.Create("next", AllocContiguous)
+	g := fs.Create("next")
 	g.AppendSparse(8 * units.MiB)
 	if g.Size() != 8*units.MiB {
 		t.Errorf("Size = %v", g.Size())
@@ -207,18 +165,18 @@ func TestDeleteFreesSpaceAndInvalidates(t *testing.T) {
 
 func TestCreateDuplicatePanics(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	fs.Create("x", AllocContiguous)
+	fs.Create("x")
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Create did not panic")
 		}
 	}()
-	fs.Create("x", AllocContiguous)
+	fs.Create("x")
 }
 
 func TestReadPastEOFPanics(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("f", AllocContiguous)
+	f := fs.Create("f")
 	f.AppendSparse(100)
 	defer func() {
 		if recover() == nil {
@@ -228,67 +186,9 @@ func TestReadPastEOFPanics(t *testing.T) {
 	f.ReadSparseAt(50, 100)
 }
 
-func TestReorganizeMakesFileContiguous(t *testing.T) {
-	_, _, _, fs := testFS(t)
-	f := fs.Create("frag", AllocScattered)
-	f.AppendSparse(32 * units.MiB)
-	f.Fsync()
-	if f.FragmentRuns() < 2 {
-		t.Skip("scatter produced a contiguous file by chance")
-	}
-	f.Reorganize()
-	if runs := f.FragmentRuns(); runs != 1 {
-		t.Errorf("reorganized file has %d runs, want 1", runs)
-	}
-}
-
-func TestReorganizePreservesContent(t *testing.T) {
-	_, _, _, fs := testFS(t)
-	f := fs.Create("frag", AllocScattered)
-	data := make([]byte, 128*units.KiB)
-	for i := range data {
-		data[i] = byte(i * 13)
-	}
-	f.WriteAt(data, 0)
-	f.AppendSparse(16 * units.MiB)
-	f.Fsync()
-	f.Reorganize()
-	fs.DropCaches()
-	got := make([]byte, len(data))
-	f.ReadAt(got, 0)
-	if !bytes.Equal(got, data) {
-		t.Error("reorganize corrupted retained content")
-	}
-}
-
-func TestReorganizeSpeedsUpColdReads(t *testing.T) {
-	e, _, _, fs := testFragFS(t)
-	const size = 64 * units.MiB
-	f := fs.Create("frag", AllocScattered)
-	f.AppendSparse(size)
-	f.Fsync()
-	if f.FragmentRuns() < 8 {
-		t.Skip("not fragmented enough to measure")
-	}
-	fs.DropCaches()
-	start := e.Now()
-	f.ReadSparseAt(0, size)
-	fragTime := e.Now() - start
-
-	f.Reorganize()
-	fs.DropCaches()
-	start = e.Now()
-	f.ReadSparseAt(0, size)
-	contigTime := e.Now() - start
-
-	if float64(contigTime) >= 0.8*float64(fragTime) {
-		t.Errorf("reorganize did not speed up cold reads: %v -> %v", fragTime, contigTime)
-	}
-}
-
 func TestFileSizeTracksAppends(t *testing.T) {
 	_, _, _, fs := testFS(t)
-	f := fs.Create("f", AllocContiguous)
+	f := fs.Create("f")
 	f.Append([]byte("abc"))
 	f.AppendSparse(100)
 	if f.Size() != 103 {
@@ -304,7 +204,7 @@ func TestFileContentModelProperty(t *testing.T) {
 		Data []byte
 	}) bool {
 		_, _, _, fs := testFS(t)
-		file := fs.Create("p", AllocContiguous)
+		file := fs.Create("p")
 		const span = 1 << 16
 		model := make([]byte, span+256)
 		var size units.Bytes

@@ -107,7 +107,7 @@ func TestRAIDValidation(t *testing.T) {
 
 func TestRAIDPowerDomains(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	p := SeagateHDD()
 	p.DeterministicRotation = true
 	r := NewStripedDisk(e, 4, p, 256*units.KiB, bus, xrand.New(1))
@@ -129,8 +129,8 @@ func TestRAIDWorksUnderFilesystem(t *testing.T) {
 	p.DeterministicRotation = true
 	arr := NewStripedDisk(e, 4, p, 256*units.KiB, nil, xrand.New(1))
 	cache := NewPageCache(e, arr, smallCacheParams())
-	fs := NewFileSystem(e, arr, cache, DefaultFS(), xrand.New(2))
-	f := fs.Create("striped", AllocContiguous)
+	fs := NewFileSystem(e, arr, cache, DefaultFS())
+	f := fs.Create("striped")
 	data := []byte("stripe me please, across four spindles")
 	f.WriteAt(data, 0)
 	f.Fsync()

@@ -1,7 +1,9 @@
 // Package storage models the node's I/O stack from scratch: a 7200 rpm
 // hard disk with seek and rotational mechanics, a write-back page cache
 // with an elevator (LBA-sorting) write-back daemon, and an extent-based
-// filesystem with pluggable allocation policies. The paper's Table III
+// filesystem that lays every file out in contiguous extents. The
+// devices under the cache (a disk, a RAID-0 array or an NVRAM burst
+// buffer) share one Device contract. The paper's Table III
 // (fio), its read/write stage powers (Fig 6, Table II), and its §V-D
 // data-reorganization hypothetical all fall out of this stack.
 package storage

@@ -175,11 +175,12 @@ func referenceRender(g *heat.Grid, opts RenderOptions) *image.RGBA {
 	lo, hi := opts.Lo, opts.Hi
 	if lo == hi {
 		lo, hi = g.MinMax()
-		if lo == hi {
-			hi = lo + 1
-		}
 	}
-	inv := 1 / (hi - lo)
+	// A flat field takes the first colour everywhere.
+	inv := 0.0
+	if lo != hi {
+		inv = 1 / (hi - lo)
+	}
 	img := image.NewRGBA(image.Rect(0, 0, opts.Width, opts.Height))
 	sx := float64(g.NX-1) / float64(max(opts.Width-1, 1))
 	sy := float64(g.NY-1) / float64(max(opts.Height-1, 1))

@@ -319,12 +319,40 @@ func TestRenderPanicsOnNaN(t *testing.T) {
 	}
 }
 
+// TestRenderFlatFieldIsFirstColour renders auto-scaled flat fields at
+// the pipelines' 512² from 128²: every pixel must take the colormap's
+// first colour, at magnitudes whose blend rounds off by an ulp or two
+// as well, and a NaN in an otherwise flat field must still panic.
+func TestRenderFlatFieldIsFirstColour(t *testing.T) {
+	cm := Inferno()
+	opts := RenderOptions{Width: 512, Height: 512, Colormap: cm}
+	for _, v := range []float64{0, 20, -273.15, 1e12, 1e14, 1e15, 1e16, -1e15, 0x1p53} {
+		g := heat.NewGrid(128, 128)
+		g.Fill(v)
+		img, _ := Render(g, opts)
+		off := 0
+		for i := 0; i < len(img.Pix); i += 4 {
+			if binary.LittleEndian.Uint32(img.Pix[i:]) != cm.first {
+				off++
+			}
+		}
+		if off != 0 {
+			t.Errorf("flat field of %g: %d of %d pixels are not the first colour", v, off, len(img.Pix)/4)
+		}
+		ReleaseFrame(img)
+		g.Set(70, 40, math.NaN())
+		if msg := renderPanic(g, opts); !strings.Contains(msg, "(70, 40) of a flat field is NaN") {
+			t.Errorf("flat field of %g with a NaN cell: panic %q, want one naming the NaN cell", v, msg)
+		}
+	}
+}
+
 // TestRenderFiniteRanges renders finite fields whose range has no
-// finite inverse: flat fields too large for the flat-field rule's +1
-// and spans of a few subnormals must render (they used to panic with
-// an index error), every pixel in the first or the last colour, since
-// t = v − lo is then a few ulps of v at most; a span that overflows
-// must panic with a message naming its ends.
+// finite inverse: flat fields of any magnitude and spans of a few
+// subnormals must render (they used to panic with an index error),
+// every pixel in the first or the last colour, since t = v − lo is then
+// a few ulps of v at most; a span that overflows must panic with a
+// message naming its ends.
 func TestRenderFiniteRanges(t *testing.T) {
 	fill := func(vals ...float64) *heat.Grid {
 		g := heat.NewGrid(16, 16)
@@ -348,6 +376,7 @@ func TestRenderFiniteRanges(t *testing.T) {
 		{name: "field -1e308 to 1e308", g: fill(-1e308, 1e308), panics: "-1e+308 to 1e+308 overflows"},
 		{name: "range -1e308 to 1e308", g: fill(0, 1), lo: -1e308, hi: 1e308, panics: "-1e+308 to 1e+308 overflows"},
 		{name: "range 1e308 to -1e308", g: fill(0, 1), lo: 1e308, hi: -1e308, panics: "1e+308 to -1e+308 overflows"},
+		{name: "flat +Inf", g: fill(math.Inf(1)), panics: "+Inf to +Inf overflows"},
 	} {
 		opts := RenderOptions{Width: 32, Height: 32, Colormap: cm, Lo: tc.lo, Hi: tc.hi}
 		msg := renderPanic(tc.g, opts)

@@ -6,6 +6,7 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/heat"
@@ -195,12 +196,14 @@ type RenderStats struct {
 }
 
 // Render rasterizes the field: bilinear resampling to Width×Height,
-// colormap application, optional isoline overlay. The returned raster
-// may come from the frame pool; hand it back with ReleaseFrame when
-// done to keep steady-state rendering allocation-free. It panics on a
-// field of fewer than 2×2 cells, which has nothing to resample, on a
-// range whose span overflows a float64 (such as −1e308 to 1e308), and
-// on a NaN in the field or the range.
+// colormap application, optional isoline overlay. An auto-scaled field
+// whose cells are all equal renders in the colormap's first colour.
+// The returned raster may come from the frame pool; hand it back with
+// ReleaseFrame when done to keep steady-state rendering
+// allocation-free. It panics on a field of fewer than 2×2 cells, which
+// has nothing to resample, on a range whose span overflows a float64
+// (such as −1e308 to 1e308) or that is infinite, and on a NaN in the
+// field or the range.
 func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		panic(fmt.Sprintf("viz: render size %dx%d must be positive", opts.Width, opts.Height))
@@ -217,25 +220,38 @@ func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	lo, hi := opts.Lo, opts.Hi
 	if lo == hi {
 		lo, hi = g.MinMax()
-		if lo == hi { // flat field
-			hi = lo + 1
-		}
 	}
-	if math.IsInf(hi-lo, 0) {
+	if math.IsInf(hi-lo, 0) || math.IsInf(lo, 0) {
 		panic(fmt.Sprintf("viz: render range %g to %g overflows a float64", lo, hi))
 	}
-	inv := 1 / (hi - lo)
-	if math.IsInf(inv, 0) {
-		// A flat field of magnitude 2^53 or more absorbs the +1 above,
-		// and a span below about 2.2e-308 has no finite inverse: scale
-		// as for a flat field, or t at lo would be 0·Inf = NaN.
-		inv = 1
+	flat := lo == hi
+	if flat {
+		// MinMax skips NaNs, so a field that is flat but for NaNs comes
+		// out flat.
+		if i := slices.IndexFunc(g.Data, math.IsNaN); i >= 0 {
+			panic(fmt.Sprintf("viz: cell (%d, %d) of a flat field is NaN", i%g.NX, i/g.NX))
+		}
 	}
 
 	img := acquireRGBA(opts.Width, opts.Height)
 	rs := scratchPool.Get().(*renderScratch)
-	rs.prepareColumns(opts.Width, g.NX, float64(g.NX-1)/float64(max(opts.Width-1, 1)))
-	rs.fill(img, g, cm, lo, inv, float64(g.NY-1)/float64(max(opts.Height-1, 1)))
+	if flat {
+		// Every pixel takes the first colour: the blend of four equal
+		// values can be off by an ulp or two, which no scale maps back
+		// to t = 0.
+		for i := 0; i < len(img.Pix); i += 4 {
+			binary.LittleEndian.PutUint32(img.Pix[i:], cm.first)
+		}
+	} else {
+		inv := 1 / (hi - lo)
+		if math.IsInf(inv, 0) {
+			// A span below about 2.2e-308 has no finite inverse: scale
+			// by 1, or t at lo would be 0·Inf = NaN.
+			inv = 1
+		}
+		rs.prepareColumns(opts.Width, g.NX, float64(g.NX-1)/float64(max(opts.Width-1, 1)))
+		rs.fill(img, g, cm, lo, inv, float64(g.NY-1)/float64(max(opts.Height-1, 1)))
+	}
 	stats := RenderStats{Pixels: opts.Width * opts.Height}
 
 	lineColor := opts.IsolineColor

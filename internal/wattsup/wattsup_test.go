@@ -16,7 +16,7 @@ import (
 // them into the "system" series.
 func setup(cfg Config) (*sim.Engine, *power.Domain, *Meter, *trace.Profile) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	d := bus.NewDomain("package", 104.5)
 	prof := trace.NewProfile("t")
 	tel := telemetry.NewBus(trace.NewRecorder(prof))
@@ -114,7 +114,7 @@ func TestMeterStartStopIdempotent(t *testing.T) {
 // part of the golden contract) and must not panic.
 func TestMeterEmitsOnInertBus(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	bus.NewDomain("package", 104.5)
 	m := NewMeter(e, bus, nil, Config{Period: 1, NoiseSigma: 0.5}, xrand.New(7))
 	m.Start()
@@ -124,7 +124,7 @@ func TestMeterEmitsOnInertBus(t *testing.T) {
 
 func TestMeterValidation(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e, 0)
+	bus := power.NewBus(e)
 	defer func() {
 		if recover() == nil {
 			t.Error("noise without rng did not panic")
