@@ -3,14 +3,14 @@ package checkpoint
 import (
 	"testing"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 // BenchmarkCheckpointEncode is the kernel benchmark for the encode
 // (run by scripts/bench.sh at -cpu 1): header + 256×256 field
 // (512 KiB) through a reused Encoder. Steady state is 0 allocs/op.
 func BenchmarkCheckpointEncode(b *testing.B) {
-	g := heat.NewGrid(256, 256)
+	g := field.New(256, 256)
 	for i := range g.Data {
 		g.Data[i] = float64(i%97) * 0.25
 	}

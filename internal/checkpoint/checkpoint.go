@@ -17,7 +17,7 @@ import (
 	"hash/crc32"
 	"math"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 	"repro/internal/storage"
 	"repro/internal/units"
 )
@@ -97,8 +97,8 @@ func decodeHeader(b []byte) (Header, error) {
 }
 
 // decodeGrid reconstructs a field from encoded bytes.
-func decodeGrid(b []byte, nx, ny int) *heat.Grid {
-	g := heat.NewGrid(nx, ny)
+func decodeGrid(b []byte, nx, ny int) *field.Grid {
+	g := field.New(nx, ny)
 	for i := range g.Data {
 		g.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
@@ -116,7 +116,7 @@ type Encoder struct {
 
 // encodePrefixInto rebuilds e.prefix for the given event and returns
 // it. The returned slice is owned by e and valid until the next call.
-func (e *Encoder) encodePrefixInto(g *heat.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
+func (e *Encoder) encodePrefixInto(g *field.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
 	if payload < 0 {
 		panic("checkpoint: negative payload size")
 	}
@@ -160,7 +160,7 @@ func (e *Encoder) encodePrefixInto(g *heat.Grid, step uint64, simTime float64, p
 // pipeline controls syncing. A transient write fault aborts the write
 // mid-file; the caller should delete and rewrite the whole file rather
 // than trust a partially-written checkpoint.
-func (e *Encoder) Write(f *storage.File, g *heat.Grid, step uint64, simTime float64, payload units.Bytes) error {
+func (e *Encoder) Write(f *storage.File, g *field.Grid, step uint64, simTime float64, payload units.Bytes) error {
 	prefix := e.encodePrefixInto(g, step, simTime, payload)
 	if err := f.WriteAt(prefix[:HeaderSize], 0); err != nil {
 		return err
@@ -181,13 +181,13 @@ func (e *Encoder) Write(f *storage.File, g *heat.Grid, step uint64, simTime floa
 // scratch is e's and is reused; the appended bytes are the caller's.
 // Stores that keep content themselves (the parallel filesystem ships
 // this blob) pass a fresh or recycled dst per event.
-func (e *Encoder) EncodeTo(dst []byte, g *heat.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
+func (e *Encoder) EncodeTo(dst []byte, g *field.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
 	return append(dst, e.encodePrefixInto(g, step, simTime, payload)...)
 }
 
 // Write serializes a checkpoint into f with a one-shot Encoder; loops
 // over many events should hold an Encoder and use its Write instead.
-func Write(f *storage.File, g *heat.Grid, step uint64, simTime float64, payload units.Bytes) error {
+func Write(f *storage.File, g *field.Grid, step uint64, simTime float64, payload units.Bytes) error {
 	var e Encoder
 	return e.Write(f, g, step, simTime, payload)
 }
@@ -200,13 +200,13 @@ func TotalSize(nx, ny int, payload units.Bytes) units.Bytes {
 
 // EncodePrefix serializes the retained prefix of a checkpoint — header
 // plus field bytes — into a fresh buffer with a one-shot Encoder.
-func EncodePrefix(g *heat.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
+func EncodePrefix(g *field.Grid, step uint64, simTime float64, payload units.Bytes) []byte {
 	var e Encoder
 	return e.EncodeTo(nil, g, step, simTime, payload)
 }
 
 // DecodePrefix parses an EncodePrefix blob, verifying magic and CRC.
-func DecodePrefix(b []byte) (Header, *heat.Grid, error) {
+func DecodePrefix(b []byte) (Header, *field.Grid, error) {
 	h, err := decodeHeader(b)
 	if err != nil {
 		return Header{}, nil, err
@@ -228,7 +228,7 @@ func DecodePrefix(b []byte) (Header, *heat.Grid, error) {
 
 // Read deserializes a checkpoint from f, charging full read timing for
 // header, field, and payload, and verifying magic and CRC.
-func Read(f *storage.File) (Header, *heat.Grid, error) {
+func Read(f *storage.File) (Header, *field.Grid, error) {
 	hb := make([]byte, HeaderSize)
 	if err := f.ReadAt(hb, 0); err != nil {
 		return Header{}, nil, err

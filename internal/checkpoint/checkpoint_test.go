@@ -5,7 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/units"
@@ -22,8 +22,8 @@ func testFS(t *testing.T) (*sim.Engine, *storage.FileSystem) {
 	return e, storage.NewFileSystem(e, d, c, storage.DefaultFS())
 }
 
-func sampleGrid() *heat.Grid {
-	g := heat.NewGrid(16, 12)
+func sampleGrid() *field.Grid {
+	g := field.New(16, 12)
 	for i := range g.Data {
 		g.Data[i] = math.Sin(float64(i) * 0.1)
 	}
@@ -73,7 +73,7 @@ func TestTotalSize(t *testing.T) {
 	}
 	_, fs := testFS(t)
 	f := fs.Create("c")
-	Write(f, heat.NewGrid(16, 12), 0, 0, 4096)
+	Write(f, field.New(16, 12), 0, 0, 4096)
 	if f.Size() != want {
 		t.Errorf("file size = %d, want %d", f.Size(), want)
 	}
@@ -103,7 +103,7 @@ func TestTruncatedFileDetected(t *testing.T) {
 	_, fs := testFS(t)
 	f := fs.Create("c")
 	// Header claims a big payload the file doesn't have.
-	g := heat.NewGrid(8, 8)
+	g := field.New(8, 8)
 	Write(f, g, 0, 0, 0)
 	// Rewrite header with a huge payload claim.
 	h := Header{Version: 1, NX: 8, NY: 8, PayloadBytes: 1 << 30, GridCRC: 0}

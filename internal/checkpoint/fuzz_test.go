@@ -5,12 +5,12 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 // fuzzSeedPrefix builds the valid prefix the in-code seeds mutate.
 func fuzzSeedPrefix() []byte {
-	g := heat.NewGrid(4, 4)
+	g := field.New(4, 4)
 	for i := range g.Data {
 		g.Data[i] = float64(i) * 0.5
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/node"
+	"repro/internal/power"
 	"repro/internal/storage"
 	"repro/internal/units"
 )
@@ -75,7 +76,8 @@ func predictPhase(p node.Profile, bytes units.Bytes, write bool, opSize units.By
 		if frac > 1 {
 			frac = 1
 		}
-		seek := float64(d.SettleTime+d.MinSeek) + float64(d.MaxSeek-d.MinSeek)*sqrt(frac)
+		// The product is rounded, so no GOARCH fuses it into the sum.
+		seek := float64(d.SettleTime+d.MinSeek) + float64(float64(d.MaxSeek-d.MinSeek)*sqrt(frac))
 		rot := 0.5 * 60 / d.RPM
 		posTime = units.Seconds(ops * randomFrac * (seek + rot))
 	}
@@ -88,12 +90,7 @@ func predictPhase(p node.Profile, bytes units.Bytes, write bool, opSize units.By
 	total := xferTime + posTime
 	// Average disk dynamic power over the phase: transfer power while
 	// streaming, seek power while positioning.
-	var avgDyn units.Watts
-	if total > 0 {
-		avgDyn = units.Watts((float64(xferDyn)*float64(xferTime) +
-			float64(d.SeekDyn)*float64(posTime)) / float64(total))
-	}
-	return total, avgDyn
+	return total, units.AveragePower(units.Energy(xferDyn, xferTime)+units.Energy(d.SeekDyn, posTime), total)
 }
 
 func sqrt(x float64) float64 {
@@ -108,22 +105,16 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// idleSystemPower returns the node's static floor from the profile.
-func idleSystemPower(p node.Profile) units.Watts {
-	return units.Watts(float64(p.Sockets))*p.PkgStaticPerSocket +
-		p.DRAMStatic + p.Disk.IdlePower + p.RestBase
-}
-
 // Predict estimates the workload's I/O time and energy on the platform.
 func Predict(p node.Profile, w WorkloadSpec, strategy string, randomFrac float64, exploratory bool) Prediction {
 	rt, rDyn := predictPhase(p, w.ReadBytes, false, w.OpSize, randomFrac, w.SpanBytes)
 	wt, wDyn := predictPhase(p, w.WriteBytes, true, w.OpSize, randomFrac, w.SpanBytes)
 	t := rt + wt
 	// System power: static floor + small I/O CPU/DRAM + disk dynamic.
-	ioCPU := units.Watts(float64(p.IOCores) * 0.10 * float64(p.DynamicPerCore))
+	ioCPU := units.Watts(float64(p.IOCores) * float64(power.IntensityIO) * float64(p.DynamicPerCore))
 	ioDRAM := units.Watts(p.IODRAMGBs * p.DRAMPerGBs)
 	diskDyn := units.Energy(rDyn, rt) + units.Energy(wDyn, wt)
-	sys := units.Energy(idleSystemPower(p)+ioCPU+ioDRAM, t) + diskDyn
+	sys := units.Energy(node.IdlePower(p)+ioCPU+ioDRAM, t) + diskDyn
 	return Prediction{
 		Strategy:     strategy,
 		Time:         t,

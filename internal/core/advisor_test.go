@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +101,19 @@ func TestPredictDiskDynamicWithinSystemEnergy(t *testing.T) {
 	if pr.DiskDynamic <= 0 || pr.DiskDynamic >= pr.SystemEnergy {
 		t.Errorf("disk dynamic %v should be positive and below system %v",
 			pr.DiskDynamic, pr.SystemEnergy)
+	}
+}
+
+// TestPredictChargesEachProfilesIdleFloor: the four-member RAID-0 node
+// idles 15 W above the single-disk node (three more spinning members),
+// and Predict charges that floor for the whole predicted time.
+func TestPredictChargesEachProfilesIdleFloor(t *testing.T) {
+	w := advisorWorkload(0)
+	hdd := Predict(node.SandyBridge(), w, "hdd", 0, true)
+	raid := Predict(node.SandyBridgeRAID(4), w, "raid4", 0, true)
+	want := 15 * float64(hdd.Time)
+	if got := float64(raid.SystemEnergy - hdd.SystemEnergy); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("raid4 - hdd predicted energy = %v J, want 15 W x %v = %v J", got, hdd.Time, want)
 	}
 }
 

@@ -44,7 +44,9 @@ func NewCluster(p node.Profile, link netio.LinkParams, seed uint64) *Cluster {
 		Staging: node.NewOnEngine(engine, p, seed+1),
 	}
 	c.Link = netio.Connect(c.Sim, c.Staging, link)
-	c.stagingCPU = sim.NewResource(engine)
+	c.stagingCPU = sim.NewResource(engine,
+		func() { c.Staging.SetLoad(p.VizCores, power.IntensityRender, p.VizDRAMGBs) },
+		c.Staging.SetIdle)
 	c.frameOff = p.FS.DataStart
 	return c
 }
@@ -127,27 +129,14 @@ func TotalSizeForGrid(cfg AppConfig) units.Bytes {
 	return units.Bytes(cfg.Heat.NX*cfg.Heat.NY*8) + cfg.CheckpointPayload
 }
 
-// stageRender queues one render on the staging node's CPU (FCFS) and
-// brackets its busy period with power transitions; the rendered frame
-// is then streamed to the staging disk.
+// stageRender queues one render on the staging node's CPU (FCFS),
+// whose hooks bracket its busy period with the render operating point;
+// at the render's end, after those hooks, the rendered frame is
+// streamed to the staging disk.
 func (c *Cluster) stageRender(stats viz.RenderStats, pngBytes units.Bytes) {
 	cost := c.Staging.RenderCost(stats.Pixels, stats.ContourCells, pngBytes)
-	start, end := c.stagingCPU.Submit(cost, nil)
-	p := c.Staging.Profile
-	at := func(t sim.Time, fn func()) {
-		if t <= c.Engine.Now() {
-			fn()
-			return
-		}
-		c.Engine.At(t, fn)
-	}
-	at(start, func() {
-		c.Staging.SetLoad(p.VizCores, power.IntensityRender, p.VizDRAMGBs)
-	})
+	_, end := c.stagingCPU.Submit(cost, nil)
 	c.Engine.At(end, func() {
-		if c.stagingCPU.FreeAt() <= end {
-			c.Staging.SetIdle()
-		}
 		// Stream the frame to the staging node's disk (direct I/O).
 		off := c.frameOff
 		c.frameOff += pngBytes

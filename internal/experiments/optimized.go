@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/node"
-	"repro/internal/units"
 )
 
 // Optimized quantifies the paper's closing argument — that an
@@ -64,14 +63,6 @@ func (s *Suite) Optimized() Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", table(
 		[]string{"Variant", "Time", "Energy", "Saved vs vanilla post"}, rows))
-	gap := func(e units.Joules) float64 {
-		den := float64(base.Post.Energy - base.InSitu.Energy)
-		if den == 0 {
-			return 0
-		}
-		return (float64(base.Post.Energy) - float64(e)) / den * 100
-	}
-	_ = gap
 	fmt.Fprintf(&b, "Because the savings are mostly static time (Sec. V-C), overlapping the\n")
 	fmt.Fprintf(&b, "checkpoint drain with computation recovers a large share of the in-situ\n")
 	fmt.Fprintf(&b, "advantage while keeping every checkpoint on disk for exploration.\n")

@@ -3,7 +3,8 @@
 // simulated disk, measuring execution time, full-system power, and the
 // disk's dynamic power and energy (Table III). The request sizes are
 // the paper's, 128 KiB sequential and 16 KiB random, and the disk's
-// dynamic power is the residual above the paper's 104.5 W idle node;
+// dynamic power is the residual above the node's own idle floor
+// (node.IdlePower: 104.5 W on the paper's HDD node, as in the paper);
 // only the file size is configurable.
 //
 // Random tests use a shuffled full-coverage block map, like fio's
@@ -18,12 +19,10 @@ import (
 	"repro/internal/units"
 )
 
-// The paper's request sizes, and the idle system power it attributes
-// the "disk dynamic power" residual against.
+// The paper's request sizes.
 const (
-	seqBlock     = 128 * units.KiB
-	randBlock    = 16 * units.KiB
-	idleBaseline = units.Watts(104.5)
+	seqBlock  = 128 * units.KiB
+	randBlock = 16 * units.KiB
 )
 
 // TestKind selects one of the four Table III workloads.
@@ -68,7 +67,7 @@ type Result struct {
 	ExecTime units.Seconds
 	// FullSystemPower is the run's average wall power.
 	FullSystemPower units.Watts
-	// DiskDynPower is the residual above the idle baseline — the
+	// DiskDynPower is the residual above the node's idle floor — the
 	// paper's attribution of everything non-idle to the disk.
 	DiskDynPower units.Watts
 	// DiskDynEnergy = DiskDynPower × ExecTime.
@@ -132,7 +131,7 @@ func Run(n *node.Node, kind TestKind, cfg Config) Result {
 	elapsed := n.Now() - startT
 	energy := n.SystemEnergy() - startE
 	avg := units.AveragePower(energy, elapsed)
-	dyn := avg - idleBaseline
+	dyn := avg - node.IdlePower(n.Profile)
 	if dyn < 0 {
 		dyn = 0
 	}

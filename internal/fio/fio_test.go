@@ -124,6 +124,19 @@ func TestDiskDynEnergyConsistent(t *testing.T) {
 	}
 }
 
+// TestSSDDiskDynamicAboveItsFloor: the residual is taken over the
+// SSD node's own idle floor, which sits below the HDD node's 104.5 W,
+// so every test shows the SSD's dynamic power.
+func TestSSDDiskDynamicAboveItsFloor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.FileSize = 256 * units.MiB
+	for _, r := range RunAll(node.New(node.SandyBridgeSSD(), 3), cfg) {
+		if r.DiskDynPower <= 0 {
+			t.Errorf("%v on the SSD: disk dynamic power = %v, want > 0 (system %v)", r.Kind, r.DiskDynPower, r.FullSystemPower)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FileSize = 64 * units.MiB

@@ -3,6 +3,8 @@ package heat
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/field"
 )
 
 // referenceSweep is the stencil kernel as written before the
@@ -10,7 +12,7 @@ import (
 // three row slices. The rewritten sweep must reproduce its output
 // bit for bit — same FP operation order, just a shape the compiler
 // can prove in-bounds.
-func referenceSweep(cur, next *Grid, rx, ry float64, lo, hi int) {
+func referenceSweep(cur, next *field.Grid, rx, ry float64, lo, hi int) {
 	nx := cur.NX
 	for y := lo + 1; y < hi+1; y++ {
 		c := cur.Data[y*nx : (y+1)*nx]
@@ -39,7 +41,7 @@ func TestSweepMatchesReference(t *testing.T) {
 			// Wide magnitude spread so rounding differences can't hide.
 			s.cur.Data[i] = (rng.Float64() - 0.5) * float64(int(1)<<uint(rng.Intn(30)))
 		}
-		want := NewGrid(nx, ny)
+		want := field.New(nx, ny)
 		referenceSweep(s.cur, want, s.rx, s.ry, 0, ny-2)
 
 		s.sweep()

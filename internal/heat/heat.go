@@ -15,12 +15,6 @@ import (
 	"repro/internal/field"
 )
 
-// Grid is the shared 2-D scalar field type (see package field).
-type Grid = field.Grid
-
-// NewGrid allocates a zeroed NX×NY grid.
-func NewGrid(nx, ny int) *Grid { return field.New(nx, ny) }
-
 // Source holds a rectangular region at a fixed temperature — the
 // "heating element" driving the simulation.
 type Source struct {
@@ -68,7 +62,7 @@ func StabilityLimit(alpha, dx, dy float64) float64 {
 // concurrently.
 type Solver struct {
 	params    Params
-	cur, next *Grid
+	cur, next *field.Grid
 	steps     uint64
 	rx, ry    float64
 }
@@ -104,7 +98,7 @@ func NewSolver(p Params) *Solver {
 		}
 		finite("source temp", s.Temp)
 	}
-	s := &Solver{params: p, cur: NewGrid(p.NX, p.NY), next: NewGrid(p.NX, p.NY)}
+	s := &Solver{params: p, cur: field.New(p.NX, p.NY), next: field.New(p.NX, p.NY)}
 	s.rx = p.Alpha * p.DT / (p.DX * p.DX)
 	s.ry = p.Alpha * p.DT / (p.DY * p.DY)
 	s.cur.Fill(p.InitialTemp)
@@ -132,7 +126,7 @@ func (s *Solver) Params() Params { return s.params }
 
 // Field returns the current temperature field. Callers must not write
 // to it while stepping.
-func (s *Solver) Field() *Grid { return s.cur }
+func (s *Solver) Field() *field.Grid { return s.cur }
 
 // Steps returns how many sub-steps have been taken.
 func (s *Solver) Steps() uint64 { return s.steps }
@@ -147,7 +141,7 @@ func (s *Solver) CellUpdates(n int) uint64 {
 }
 
 // applyBoundary clamps the edge cells to BoundaryTemp.
-func (s *Solver) applyBoundary(g *Grid) {
+func (s *Solver) applyBoundary(g *field.Grid) {
 	for x := 0; x < g.NX; x++ {
 		g.Set(x, 0, s.params.BoundaryTemp)
 		g.Set(x, g.NY-1, s.params.BoundaryTemp)
@@ -158,7 +152,7 @@ func (s *Solver) applyBoundary(g *Grid) {
 	}
 }
 
-func (s *Solver) applySources(g *Grid) {
+func (s *Solver) applySources(g *field.Grid) {
 	for _, src := range s.params.Sources {
 		for y := src.Y0; y < src.Y1; y++ {
 			row := g.Data[y*g.NX:]

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/field"
 )
 
 func smallParams() Params {
@@ -18,7 +20,7 @@ func smallParams() Params {
 }
 
 func TestGridAccessors(t *testing.T) {
-	g := NewGrid(4, 3)
+	g := field.New(4, 3)
 	g.Set(2, 1, 7.5)
 	if g.At(2, 1) != 7.5 {
 		t.Errorf("At(2,1) = %v", g.At(2, 1))
@@ -29,7 +31,7 @@ func TestGridAccessors(t *testing.T) {
 }
 
 func TestGridCloneIndependent(t *testing.T) {
-	g := NewGrid(3, 3)
+	g := field.New(3, 3)
 	c := g.Clone()
 	c.Set(1, 1, 9)
 	if g.At(1, 1) != 0 {
@@ -38,7 +40,7 @@ func TestGridCloneIndependent(t *testing.T) {
 }
 
 func TestGridMinMaxMean(t *testing.T) {
-	g := NewGrid(3, 3)
+	g := field.New(3, 3)
 	g.Fill(2)
 	g.Set(0, 0, -1)
 	g.Set(2, 2, 5)
@@ -55,10 +57,10 @@ func TestGridMinMaxMean(t *testing.T) {
 func TestNewGridPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewGrid(0, 5) did not panic")
+			t.Error("field.New(0, 5) did not panic")
 		}
 	}()
-	NewGrid(0, 5)
+	field.New(0, 5)
 }
 
 func TestStabilityLimit(t *testing.T) {

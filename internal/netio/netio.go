@@ -45,7 +45,6 @@ type LinkStats struct {
 // the same engine. Each node gets a "nic" power domain on its bus.
 type Link struct {
 	params LinkParams
-	engine *sim.Engine
 	tx     *sim.Resource
 	nicA   *power.Domain
 	nicB   *power.Domain
@@ -63,12 +62,19 @@ func Connect(a, b *node.Node, params LinkParams) *Link {
 	}
 	l := &Link{
 		params: params,
-		engine: a.Engine,
-		tx:     sim.NewResource(a.Engine),
 		nicA:   a.Bus.NewDomain("nic", params.NICIdle),
 		nicB:   b.Bus.NewDomain("nic", params.NICIdle),
 	}
+	l.tx = sim.NewResource(a.Engine,
+		func() { l.setNICs(params.NICActive) },
+		func() { l.setNICs(params.NICIdle) })
 	return l
+}
+
+// setNICs sets both ends' NIC power.
+func (l *Link) setNICs(level units.Watts) {
+	l.nicA.SetLevel(level)
+	l.nicB.SetLevel(level)
 }
 
 // Params returns the link configuration.
@@ -91,29 +97,10 @@ func (l *Link) Send(n units.Bytes, done func()) sim.Time {
 		panic("netio: negative transfer size")
 	}
 	service := l.TransferTime(n)
-	start, end := l.tx.Submit(service, done)
+	_, end := l.tx.Submit(service, done)
 	l.stats.Messages++
 	l.stats.BytesSent += n
 	l.stats.BusyTime += service
-
-	at := func(t sim.Time, level units.Watts) {
-		set := func() {
-			l.nicA.SetLevel(level)
-			l.nicB.SetLevel(level)
-		}
-		if t <= l.engine.Now() {
-			set()
-			return
-		}
-		l.engine.At(t, set)
-	}
-	at(start, l.params.NICActive)
-	l.engine.At(end, func() {
-		if l.tx.FreeAt() <= end {
-			l.nicA.SetLevel(l.params.NICIdle)
-			l.nicB.SetLevel(l.params.NICIdle)
-		}
-	})
 	return end
 }
 

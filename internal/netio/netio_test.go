@@ -80,7 +80,7 @@ func TestNICPowerRaisedOnBothEnds(t *testing.T) {
 func TestNICIdleAddsToSystemFloor(t *testing.T) {
 	_, a, _, l := pair(t)
 	// The nic domain adds its idle draw to the bus.
-	want := float64(a.IdleSystemPower() + l.Params().NICIdle)
+	want := float64(node.IdlePower(a.Profile) + l.Params().NICIdle)
 	if got := float64(a.SystemPower()); math.Abs(got-want) > 0.01 {
 		t.Errorf("system power with NIC = %v, want %v", got, want)
 	}

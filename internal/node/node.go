@@ -155,6 +155,24 @@ func SandyBridgeNVRAM() Profile {
 	return p
 }
 
+// IdlePower returns the static floor of a node built from p: the wall
+// power with every subsystem quiescent. It sums the idle level of every
+// domain NewOnEngine attaches, in the bus's order (package static, DRAM
+// static, each disk or RAID member, the NVRAM tier, rest), so it equals
+// a fresh node's Bus.SystemPower exactly. Predict and fio take their
+// idle baseline from it.
+func IdlePower(p Profile) units.Watts {
+	// The product is rounded, so no GOARCH fuses it into the sum.
+	sum := units.Watts(float64(p.Sockets)*float64(p.PkgStaticPerSocket)) + p.DRAMStatic
+	for i := 0; i < max(p.RAIDMembers, 1); i++ {
+		sum += p.Disk.IdlePower
+	}
+	if p.NVRAM != nil {
+		sum += p.NVRAM.IdlePower
+	}
+	return sum + p.RestBase
+}
+
 // Node is one simulated machine.
 type Node struct {
 	Profile Profile
@@ -230,7 +248,7 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 	n.Rest.Bind(restDom)
 	n.observeRest()
 
-	n.MSR = rapl.NewMSR(rapl.Sources(bus, units.Watts(float64(profile.Sockets))*profile.PkgStaticPerSocket, engine))
+	n.MSR = rapl.NewMSR(rapl.Sources(bus))
 
 	if profile.OSNoiseSigma > 0 {
 		noiseRng := rng.Split()
@@ -367,15 +385,6 @@ func (n *Node) InstallFaults(inj *fault.Injector) {
 // profile configured (behind a burst buffer, its backing store's).
 func (n *Node) DiskStats() storage.DiskStats { return n.Device.Stats() }
 
-// IdleSystemPower returns the node's static floor: the wall power with
-// every subsystem quiescent.
-func (n *Node) IdleSystemPower() units.Watts {
-	p := n.Profile
-	// The product is rounded, so no GOARCH fuses it into the sum.
-	return units.Watts(float64(p.Sockets)*float64(p.PkgStaticPerSocket)) +
-		p.DRAMStatic + p.Disk.IdlePower + p.RestBase
-}
-
 // SystemPower returns the instantaneous wall power.
 func (n *Node) SystemPower() units.Watts { return n.Bus.SystemPower() }
 
@@ -423,7 +432,7 @@ func (n *Node) NewInstruments(label string, tel *telemetry.Bus) *Instruments {
 	rec := trace.NewRecorder(prof)
 	tel.Attach(rec)
 	meter := wattsup.NewMeter(n.Engine, n.Bus, tel, wattsup.DefaultConfig(), n.rng.Split())
-	mon := rapl.NewMonitor(n.Engine, n.MSR, tel, n.Bus.Domain("package"), rapl.DefaultMonitorConfig())
+	mon := rapl.NewMonitor(n.Engine, n.MSR, tel, n.Bus.Domain("package"))
 	return &Instruments{Profile: prof, Recorder: rec, Meter: meter, RAPL: mon}
 }
 

@@ -17,11 +17,18 @@ func quiet(seed uint64) *Node {
 	return New(p, seed)
 }
 
-func TestIdleSystemPowerCalibration(t *testing.T) {
-	n := quiet(1)
-	// DESIGN.md §3: idle = 42 pkg + 10 dram + 5 disk + 47.5 rest = 104.5 W.
-	if got := float64(n.SystemPower()); math.Abs(got-104.5) > 0.01 {
-		t.Errorf("idle system power = %v, want 104.5", got)
+// TestIdlePowerCalibration: the profile-only idle floor equals a fresh
+// node's wall power bit for bit on every storage configuration, and is
+// DESIGN.md §3's 42 pkg + 10 dram + 5 disk + 47.5 rest = 104.5 W on
+// the paper's node.
+func TestIdlePowerCalibration(t *testing.T) {
+	for _, p := range []Profile{SandyBridge(), SandyBridgeSSD(), SandyBridgeRAID(4), SandyBridgeNVRAM()} {
+		if got, want := IdlePower(p), New(p, 1).Bus.SystemPower(); got != want {
+			t.Errorf("%s: IdlePower = %v, fresh bus = %v", p.Name, got, want)
+		}
+	}
+	if got := IdlePower(SandyBridge()); got != 104.5 {
+		t.Errorf("HDD node IdlePower = %v, want 104.5", got)
 	}
 }
 
@@ -160,7 +167,7 @@ func TestMonitorOverheadSurvivesLoadChanges(t *testing.T) {
 	run := func(metered bool) (pkg, wall units.Joules, elapsed units.Seconds) {
 		n := quiet(1)
 		dom := n.Bus.Domain("package")
-		mon := rapl.NewMonitor(n.Engine, n.MSR, nil, dom, rapl.DefaultMonitorConfig())
+		mon := rapl.NewMonitor(n.Engine, n.MSR, nil, dom)
 		if metered {
 			mon.Start()
 		}
@@ -173,7 +180,7 @@ func TestMonitorOverheadSurvivesLoadChanges(t *testing.T) {
 	}
 	barePkg, bareWall, elapsed := run(false)
 	pkg, wall, _ := run(true)
-	overhead := float64(rapl.DefaultMonitorConfig().Overhead) * float64(elapsed)
+	overhead := float64(rapl.Overhead) * float64(elapsed)
 	if got := float64(pkg - barePkg); math.Abs(got-overhead) > 1e-6 {
 		t.Errorf("package energy with monitor - without = %.6f J, want %.6f J", got, overhead)
 	}

@@ -111,20 +111,12 @@ func New(client *node.Node, params Params, seed uint64) *FileSystem {
 		fs.servers = append(fs.servers, &server{
 			n:     sn,
 			alloc: params.ServerProfile.FS.DataStart,
-			ioCPU: sim.NewResource(client.Engine),
+			ioCPU: sim.NewResource(client.Engine,
+				func() { sn.SetLoad(1, power.IntensityIO, 0.3) }, sn.SetIdle),
 		})
 	}
 	fs.uplink = netio.Connect(client, fs.servers[0].n, params.Link)
 	return fs
-}
-
-// Servers returns the storage nodes (for energy accounting).
-func (fs *FileSystem) Servers() []*node.Node {
-	out := make([]*node.Node, 0, len(fs.servers))
-	for _, s := range fs.servers {
-		out = append(out, s.n)
-	}
-	return out
 }
 
 // ServersEnergy sums the storage nodes' cumulative energy.
@@ -151,24 +143,10 @@ func (fs *FileSystem) dropStall(op, name string) error {
 	return fmt.Errorf("pfs: %s %q: server timed out: %w", op, name, fault.ErrTransient)
 }
 
-// bracketCPU charges a short request-handling busy period on a server
-// via events.
-func (s *server) bracketCPU(d units.Seconds) {
-	start, end := s.ioCPU.Submit(d, nil)
-	at := func(t sim.Time, fn func()) {
-		if t <= s.n.Engine.Now() {
-			fn()
-			return
-		}
-		s.n.Engine.At(t, fn)
-	}
-	at(start, func() { s.n.SetLoad(1, power.IntensityIO, 0.3) })
-	s.n.Engine.At(end, func() {
-		if s.ioCPU.FreeAt() <= end {
-			s.n.SetIdle()
-		}
-	})
-}
+// requestCPU is a server's CPU time to handle one stripe request; the
+// ioCPU resource's hooks raise the server's load for it and restore
+// idle once no request is queued.
+const requestCPU units.Seconds = 0.0002
 
 // WriteFile stripes a file across the servers and blocks until every
 // stripe is durable on a server disk. header is retained verbatim; the
@@ -210,7 +188,7 @@ func (fs *FileSystem) WriteFile(name string, header []byte, total units.Bytes) e
 		// Each stripe serializes on the shared uplink, then its server
 		// writes it; different servers' disks overlap.
 		fs.uplink.Send(chunk, func() {
-			srv.bracketCPU(0.0002)
+			srv.ioCPU.Submit(requestCPU, nil)
 			srv.n.Device.Submit(storage.OpWrite, r.Start, r.Len(), nil)
 		})
 		stripeIdx++
@@ -241,7 +219,7 @@ func (fs *FileSystem) ReadFile(name string) ([]byte, error) {
 	for _, ext := range meta.extents {
 		srv := fs.servers[ext.server]
 		r := ext.r
-		srv.bracketCPU(0.0002)
+		srv.ioCPU.Submit(requestCPU, nil)
 		end := srv.n.Device.Submit(storage.OpRead, r.Start, r.Len(), nil)
 		fs.engine.At(end, func() {
 			fs.uplink.Send(r.Len(), nil)
@@ -284,12 +262,5 @@ func (fs *FileSystem) drain() {
 			return
 		}
 		fs.engine.AdvanceTo(next)
-	}
-}
-
-// StopNoise silences every server's OS-noise ticker.
-func (fs *FileSystem) StopNoise() {
-	for _, s := range fs.servers {
-		s.n.StopNoise()
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/heat"
+	"repro/internal/field"
 	"repro/internal/units"
 )
 
-func testGrid(fill float64) *heat.Grid {
-	g := heat.NewGrid(16, 16)
+func testGrid(fill float64) *field.Grid {
+	g := field.New(16, 16)
 	for i := range g.Data {
 		g.Data[i] = fill + float64(i)
 	}
@@ -29,7 +29,7 @@ func TestStoreConcurrentWrites(t *testing.T) {
 	store := NewStore(fs)
 
 	const perWriter = 8
-	grids := [2]*heat.Grid{testGrid(100), testGrid(5000)}
+	grids := [2]*field.Grid{testGrid(100), testGrid(5000)}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)

@@ -1,10 +1,10 @@
 // Package rapl emulates Intel's Running Average Power Limit interface
 // as the paper used it on Sandy Bridge: model-specific registers (MSRs)
-// holding 32-bit cumulative energy counters in 15.3 µJ units, read by a
-// 1 Hz software monitor that differences consecutive counter values —
-// handling wraparound — to produce per-domain power. Reading the MSRs
-// costs a small, configurable monitoring overhead on the package domain
-// (the paper measured 0.2 W at 1 Hz).
+// holding 32-bit cumulative energy counters in 15.3 µJ units for the
+// PKG and DRAM planes, read by a 1 Hz software monitor that differences
+// consecutive counter values — handling wraparound — to produce
+// per-domain power. Reading the MSRs costs the package domain the
+// 0.2 W the paper measured at 1 Hz.
 package rapl
 
 import (
@@ -19,10 +19,9 @@ import (
 // Domain identifies a RAPL power plane.
 type Domain int
 
-// RAPL domains available on Sandy Bridge server parts.
+// The RAPL domains the paper read on its Sandy Bridge server.
 const (
 	PKG  Domain = iota // whole processor package
-	PP0                // cores only
 	DRAM               // memory
 )
 
@@ -30,8 +29,6 @@ func (d Domain) String() string {
 	switch d {
 	case PKG:
 		return "PKG"
-	case PP0:
-		return "PP0"
 	case DRAM:
 		return "DRAM"
 	default:
@@ -42,8 +39,8 @@ func (d Domain) String() string {
 // EnergyUnit is the Sandy Bridge RAPL energy resolution: 2^-16 J.
 const EnergyUnit = 1.0 / 65536
 
-// EnergySource yields cumulative joules for a domain. PKG and DRAM wrap
-// power.Domain energies; PP0 subtracts the modeled uncore floor.
+// EnergySource yields cumulative joules for a domain; PKG and DRAM wrap
+// power.Domain energies.
 type EnergySource func() units.Joules
 
 // MSR emulates the energy-status registers.
@@ -78,45 +75,29 @@ func CounterDelta(prev, cur uint32) units.Joules {
 	return units.Joules(float64(delta) * EnergyUnit)
 }
 
-// Sources builds the standard source map from the node's power bus:
-// PKG = package domain, DRAM = dram domain, PP0 = package minus the
-// fixed uncore floor.
-func Sources(bus *power.Bus, uncoreFloor units.Watts, engine *sim.Engine) map[Domain]EnergySource {
+// Sources builds the source map from the node's power bus: PKG = the
+// package domain, DRAM = the dram domain.
+func Sources(bus *power.Bus) map[Domain]EnergySource {
 	pkg := bus.Domain("package")
 	dram := bus.Domain("dram")
 	if pkg == nil || dram == nil {
 		panic("rapl: bus lacks package/dram domains")
 	}
-	start := engine.Now()
 	return map[Domain]EnergySource{
 		PKG:  func() units.Joules { return pkg.Energy() },
 		DRAM: func() units.Joules { return dram.Energy() },
-		PP0: func() units.Joules {
-			elapsed := engine.Now() - start
-			e := pkg.Energy() - units.Energy(uncoreFloor, elapsed)
-			if e < 0 {
-				e = 0
-			}
-			return e
-		},
 	}
 }
 
-// MonitorConfig configures the sampling loop.
-type MonitorConfig struct {
-	// Period between reads (the paper used 1 Hz).
-	Period units.Seconds
-	// Overhead is added to the package domain while monitoring
-	// (0.2 W at 1 Hz in the paper).
-	Overhead units.Watts
-	// Domains to record; nil means PKG+DRAM (the paper's choice).
-	Domains []Domain
-}
+// The paper's monitor: one read of each domain per Period, costing the
+// package domain Overhead while it runs.
+const (
+	Period   units.Seconds = 1
+	Overhead units.Watts   = 0.2
+)
 
-// DefaultMonitorConfig returns the paper's 1 Hz, 0.2 W setup.
-func DefaultMonitorConfig() MonitorConfig {
-	return MonitorConfig{Period: 1, Overhead: 0.2}
-}
+// domains are the planes the monitor records, in series order.
+var domains = [...]Domain{PKG, DRAM}
 
 // Monitor periodically reads the MSRs and emits per-domain average
 // power as telemetry energy-sample events.
@@ -124,10 +105,8 @@ type Monitor struct {
 	msr     *MSR
 	ticker  *sim.Ticker
 	pkgDom  *power.Domain
-	cfg     MonitorConfig
 	tel     *telemetry.Bus
-	doms    []Domain
-	names   []string
+	names   [len(domains)]string
 	prev    map[Domain]uint32
 	running bool
 }
@@ -136,35 +115,26 @@ type Monitor struct {
 // ("rapl.PKG", "rapl.DRAM", ...).
 func SourceName(d Domain) string { return "rapl." + d.String() }
 
-// NewMonitor attaches a monitor to the MSRs, emitting readings into tel
-// with one source per domain (defined on construction, in domain order,
-// so recorders materialize series columns in a stable order). pkgDomain
-// receives the monitoring overhead and may be nil.
-func NewMonitor(engine *sim.Engine, msr *MSR, tel *telemetry.Bus, pkgDomain *power.Domain, cfg MonitorConfig) *Monitor {
-	if cfg.Period <= 0 {
-		panic("rapl: monitor period must be positive")
-	}
-	doms := cfg.Domains
-	if doms == nil {
-		doms = []Domain{PKG, DRAM}
-	}
+// NewMonitor attaches a monitor to the MSRs, emitting PKG and DRAM
+// readings into tel (sources defined on construction, in that order, so
+// recorders materialize series columns in a stable order). pkgDomain
+// receives the monitoring overhead and may be nil, which leaves every
+// domain's power exact.
+func NewMonitor(engine *sim.Engine, msr *MSR, tel *telemetry.Bus, pkgDomain *power.Domain) *Monitor {
 	if tel == nil {
 		tel = telemetry.NewBus()
 	}
 	m := &Monitor{
 		msr:    msr,
 		pkgDom: pkgDomain,
-		cfg:    cfg,
 		tel:    tel,
-		doms:   doms,
-		names:  make([]string, len(doms)),
 		prev:   make(map[Domain]uint32),
 	}
-	for i, d := range doms {
+	for i, d := range domains {
 		m.names[i] = SourceName(d)
 		tel.Emit(telemetry.Event{Kind: telemetry.KindSeriesDefine, Source: m.names[i], Unit: "W"})
 	}
-	m.ticker = sim.NewTicker(engine, cfg.Period, m.sample)
+	m.ticker = sim.NewTicker(engine, Period, m.sample)
 	return m
 }
 
@@ -174,13 +144,13 @@ func (m *Monitor) Start() {
 		return
 	}
 	m.running = true
-	for _, d := range m.doms {
+	for _, d := range domains {
 		if v, err := m.msr.ReadEnergyStatus(d); err == nil {
 			m.prev[d] = v
 		}
 	}
 	if m.pkgDom != nil {
-		m.pkgDom.Add(m.cfg.Overhead)
+		m.pkgDom.Add(Overhead)
 	}
 	m.ticker.Start()
 }
@@ -193,12 +163,12 @@ func (m *Monitor) Stop() {
 	m.running = false
 	m.ticker.Stop()
 	if m.pkgDom != nil {
-		m.pkgDom.Add(-m.cfg.Overhead)
+		m.pkgDom.Add(-Overhead)
 	}
 }
 
 func (m *Monitor) sample(now sim.Time) {
-	for i, d := range m.doms {
+	for i, d := range domains {
 		cur, err := m.msr.ReadEnergyStatus(d)
 		if err != nil {
 			continue
@@ -209,7 +179,7 @@ func (m *Monitor) sample(now sim.Time) {
 			Kind:   telemetry.KindEnergySample,
 			Source: m.names[i],
 			At:     now,
-			Value:  float64(e) / float64(m.cfg.Period),
+			Value:  float64(e) / float64(Period),
 		})
 	}
 }

@@ -70,11 +70,9 @@ func TestMonitorRecordsAveragePower(t *testing.T) {
 	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 42)
 	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus, 42, e))
+	msr := NewMSR(Sources(bus))
 	tel, prof := monitorProfile()
-	cfg := DefaultMonitorConfig()
-	cfg.Overhead = 0 // keep power exact for the assertion
-	mon := NewMonitor(e, msr, tel, pkg, cfg)
+	mon := NewMonitor(e, msr, tel, nil) // no overhead: power stays exact
 	mon.Start()
 	e.Advance(5)
 	pkg.SetLevel(72)
@@ -101,8 +99,8 @@ func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 	bus := power.NewBus(e)
 	pkg := bus.NewDomain("package", 42)
 	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus, 42, e))
-	mon := NewMonitor(e, msr, nil, pkg, DefaultMonitorConfig())
+	msr := NewMSR(Sources(bus))
+	mon := NewMonitor(e, msr, nil, pkg)
 	mon.Start()
 	if math.Abs(float64(pkg.Level())-42.2) > 1e-9 {
 		t.Errorf("package with monitor = %v, want 42.2", pkg.Level())
@@ -120,32 +118,16 @@ func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 	mon.Stop() // idempotent
 }
 
-func TestPP0SubtractsUncore(t *testing.T) {
-	e := sim.NewEngine()
-	bus := power.NewBus(e)
-	pkg := bus.NewDomain("package", 42)
-	bus.NewDomain("dram", 10)
-	srcs := Sources(bus, 30, e) // 30 W uncore floor
-	pkg.SetLevel(72)
-	e.Advance(10)
-	got := float64(srcs[PP0]())
-	want := (72.0 - 30.0) * 10
-	if math.Abs(got-want) > 1e-6 {
-		t.Errorf("PP0 energy = %v, want %v", got, want)
-	}
-}
-
 func TestMonitorLongRunSurvivesCounterWrap(t *testing.T) {
 	// At 150 W the 32-bit counter wraps every ~437 s; run 1200 s and
 	// check no sample goes wild.
 	e := sim.NewEngine()
 	bus := power.NewBus(e)
-	pkg := bus.NewDomain("package", 150)
+	bus.NewDomain("package", 150)
 	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus, 42, e))
+	msr := NewMSR(Sources(bus))
 	tel, prof := monitorProfile()
-	cfg := MonitorConfig{Period: 1, Overhead: 0}
-	mon := NewMonitor(e, msr, tel, pkg, cfg)
+	mon := NewMonitor(e, msr, tel, nil)
 	mon.Start()
 	e.Advance(1200)
 	mon.Stop()

@@ -92,10 +92,12 @@ func Values(rng *rand.Rand, kind int) func() float64 {
 			if rng.Intn(16) == 0 {
 				return specials[rng.Intn(len(specials))]
 			}
-			return (rng.Float64() - 0.5) * float64(int(1)<<uint(rng.Intn(30)))
+			// Float64's scaling product is rounded, so no GOARCH
+			// fuses it into the difference (here and below).
+			return (float64(rng.Float64()) - 0.5) * float64(int(1)<<uint(rng.Intn(30)))
 		}
 	default:
-		return func() float64 { return math.MaxFloat64 * (rng.Float64()*2 - 1) }
+		return func() float64 { return math.MaxFloat64 * (float64(rng.Float64())*2 - 1) }
 	}
 }
 

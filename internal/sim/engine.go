@@ -1,5 +1,8 @@
 // Package sim is the discrete-event simulation kernel: a virtual clock,
-// an event queue, FCFS resources, and periodic samplers.
+// an event queue, FCFS resources, and periodic samplers. A resource's
+// busy and idle hooks run as a job starts and as the server empties;
+// the NVRAM tier, the network link, the parallel-filesystem server CPUs
+// and the in-transit staging CPU pass their power transitions there.
 //
 // The kernel is deliberately callback-based (no goroutine-per-process):
 // every state change in the simulated node happens inside an event

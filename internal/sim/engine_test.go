@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -265,7 +267,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 
 func TestResourceFCFS(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := NewResource(e, nil, nil)
 	s1, e1 := r.Submit(10, nil)
 	s2, e2 := r.Submit(5, nil)
 	if s1 != 0 || e1 != 10 {
@@ -284,7 +286,7 @@ func TestResourceFCFS(t *testing.T) {
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := NewResource(e, nil, nil)
 	r.Submit(2, nil)
 	e.Advance(10)
 	if !r.Idle() {
@@ -298,7 +300,7 @@ func TestResourceIdleGap(t *testing.T) {
 
 func TestResourceDoneCallback(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := NewResource(e, nil, nil)
 	var doneAt Time = -1
 	r.Submit(4, func() { doneAt = e.Now() })
 	e.Advance(10)
@@ -307,9 +309,46 @@ func TestResourceDoneCallback(t *testing.T) {
 	}
 }
 
+// TestResourceHooks pins when a resource's power hooks run: busy at
+// once for an idle server and at the queued start otherwise, one idle
+// call for back-to-back jobs (at the second job's end), done ahead of
+// idle, and an event the caller schedules at a job's end after Submit
+// behind both.
+func TestResourceHooks(t *testing.T) {
+	e := NewEngine()
+	var log []string
+	note := func(what string) func() {
+		return func() { log = append(log, fmt.Sprintf("%s@%g", what, float64(e.Now()))) }
+	}
+	r := NewResource(e, note("busy"), note("idle"))
+	r.Submit(2, note("done1"))
+	if got := strings.Join(log, " "); got != "busy@0" {
+		t.Fatalf("after submitting to an idle server: %q, want busy at once", got)
+	}
+	_, end := r.Submit(3, note("done2"))
+	e.At(end, note("after"))
+	e.Advance(10)
+	r.Submit(1, nil)
+	e.Advance(10)
+	want := "busy@0 done1@2 busy@2 done2@5 idle@5 after@5 busy@10 idle@11"
+	if got := strings.Join(log, " "); got != want {
+		t.Errorf("hook order:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestResourceWithoutHooksAllocatesNothing pins the disk's hot path: a
+// resource without hooks or done callback schedules nothing and
+// allocates nothing per job.
+func TestResourceWithoutHooksAllocatesNothing(t *testing.T) {
+	r := NewResource(NewEngine(), nil, nil)
+	if n := testing.AllocsPerRun(100, func() { r.Submit(1, nil) }); n != 0 {
+		t.Errorf("Submit without hooks: %v allocs/op, want 0", n)
+	}
+}
+
 func TestResourceNegativeServicePanics(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e)
+	r := NewResource(e, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Submit(-1) did not panic")
@@ -323,7 +362,7 @@ func TestResourceNegativeServicePanics(t *testing.T) {
 func TestResourceMakespanProperty(t *testing.T) {
 	f := func(services []uint16) bool {
 		e := NewEngine()
-		r := NewResource(e)
+		r := NewResource(e, nil, nil)
 		var total units.Seconds
 		var lastEnd Time
 		for _, s := range services {

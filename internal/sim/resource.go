@@ -3,10 +3,17 @@ package sim
 import "repro/internal/units"
 
 // Resource is a single FCFS server: jobs submitted while the server is
-// busy queue behind it. The disk uses one to serialize media access
-// between foreground reads and background write-back.
+// busy queue behind it. Its two hooks carry the server's power
+// transitions, so a caller states them once, at construction: busy
+// runs as each job starts and idle when a job ends with nothing queued
+// behind it. The NVRAM burst-buffer tier, the network link's transmit
+// queue, each parallel-filesystem server's CPU and the in-transit
+// staging node's CPU set them; the disk, whose seek and transfer
+// levels change per request, passes nil hooks and brackets its own.
 type Resource struct {
 	engine *Engine
+	// onBusy and onIdle are the hooks (nil for none).
+	onBusy, onIdle func()
 	// freeAt is the virtual time the server next becomes idle.
 	freeAt Time
 	// busy accumulates total busy time, for utilization accounting.
@@ -14,14 +21,18 @@ type Resource struct {
 	jobs uint64
 }
 
-// NewResource returns an idle FCFS server on engine.
-func NewResource(engine *Engine) *Resource {
-	return &Resource{engine: engine}
+// NewResource returns an idle FCFS server on engine. busy (may be nil)
+// runs as each job starts, at once if it starts now; idle (may be nil)
+// runs when a job ends and no later job has queued behind it.
+func NewResource(engine *Engine, busy, idle func()) *Resource {
+	return &Resource{engine: engine, onBusy: busy, onIdle: idle}
 }
 
 // Submit enqueues a job of the given service duration and returns the
 // virtual times at which the job starts and completes. If done is not
-// nil it is scheduled as an event at the completion time.
+// nil it is scheduled as an event at the completion time, ahead of the
+// idle hook; an event the caller schedules at end after Submit returns
+// runs after both.
 //
 // Submit does not advance the clock; foreground callers that must wait
 // for completion pass the returned end time to Engine.AdvanceTo.
@@ -39,6 +50,23 @@ func (r *Resource) Submit(service units.Seconds, done func()) (start, end Time) 
 	r.jobs++
 	if done != nil {
 		r.engine.At(end, done)
+	}
+	if r.onBusy != nil {
+		if start <= r.engine.Now() {
+			r.onBusy()
+		} else {
+			r.engine.At(start, r.onBusy)
+		}
+	}
+	if r.onIdle != nil {
+		// The closure captures last, not the result end, which it
+		// would move to the heap on every call, hooks or none.
+		last := end
+		r.engine.At(last, func() {
+			if r.freeAt <= last {
+				r.onIdle()
+			}
+		})
 	}
 	return start, end
 }

@@ -47,7 +47,6 @@ type BurstBuffer struct {
 	engine  *sim.Engine
 	backing Device
 	tier    *sim.Resource
-	domain  *power.Domain
 
 	resident RangeSet
 	draining bool
@@ -68,17 +67,18 @@ func NewBurstBuffer(engine *sim.Engine, backing Device, params NVRAMParams, doma
 	if params.Capacity <= 0 || params.ReadBW <= 0 || params.WriteBW <= 0 {
 		panic("storage: burst buffer needs positive capacity and bandwidths")
 	}
-	b := &BurstBuffer{
+	var busy, idle func()
+	if domain != nil {
+		domain.SetLevel(params.IdlePower)
+		busy = func() { domain.SetLevel(params.IdlePower + params.ActiveDyn) }
+		idle = func() { domain.SetLevel(params.IdlePower) }
+	}
+	return &BurstBuffer{
 		params:  params,
 		engine:  engine,
 		backing: backing,
-		tier:    sim.NewResource(engine),
-		domain:  domain,
+		tier:    sim.NewResource(engine, busy, idle),
 	}
-	if domain != nil {
-		domain.SetLevel(params.IdlePower)
-	}
-	return b
 }
 
 // TierStats returns a copy of the tier counters.
@@ -107,25 +107,10 @@ func (b *BurstBuffer) nvramService(op Op, n units.Bytes) units.Seconds {
 	return b.params.AccessLatency + units.TransferTime(n, bw)
 }
 
-// submitTier runs one request on the NVRAM resource with power
-// bracketing.
+// submitTier runs one request on the NVRAM resource, whose hooks
+// bracket it with the tier's power levels.
 func (b *BurstBuffer) submitTier(op Op, n units.Bytes, done func()) sim.Time {
-	start, end := b.tier.Submit(b.nvramService(op, n), done)
-	if b.domain != nil {
-		at := func(t sim.Time, level units.Watts) {
-			if t <= b.engine.Now() {
-				b.domain.SetLevel(level)
-				return
-			}
-			b.engine.At(t, func() { b.domain.SetLevel(level) })
-		}
-		at(start, b.params.IdlePower+b.params.ActiveDyn)
-		b.engine.At(end, func() {
-			if b.tier.FreeAt() <= end {
-				b.domain.SetLevel(b.params.IdlePower)
-			}
-		})
-	}
+	_, end := b.tier.Submit(b.nvramService(op, n), done)
 	return end
 }
 

@@ -207,7 +207,7 @@ func NewDisk(engine *sim.Engine, params DiskParams, domain *power.Domain, rng *x
 	d := &Disk{
 		params: params,
 		engine: engine,
-		media:  sim.NewResource(engine),
+		media:  sim.NewResource(engine, nil, nil),
 		domain: domain,
 		rng:    rng,
 	}

@@ -49,8 +49,9 @@ func ASCIIPlot(title string, width, height int, series ...*Series) string {
 	if vMax == vMin {
 		vMax = vMin + 1
 	}
-	// A little headroom.
-	pad := (vMax - vMin) * 0.05
+	// A little headroom. The product is rounded, so no GOARCH fuses it
+	// into the sums below.
+	pad := float64((vMax - vMin) * 0.05)
 	vMin -= pad
 	vMax += pad
 

@@ -116,7 +116,8 @@ func weightedMean(a, b DetectedPhase) float64 {
 	if da+db == 0 {
 		return (a.Mean + b.Mean) / 2
 	}
-	return (a.Mean*da + b.Mean*db) / (da + db)
+	// The products are rounded, so no GOARCH fuses them into the sum.
+	return (float64(a.Mean*da) + float64(b.Mean*db)) / (da + db)
 }
 
 func abs(v float64) float64 {

@@ -118,7 +118,8 @@ func (s *Series) Integral() float64 {
 			continue
 		}
 		dt := float64(s.samples[i+1].T - s.samples[i].T)
-		sum += s.samples[i].V * dt
+		// The product is rounded, so no GOARCH fuses it into the sum.
+		sum += float64(s.samples[i].V * dt)
 	}
 	return sum
 }

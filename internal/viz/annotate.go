@@ -110,6 +110,5 @@ func Annotate(img *image.RGBA, opts AnnotateOptions) {
 	lo := fmt.Sprintf("%.0f", opts.Lo)
 	hi := fmt.Sprintf("%.0f", opts.Hi)
 	DrawText(img, bar.Min.X-len(lo)*glyphW-2, bar.Min.Y, lo, white)
-	_ = hi
-	DrawText(img, bar.Max.X-len(hi)*glyphW, bar.Min.Y-0, hi, color.RGBA{0, 0, 0, 255})
+	DrawText(img, bar.Max.X-len(hi)*glyphW, bar.Min.Y, hi, color.RGBA{0, 0, 0, 255})
 }

@@ -49,7 +49,7 @@ func TestCompressionRatioOnSmoothField(t *testing.T) {
 }
 
 func TestCompressionRatioOnNoise(t *testing.T) {
-	g := heat.NewGrid(64, 64)
+	g := field.New(64, 64)
 	x := uint64(12345)
 	for i := range g.Data {
 		x = x*6364136223846793005 + 1442695040888963407
@@ -66,7 +66,7 @@ func TestCompressionRatioOnNoise(t *testing.T) {
 }
 
 func TestCompressFlatField(t *testing.T) {
-	g := heat.NewGrid(32, 32)
+	g := field.New(32, 32)
 	g.Fill(42)
 	blob, err := CompressField(g)
 	if err != nil {
@@ -122,13 +122,13 @@ func TestCompressFieldMatchesFlate(t *testing.T) {
 	bs := heat.NewSolver(big)
 	bs.Step(50)
 	grids = append(grids, bs.Field())
-	noise := heat.NewGrid(200, 200)
+	noise := field.New(200, 200)
 	x := uint64(7)
 	for i := range noise.Data {
 		x = x*6364136223846793005 + 1442695040888963407
 		noise.Data[i] = float64(x >> 40)
 	}
-	flat := heat.NewGrid(50, 50)
+	flat := field.New(50, 50)
 	flat.Fill(3)
 	grids = append(grids, noise, flat)
 	for i, g := range grids {

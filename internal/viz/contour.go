@@ -1,6 +1,6 @@
 package viz
 
-import "repro/internal/heat"
+import "repro/internal/field"
 
 // Segment is one isoline piece in grid coordinates (cell units).
 type Segment struct {
@@ -10,7 +10,7 @@ type Segment struct {
 // MarchingSquares extracts the isocontour of the field at the given
 // level as line segments, returning the segments and the number of
 // cells visited (the stage's work unit).
-func MarchingSquares(g *heat.Grid, level float64) ([]Segment, int) {
+func MarchingSquares(g *field.Grid, level float64) ([]Segment, int) {
 	return MarchingSquaresInto(nil, g, level)
 }
 
@@ -54,7 +54,7 @@ var msTable = [16][2]uint8{
 // The scan classifies each cell with the msTable lookup and hoists the
 // two corner rows into slices, so the common empty/full cells cost four
 // comparisons and a table read with no per-cell closures or At calls.
-func MarchingSquaresInto(dst []Segment, g *heat.Grid, level float64) ([]Segment, int) {
+func MarchingSquaresInto(dst []Segment, g *field.Grid, level float64) ([]Segment, int) {
 	segs := dst
 	nx := g.NX
 	for y := 0; y < g.NY-1; y++ {

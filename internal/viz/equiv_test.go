@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/heat"
 	"repro/internal/ocean"
 )
@@ -167,7 +168,7 @@ func TestMapMatchesReference(t *testing.T) {
 // referenceRender is Render as written before the colour table: a
 // per-pixel bilinear resample in the same evaluation order, then
 // referenceMap, then the isoline overlay.
-func referenceRender(g *heat.Grid, opts RenderOptions) *image.RGBA {
+func referenceRender(g *field.Grid, opts RenderOptions) *image.RGBA {
 	cm := opts.Colormap
 	if cm == nil {
 		cm = Inferno()
@@ -224,7 +225,7 @@ func referenceRender(g *heat.Grid, opts RenderOptions) *image.RGBA {
 // a flat field, degenerate and odd sizes, a downsampling render, and
 // the dense, many-stop and spike maps.
 func TestRenderMatchesReference(t *testing.T) {
-	check := func(name string, g *heat.Grid, opts RenderOptions) {
+	check := func(name string, g *field.Grid, opts RenderOptions) {
 		t.Helper()
 		for _, iso := range [][]float64{nil, opts.Isolines} {
 			o := opts
@@ -255,13 +256,13 @@ func TestRenderMatchesReference(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(15))
-	random := heat.NewGrid(37, 23)
+	random := field.New(37, 23)
 	for i := range random.Data {
 		random.Data[i] = rng.NormFloat64()
 	}
-	flat := heat.NewGrid(9, 9)
+	flat := field.New(9, 9)
 	flat.Fill(42)
-	big := heat.NewGrid(128, 128)
+	big := field.New(128, 128)
 	for i := range big.Data {
 		big.Data[i] = rng.Float64()
 	}
@@ -280,7 +281,7 @@ func TestRenderMatchesReference(t *testing.T) {
 
 	// A field that sweeps t finely across the spike bucket, so the
 	// spike's Y pixels appear in the frame.
-	sweep := heat.NewGrid(64, 2)
+	sweep := field.New(64, 2)
 	base := float64(spikeBucket) / tableSize
 	for x := 0; x < 64; x++ {
 		v := base + float64(x-16)/(32*tableSize)
@@ -294,7 +295,7 @@ func TestRenderMatchesReference(t *testing.T) {
 // table-driven restructuring: per-cell At loads and closure-built
 // edge points. The rewritten scan must emit the identical segment
 // sequence and cell count.
-func referenceMarchingSquares(g *heat.Grid, level float64) ([]Segment, int) {
+func referenceMarchingSquares(g *field.Grid, level float64) ([]Segment, int) {
 	var segs []Segment
 	cells := 0
 	for y := 0; y < g.NY-1; y++ {
@@ -404,7 +405,7 @@ func TestMarchingSquaresMatchesReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		nx := 2 + rng.Intn(30)
 		ny := 2 + rng.Intn(30)
-		g := heat.NewGrid(nx, ny)
+		g := field.New(nx, ny)
 		if trial%2 == 0 {
 			for i := range g.Data {
 				g.Data[i] = quantized[rng.Intn(len(quantized))]
@@ -494,7 +495,7 @@ func countRowFilters(tb testing.TB, data []byte, counts *[5]int) {
 // solverField returns a default heat or ocean field after steps solver
 // steps, and the app's pipeline render options: its colormap and
 // isolines at 512×512.
-func solverField(app string, steps int) (*heat.Grid, RenderOptions) {
+func solverField(app string, steps int) (*field.Grid, RenderOptions) {
 	opts := DefaultRenderOptions()
 	switch app {
 	case "heat":

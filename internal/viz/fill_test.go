@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 // fillCase is one fillRow call's inputs: a row of len(colX) pixels.
@@ -294,7 +294,7 @@ func FuzzFillRow(f *testing.F) {
 
 // renderPanic returns the message Render(g, opts) panics with, or ""
 // if it returns.
-func renderPanic(g *heat.Grid, opts RenderOptions) (msg string) {
+func renderPanic(g *field.Grid, opts RenderOptions) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			msg = fmt.Sprint(r)
@@ -309,7 +309,7 @@ func renderPanic(g *heat.Grid, opts RenderOptions) (msg string) {
 // every GOARCH (arm64 converts NaN to index 0, so the table lookup
 // alone would colour it there).
 func TestRenderPanicsOnNaN(t *testing.T) {
-	g := heat.NewGrid(128, 128)
+	g := field.New(128, 128)
 	for i := range g.Data {
 		g.Data[i] = float64(i % 97)
 	}
@@ -327,7 +327,7 @@ func TestRenderFlatFieldIsFirstColour(t *testing.T) {
 	cm := Inferno()
 	opts := RenderOptions{Width: 512, Height: 512, Colormap: cm}
 	for _, v := range []float64{0, 20, -273.15, 1e12, 1e14, 1e15, 1e16, -1e15, 0x1p53} {
-		g := heat.NewGrid(128, 128)
+		g := field.New(128, 128)
 		g.Fill(v)
 		img, _ := Render(g, opts)
 		off := 0
@@ -354,8 +354,8 @@ func TestRenderFlatFieldIsFirstColour(t *testing.T) {
 // a few ulps of v at most; a span that overflows must panic with a
 // message naming its ends.
 func TestRenderFiniteRanges(t *testing.T) {
-	fill := func(vals ...float64) *heat.Grid {
-		g := heat.NewGrid(16, 16)
+	fill := func(vals ...float64) *field.Grid {
+		g := field.New(16, 16)
 		for i := range g.Data {
 			g.Data[i] = vals[i%len(vals)]
 		}
@@ -364,7 +364,7 @@ func TestRenderFiniteRanges(t *testing.T) {
 	cm := Inferno()
 	for _, tc := range []struct {
 		name   string
-		g      *heat.Grid
+		g      *field.Grid
 		lo, hi float64
 		panics string // the message names this, "" if it renders
 	}{

@@ -4,11 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 func TestDownsampleDimensions(t *testing.T) {
-	g := heat.NewGrid(128, 96)
+	g := field.New(128, 96)
 	d := Downsample(g, 4)
 	if d.NX != 32 || d.NY != 24 {
 		t.Errorf("downsampled dims = %dx%d", d.NX, d.NY)
@@ -16,7 +16,7 @@ func TestDownsampleDimensions(t *testing.T) {
 }
 
 func TestDownsamplePicksEveryKth(t *testing.T) {
-	g := heat.NewGrid(8, 8)
+	g := field.New(8, 8)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
 			g.Set(x, y, float64(y*8+x))
@@ -44,7 +44,7 @@ func TestDownsampleValidation(t *testing.T) {
 			t.Error("factor 0 did not panic")
 		}
 	}()
-	Downsample(heat.NewGrid(8, 8), 0)
+	Downsample(field.New(8, 8), 0)
 }
 
 func TestPSNRIdenticalIsInf(t *testing.T) {

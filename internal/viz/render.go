@@ -9,7 +9,7 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 // framePool recycles output rasters between frames and scratchPool the
@@ -95,7 +95,7 @@ func (rs *renderScratch) prepareColumns(width, nx int, sx float64) {
 // t = (v-lo)*inv and stores each pixel whose bucket is one pure table
 // entry; the pixels it lists as slow get the clamps or the exact
 // colour here.
-func (rs *renderScratch) fill(img *image.RGBA, g *heat.Grid, cm *Colormap, lo, inv, sy float64) {
+func (rs *renderScratch) fill(img *image.RGBA, g *field.Grid, cm *Colormap, lo, inv, sy float64) {
 	gnx := g.NX
 	width := len(rs.colX)
 	t, slow := rs.t, rs.slow
@@ -204,7 +204,7 @@ type RenderStats struct {
 // has nothing to resample, on a range whose span overflows a float64
 // (such as −1e308 to 1e308) or that is infinite, and on a NaN in the
 // field or the range.
-func Render(g *heat.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
+func Render(g *field.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	if opts.Width <= 0 || opts.Height <= 0 {
 		panic(fmt.Sprintf("viz: render size %dx%d must be positive", opts.Width, opts.Height))
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/heat"
+	"repro/internal/field"
 )
 
 func TestColormapEndpoints(t *testing.T) {
@@ -76,8 +76,8 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func hotSpotGrid() *heat.Grid {
-	g := heat.NewGrid(32, 32)
+func hotSpotGrid() *field.Grid {
+	g := field.New(32, 32)
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
 			dx, dy := float64(x-16), float64(y-16)
@@ -107,7 +107,7 @@ func TestRenderHotCenterBrighterThanEdge(t *testing.T) {
 }
 
 func TestRenderFlatFieldDoesNotDivideByZero(t *testing.T) {
-	g := heat.NewGrid(8, 8)
+	g := field.New(8, 8)
 	g.Fill(42)
 	img, _ := Render(g, RenderOptions{Width: 16, Height: 16})
 	if img == nil {
@@ -116,7 +116,7 @@ func TestRenderFlatFieldDoesNotDivideByZero(t *testing.T) {
 }
 
 func TestRenderExplicitScale(t *testing.T) {
-	g := heat.NewGrid(8, 8)
+	g := field.New(8, 8)
 	g.Fill(50)
 	img, _ := Render(g, RenderOptions{Width: 4, Height: 4, Colormap: Grayscale(), Lo: 0, Hi: 100})
 	c := img.RGBAAt(2, 2)
@@ -178,7 +178,7 @@ func TestMarchingSquaresCircleLevelSet(t *testing.T) {
 }
 
 func TestMarchingSquaresUniformFieldEmpty(t *testing.T) {
-	g := heat.NewGrid(16, 16)
+	g := field.New(16, 16)
 	g.Fill(10)
 	if segs, _ := MarchingSquares(g, 50); len(segs) != 0 {
 		t.Errorf("uniform field produced %d segments", len(segs))
@@ -195,7 +195,7 @@ func TestMarchingSquaresEndpointsOnEdgesProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		g := heat.NewGrid(9, 9)
+		g := field.New(9, 9)
 		for i := range g.Data {
 			g.Data[i] = float64(vals[i%len(vals)])
 		}
@@ -276,7 +276,7 @@ func BenchmarkRender512(b *testing.B) {
 // BenchmarkRender512's 32×32 hot spot is no such frame.
 func BenchmarkRenderFrame(b *testing.B) {
 	type frame struct {
-		g    *heat.Grid
+		g    *field.Grid
 		opts RenderOptions
 	}
 	var frames []frame

@@ -91,7 +91,8 @@ func (m *Meter) sample(now sim.Time) {
 	w := float64(cur-m.prevE) / float64(m.cfg.Period)
 	m.prevE = cur
 	if m.cfg.NoiseSigma > 0 {
-		w += m.rng.NormFloat64() * m.cfg.NoiseSigma
+		// The product is rounded, so no GOARCH fuses it into the sum.
+		w += float64(m.rng.NormFloat64() * m.cfg.NoiseSigma)
 	}
 	if m.cfg.Quantum > 0 {
 		w = float64(int64(w/m.cfg.Quantum+0.5)) * m.cfg.Quantum

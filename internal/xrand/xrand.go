@@ -105,9 +105,11 @@ func (r *Rand) NormFloat64() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
+		// Float64's scaling product and the squares are rounded, so
+		// no GOARCH fuses them into the sums and differences.
+		u = 2*float64(r.Float64()) - 1
+		v = 2*float64(r.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
