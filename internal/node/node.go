@@ -391,8 +391,8 @@ func (n *Node) SystemPower() units.Watts { return n.Bus.SystemPower() }
 // SystemEnergy returns cumulative wall energy.
 func (n *Node) SystemEnergy() units.Joules { return n.Bus.SystemEnergy() }
 
-// StopNoise halts the OS-noise ticker (for deterministic sections and
-// to let Engine.Drain terminate).
+// StopNoise halts the OS-noise ticker and removes its perturbation,
+// for sections whose power must be exact.
 func (n *Node) StopNoise() {
 	if n.noise != nil {
 		n.noise.Stop()

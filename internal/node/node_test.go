@@ -319,3 +319,57 @@ func TestWaitDiskIdle(t *testing.T) {
 		t.Error("disk not idle after WaitDiskIdle")
 	}
 }
+
+// TestRAIDSpanInArrayOffsets: the advisor reads a device's touched
+// span from DiskStats, so a RAID-0 array must report it in array
+// offsets, as a single disk does. The same files written and fsynced
+// on an HDD node and a RAID-0 ×4 node give the same span.
+func TestRAIDSpanInArrayOffsets(t *testing.T) {
+	for _, size := range []units.Bytes{256 * units.KiB, 64 * units.MiB} {
+		var spans [2][2]units.Bytes
+		for i, p := range []Profile{SandyBridge(), SandyBridgeRAID(4)} {
+			n := New(p, 1)
+			f := n.FS.Create("x")
+			n.WithIO(func() {
+				f.AppendSparse(size)
+				f.Fsync()
+			})
+			st := n.DiskStats()
+			spans[i] = [2]units.Bytes{st.MinOffset, st.MaxOffset}
+		}
+		if spans[0] != spans[1] {
+			t.Errorf("%v file: HDD span [%d, %d), RAID-0 ×4 span [%d, %d)", size, spans[0][0], spans[0][1], spans[1][0], spans[1][1])
+		}
+	}
+}
+
+// TestReadMissAllocatesNothing pins the storage request path on a
+// whole node (page cache, HDD and its power domain, the OS-noise
+// ticker): a warm 16 KiB sparse read that misses the cache, seeks and
+// waits for the disk allocates nothing. The reads walk the file
+// backwards, so each misses and merges into one cached range.
+func TestReadMissAllocatesNothing(t *testing.T) {
+	n := New(SandyBridge(), 1)
+	const block = 16 * units.KiB
+	b := 256
+	f := n.FS.Create("data")
+	n.WithIO(func() {
+		f.AppendSparse(units.Bytes(b) * block)
+		f.Fsync()
+		n.FS.DropCaches()
+	})
+	n.WaitDiskIdle()
+	before := n.Cache.Stats()
+	if allocs := testing.AllocsPerRun(100, func() {
+		b--
+		if err := f.ReadSparseAt(units.Bytes(b)*block, block); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ReadSparseAt miss: %v allocs/op, want 0", allocs)
+	}
+	after := n.Cache.Stats()
+	if miss := after.ReadMisses - before.ReadMisses; miss != 101*block || after.ReadHits != before.ReadHits {
+		t.Errorf("reads missed %d bytes and hit %d, want %d and 0", miss, after.ReadHits-before.ReadHits, 101*block)
+	}
+}

@@ -11,10 +11,17 @@
 // as plain Go code that calls Engine.Advance to spend virtual time, with
 // background activity (disk write-back, power samplers) expressed as
 // scheduled events that the advance loop drains in timestamp order.
+//
+// Events are stored by value in the engine's own binary heap, and
+// scheduling one hands back no handle, so a callback built once (a
+// method value, a closure made at construction) is scheduled and fired
+// without allocating. Nothing cancels an event: a model that changes
+// its mind checks its own state when the callback runs, as Ticker does
+// with its generation counter and the disk's spindown check does with
+// the media's next free time.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/units"
@@ -24,56 +31,27 @@ import (
 // start of the run.
 type Time = units.Seconds
 
-// Event is a scheduled callback. Cancel it by calling Cancel; the kernel
-// guarantees a cancelled event's callback never runs.
-type Event struct {
-	when      Time
-	seq       uint64 // tie-break so equal-time events run FIFO
-	fn        func()
-	index     int // heap index, -1 when popped/cancelled
-	cancelled bool
+// event is a scheduled callback. (when, seq) is a total order: seq
+// breaks ties so that equal-time events run in scheduling order.
+type event struct {
+	when Time
+	seq  uint64
+	fn   func()
 }
 
-// Cancel prevents the event's callback from running. Cancelling an
-// already-fired or already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine owns the virtual clock and the event queue. The zero value is
 // not usable; create engines with NewEngine.
 type Engine struct {
 	now    Time
-	queue  eventQueue
+	queue  []event // a binary min-heap on (when, seq)
 	seq    uint64
-	fired  uint64
 	inside bool // true while dispatching an event callback
 }
 
@@ -85,27 +63,23 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many event callbacks have run, for diagnostics.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // At schedules fn to run at absolute virtual time t. It panics if t is
 // in the past.
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := &Event{when: t, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	e.queue = append(e.queue, event{when: t, seq: e.seq, fn: fn})
+	e.up(len(e.queue) - 1)
 }
 
 // After schedules fn to run d from now. It panics if d is negative.
-func (e *Engine) After(d units.Seconds, fn func()) *Event {
+func (e *Engine) After(d units.Seconds, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: scheduling event with negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // Advance moves the clock forward by d, firing every event that falls
@@ -135,15 +109,6 @@ func (e *Engine) AdvanceTo(t Time) {
 	}
 }
 
-// Drain fires all remaining events, advancing the clock as needed, until
-// the queue is empty. Periodic samplers must be stopped first or Drain
-// will never terminate; use AdvanceTo to bound it.
-func (e *Engine) Drain() {
-	for len(e.queue) > 0 {
-		e.step()
-	}
-}
-
 // runUntil fires all events with when <= target, then sets now = target.
 func (e *Engine) runUntil(target Time) {
 	for len(e.queue) > 0 && e.queue[0].when <= target {
@@ -154,15 +119,49 @@ func (e *Engine) runUntil(target Time) {
 
 // step pops and fires the earliest event.
 func (e *Engine) step() {
-	ev := heap.Pop(&e.queue).(*Event)
-	if ev.cancelled {
-		return
+	ev := e.queue[0]
+	last := len(e.queue) - 1
+	e.queue[0] = e.queue[last]
+	e.queue[last] = event{} // drop the callback for the collector
+	e.queue = e.queue[:last]
+	if last > 0 {
+		e.down(0)
 	}
-	if ev.when > e.now {
-		e.now = ev.when
-	}
-	e.fired++
+	e.now = ev.when
 	e.inside = true
 	ev.fn()
 	e.inside = false
+}
+
+// up restores the heap order from position i towards the root.
+func (e *Engine) up(i int) {
+	q := e.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// down restores the heap order from position i towards the leaves.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
 }

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/units"
+	"repro/internal/xrand"
 )
 
 func TestAdvanceFiresEventsInOrder(t *testing.T) {
@@ -61,18 +64,6 @@ func TestEventAtExactBoundaryFires(t *testing.T) {
 	if !fired {
 		t.Error("event exactly at the advance boundary did not fire")
 	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.After(1, func() { fired = true })
-	ev.Cancel()
-	e.Advance(2)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	ev.Cancel() // cancelling again must be a no-op
 }
 
 func TestClockIsSetDuringCallback(t *testing.T) {
@@ -155,30 +146,65 @@ func TestAdvanceToBackwardsIsNoop(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.After(1, func() { count++ })
-	e.After(100, func() { count++ })
-	e.Drain()
-	if count != 2 {
-		t.Errorf("Drain fired %d events, want 2", count)
-	}
-	if e.Now() != 100 {
-		t.Errorf("Now() after Drain = %v, want 100", e.Now())
+// TestEventOrderIsStableSortByTime: random schedules with many equal
+// times, some events scheduled from inside callbacks, fire in the order
+// of a stable sort of their scheduling order by time, each at its own
+// time.
+func TestEventOrderIsStableSortByTime(t *testing.T) {
+	rng := xrand.New(7)
+	for trial := 0; trial < 200; trial++ {
+		e := NewEngine()
+		type sched struct {
+			id   int
+			when Time
+		}
+		var scheduled []sched // in scheduling order, i.e. by seq
+		var fired []sched
+		var schedule func(when Time)
+		schedule = func(when Time) {
+			id := len(scheduled)
+			scheduled = append(scheduled, sched{id, when})
+			e.At(when, func() {
+				if e.Now() != when {
+					t.Fatalf("event %d at %v fired at %v", id, when, e.Now())
+				}
+				fired = append(fired, sched{id, when})
+				// A third of the callbacks schedule a follow-up, often
+				// at the current time, where it must run after every
+				// event already due then.
+				if rng.Intn(3) == 0 {
+					schedule(e.Now() + Time(rng.Intn(3)))
+				}
+			})
+		}
+		for i := 0; i < 50+rng.Intn(200); i++ {
+			schedule(Time(rng.Intn(20)))
+		}
+		e.Advance(1000)
+		want := slices.Clone(scheduled)
+		slices.SortStableFunc(want, func(a, b sched) int { return cmp.Compare(a.when, b.when) })
+		if !slices.Equal(fired, want) {
+			t.Fatalf("trial %d: fired %v, want %v", trial, fired, want)
+		}
 	}
 }
 
-func TestFiredCounter(t *testing.T) {
+// TestScheduleFireAllocatesNothing pins the kernel's hot path: events
+// live by value in the engine's heap, so scheduling and firing a
+// prebuilt callback allocates nothing once the heap has grown.
+func TestScheduleFireAllocatesNothing(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 5; i++ {
-		e.After(units.Seconds(i+1), func() {})
+	count := 0
+	fn := func() { count++ }
+	if n := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, fn)
+		e.At(e.Now()+1, fn)
+		e.Advance(1)
+	}); n != 0 {
+		t.Errorf("At + Advance: %v allocs/op, want 0", n)
 	}
-	ev := e.After(3.5, func() {})
-	ev.Cancel()
-	e.Advance(10)
-	if e.Fired() != 5 {
-		t.Errorf("Fired() = %d, want 5 (cancelled events don't count)", e.Fired())
+	if count != 202 {
+		t.Errorf("%d callbacks ran, want 202", count)
 	}
 }
 
@@ -253,6 +279,28 @@ func TestTickerDoubleStart(t *testing.T) {
 	e.Advance(3)
 	if count != 3 {
 		t.Errorf("double-started ticker fired %d times in 3s, want 3", count)
+	}
+}
+
+// TestTickerRestartBeforeStaleTick: a tick pending from before Stop
+// does nothing when it comes due, so Stop and a new Start before it
+// gives exactly one tick per period, counted from the new Start.
+func TestTickerRestartBeforeStaleTick(t *testing.T) {
+	e := NewEngine()
+	var times []Time
+	tk := NewTicker(e, 1, func(now Time) { times = append(times, now) })
+	tk.Start()
+	e.Advance(2.5)
+	tk.Stop()
+	e.Advance(0.25) // the stale tick is due at 3
+	tk.Start()
+	e.Advance(3)
+	want := []Time{1, 2, 3.75, 4.75, 5.75}
+	if !slices.Equal(times, want) {
+		t.Errorf("ticks at %v, want %v", times, want)
+	}
+	if tk.Ticks() != 5 {
+		t.Errorf("Ticks() = %d, want 5", tk.Ticks())
 	}
 }
 
@@ -343,6 +391,26 @@ func TestResourceWithoutHooksAllocatesNothing(t *testing.T) {
 	r := NewResource(NewEngine(), nil, nil)
 	if n := testing.AllocsPerRun(100, func() { r.Submit(1, nil) }); n != 0 {
 		t.Errorf("Submit without hooks: %v allocs/op, want 0", n)
+	}
+}
+
+// TestResourceWithHooksAllocatesNothing: the idle check is built with
+// the resource, so a job with both hooks and a done callback schedules
+// three events and allocates nothing.
+func TestResourceWithHooksAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	busy, idle, done := 0, 0, 0
+	r := NewResource(e, func() { busy++ }, func() { idle++ })
+	onDone := func() { done++ }
+	if n := testing.AllocsPerRun(100, func() {
+		r.Submit(1, onDone) // starts now: busy runs at once
+		r.Submit(1, onDone) // queued: busy is an event at the first's end
+		e.Advance(2)
+	}); n != 0 {
+		t.Errorf("Submit with hooks: %v allocs/op, want 0", n)
+	}
+	if busy != 202 || idle != 101 || done != 202 {
+		t.Errorf("busy %d, idle %d, done %d; want 202, 101, 202", busy, idle, done)
 	}
 }
 

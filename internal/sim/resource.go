@@ -10,10 +10,17 @@ import "repro/internal/units"
 // queue, each parallel-filesystem server's CPU and the in-transit
 // staging node's CPU set them; the disk, whose seek and transfer
 // levels change per request, passes nil hooks and brackets its own.
+//
+// The idle check is built once, with the resource: an event fires
+// exactly at its time, so a job's end event finds the server quiet
+// when freeAt <= now. Submitting a job therefore allocates nothing,
+// hooks or none.
 type Resource struct {
 	engine *Engine
-	// onBusy and onIdle are the hooks (nil for none).
-	onBusy, onIdle func()
+	// onBusy is the busy hook (nil for none); idleIfQuiet runs the idle
+	// hook when nothing has queued behind the job whose end it marks
+	// (nil when there is no idle hook).
+	onBusy, idleIfQuiet func()
 	// freeAt is the virtual time the server next becomes idle.
 	freeAt Time
 	// busy accumulates total busy time, for utilization accounting.
@@ -25,7 +32,15 @@ type Resource struct {
 // runs as each job starts, at once if it starts now; idle (may be nil)
 // runs when a job ends and no later job has queued behind it.
 func NewResource(engine *Engine, busy, idle func()) *Resource {
-	return &Resource{engine: engine, onBusy: busy, onIdle: idle}
+	r := &Resource{engine: engine, onBusy: busy}
+	if idle != nil {
+		r.idleIfQuiet = func() {
+			if r.freeAt <= r.engine.Now() {
+				idle()
+			}
+		}
+	}
+	return r
 }
 
 // Submit enqueues a job of the given service duration and returns the
@@ -58,15 +73,8 @@ func (r *Resource) Submit(service units.Seconds, done func()) (start, end Time) 
 			r.engine.At(start, r.onBusy)
 		}
 	}
-	if r.onIdle != nil {
-		// The closure captures last, not the result end, which it
-		// would move to the heap on every call, hooks or none.
-		last := end
-		r.engine.At(last, func() {
-			if r.freeAt <= last {
-				r.onIdle()
-			}
-		})
+	if r.idleIfQuiet != nil {
+		r.engine.At(end, r.idleIfQuiet)
 	}
 	return start, end
 }

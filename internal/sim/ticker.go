@@ -9,11 +9,16 @@ import (
 // Ticker invokes a callback at a fixed virtual-time period, like the
 // 1 Hz samplers of the Wattsup meter and the RAPL monitor. The first
 // tick fires one period after Start.
+//
+// Stop cancels nothing in the engine: it bumps a generation counter,
+// and the tick still pending from the earlier Start fires as a no-op.
+// Each Start builds one tick callback for its generation, which
+// reschedules itself, so ticking allocates nothing.
 type Ticker struct {
 	engine  *Engine
 	period  units.Seconds
 	fn      func(now Time)
-	event   *Event
+	gen     uint64 // bumped by Stop; a tick of an older generation is stale
 	running bool
 	ticks   uint64
 }
@@ -33,19 +38,28 @@ func (t *Ticker) Start() {
 		return
 	}
 	t.running = true
-	t.schedule()
+	gen := t.gen
+	var tick func()
+	tick = func() {
+		if t.gen != gen {
+			return
+		}
+		t.ticks++
+		t.fn(t.engine.Now())
+		if t.gen == gen {
+			t.engine.After(t.period, tick)
+		}
+	}
+	t.engine.After(t.period, tick)
 }
 
-// Stop halts the ticker; the pending tick is cancelled.
+// Stop halts the ticker; the pending tick becomes a no-op.
 func (t *Ticker) Stop() {
 	if !t.running {
 		return
 	}
 	t.running = false
-	if t.event != nil {
-		t.event.Cancel()
-		t.event = nil
-	}
+	t.gen++
 }
 
 // Ticks reports how many times the callback has fired.
@@ -53,14 +67,3 @@ func (t *Ticker) Ticks() uint64 { return t.ticks }
 
 // Running reports whether the ticker is active.
 func (t *Ticker) Running() bool { return t.running }
-
-func (t *Ticker) schedule() {
-	t.event = t.engine.After(t.period, func() {
-		if !t.running {
-			return
-		}
-		t.ticks++
-		t.fn(t.engine.Now())
-		t.schedule()
-	})
-}

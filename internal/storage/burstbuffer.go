@@ -50,6 +50,7 @@ type BurstBuffer struct {
 
 	resident RangeSet
 	draining bool
+	misses   []Range // a read's scratch, never live across AdvanceTo
 
 	stats BurstBufferStats
 }
@@ -134,12 +135,14 @@ func (b *BurstBuffer) Submit(op Op, offset, n units.Bytes, done func()) sim.Time
 		b.scheduleDrain()
 		return end
 	case OpRead:
-		hits := b.resident.Intersect(r)
-		var hitBytes units.Bytes
-		for _, h := range hits {
-			hitBytes += h.Len()
+		// One walk splits the request: what the tier does not hold
+		// is missed, the rest hits. Submit never advances the clock,
+		// so nothing re-enters this read while it walks the scratch.
+		b.misses = b.resident.Gaps(r, b.misses[:0])
+		hitBytes := n
+		for _, m := range b.misses {
+			hitBytes -= m.Len()
 		}
-		missRanges := b.resident.Gaps(r)
 		var latest sim.Time = b.engine.Now()
 		if hitBytes > 0 {
 			b.stats.HitBytes += hitBytes
@@ -147,7 +150,7 @@ func (b *BurstBuffer) Submit(op Op, offset, n units.Bytes, done func()) sim.Time
 				latest = end
 			}
 		}
-		for _, m := range missRanges {
+		for _, m := range b.misses {
 			b.stats.MissBytes += m.Len()
 			if end := b.backing.Submit(OpRead, m.Start, m.Len(), nil); end > latest {
 				latest = end

@@ -70,6 +70,7 @@ type PageCache struct {
 	cached RangeSet // RAM-resident (clean + dirty)
 	dirty  RangeSet // not yet on media
 	fifo   []Range  // insertion order, used when FIFOWriteback is set
+	gaps   []Range  // Read's scratch: the misses of the current read
 
 	sweepPos units.Bytes // elevator position
 	inflight bool        // a write-back batch is on the media
@@ -163,28 +164,25 @@ func (c *PageCache) Read(off, n units.Bytes) {
 	if n == 0 {
 		return
 	}
-	r := Range{off, off + n}
-	gaps := c.dirtyAwareGaps(r)
+	// One walk finds the misses and makes the whole range resident.
+	// The scratch buffer is never live across AdvanceTo: Submit never
+	// advances the clock, so no event re-enters Read while the loop
+	// walks it, and nothing an event runs reads the cached set.
+	c.gaps = c.cached.Fill(Range{off, off + n}, c.gaps[:0])
 	var missBytes units.Bytes
 	var last sim.Time
-	for _, g := range gaps {
+	for _, g := range c.gaps {
 		missBytes += g.Len()
 		last = c.disk.Submit(OpRead, g.Start, g.Len(), nil)
 	}
 	if last > c.engine.Now() {
 		c.engine.AdvanceTo(last)
 	}
-	c.cached.Add(r)
 	hit := n - missBytes
 	c.stats.ReadHits += hit
 	c.stats.ReadMisses += missBytes
 	// Delivering to the caller's buffer costs one pass at memory speed.
 	c.engine.Advance(units.TransferTime(n, c.params.MemBW))
-}
-
-// dirtyAwareGaps returns the sub-ranges of r that must come from media.
-func (c *PageCache) dirtyAwareGaps(r Range) []Range {
-	return c.cached.Gaps(r)
 }
 
 // Sync drains the entire dirty set to media and blocks until the media

@@ -125,6 +125,16 @@ type DiskStats struct {
 	MinOffset, MaxOffset units.Bytes
 }
 
+// touch widens the touched span to cover [offset, offset+n).
+func (s *DiskStats) touch(offset, n units.Bytes) {
+	if s.MaxOffset == 0 || offset < s.MinOffset {
+		s.MinOffset = offset
+	}
+	if offset+n > s.MaxOffset {
+		s.MaxOffset = offset + n
+	}
+}
+
 // RandomFraction returns the fraction of bytes moved by seeking
 // requests.
 func (s DiskStats) RandomFraction() float64 {
@@ -185,8 +195,13 @@ type Disk struct {
 	// faults, when set, adds latency spikes to request positioning.
 	faults *fault.Injector
 
-	standby   bool
-	standbyEv *sim.Event
+	standby bool
+
+	// The power transitions, built once by NewDisk (nil without a
+	// domain): to the seek level, to the read or write transfer level,
+	// and back to idle if no request has queued behind the one whose
+	// end the event marks.
+	toSeek, toRead, toWrite, idleIfQuiet func()
 
 	stats DiskStats
 }
@@ -213,6 +228,18 @@ func NewDisk(engine *sim.Engine, params DiskParams, domain *power.Domain, rng *x
 	}
 	if domain != nil {
 		domain.SetLevel(params.IdlePower)
+		idle := params.IdlePower
+		level := func(w units.Watts) func() { return func() { domain.SetLevel(w) } }
+		d.toSeek = level(idle + params.SeekDyn)
+		d.toRead = level(idle + params.ReadXferDyn)
+		d.toWrite = level(idle + params.WriteXferDyn)
+		// An event fires exactly at its time, so at a request's end
+		// FreeAt() <= Now() holds when nothing queued behind it.
+		d.idleIfQuiet = func() {
+			if d.media.FreeAt() <= engine.Now() {
+				domain.SetLevel(idle)
+			}
+		}
 	}
 	return d
 }
@@ -330,10 +357,6 @@ func (d *Disk) Submit(op Op, offset, n units.Bytes, done func()) (end sim.Time) 
 		d.standby = false
 		d.stats.Spinups++
 	}
-	if d.standbyEv != nil {
-		d.standbyEv.Cancel()
-		d.standbyEv = nil
-	}
 	d.head = offset + n
 
 	start, end := d.media.Submit(positioning+transfer, done)
@@ -355,12 +378,7 @@ func (d *Disk) Submit(op Op, offset, n units.Bytes, done func()) (end sim.Time) 
 	} else {
 		d.stats.SeqBytes += n
 	}
-	if d.stats.MaxOffset == 0 || offset < d.stats.MinOffset {
-		d.stats.MinOffset = offset
-	}
-	if offset+n > d.stats.MaxOffset {
-		d.stats.MaxOffset = offset + n
-	}
+	d.stats.touch(offset, n)
 
 	if d.domain != nil {
 		d.schedulePower(op, start, positioning, transfer)
@@ -372,9 +390,10 @@ func (d *Disk) Submit(op Op, offset, n units.Bytes, done func()) (end sim.Time) 
 }
 
 // armStandby schedules the spindown check after the request completes.
+// A later request arms its own check; this one then finds the media
+// busy past end and does nothing.
 func (d *Disk) armStandby(end sim.Time) {
-	at := end + d.params.StandbyAfter
-	d.standbyEv = d.engine.At(at, func() {
+	d.engine.At(end+d.params.StandbyAfter, func() {
 		if d.media.FreeAt() > end {
 			return // more work arrived
 		}
@@ -392,29 +411,24 @@ func (d *Disk) Standby() bool { return d.standby }
 // FCFS serialization guarantees the phases of queued requests do not
 // overlap, so absolute SetLevel calls are safe.
 func (d *Disk) schedulePower(op Op, start sim.Time, positioning, transfer units.Seconds) {
-	xfer := d.params.ReadXferDyn
+	xfer := d.toRead
 	if op == OpWrite {
-		xfer = d.params.WriteXferDyn
-	}
-	idle := d.params.IdlePower
-	at := func(t sim.Time, level units.Watts) {
-		if t <= d.engine.Now() {
-			d.domain.SetLevel(level)
-			return
-		}
-		d.engine.At(t, func() { d.domain.SetLevel(level) })
+		xfer = d.toWrite
 	}
 	if positioning > 0 {
-		at(start, idle+d.params.SeekDyn)
+		d.at(start, d.toSeek)
 	}
-	at(start+positioning, idle+xfer)
-	end := start + positioning + transfer
-	d.engine.At(end, func() {
-		// Only drop to idle if no later request has queued behind us.
-		if d.media.FreeAt() <= end {
-			d.domain.SetLevel(idle)
-		}
-	})
+	d.at(start+positioning, xfer)
+	d.engine.At(start+positioning+transfer, d.idleIfQuiet)
+}
+
+// at runs a power transition now if t has come, else schedules it.
+func (d *Disk) at(t sim.Time, transition func()) {
+	if t <= d.engine.Now() {
+		transition()
+		return
+	}
+	d.engine.At(t, transition)
 }
 
 // Idle reports whether the media has no pending work.

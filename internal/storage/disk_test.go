@@ -297,10 +297,38 @@ func TestDiskSpindownCancelledByNewWork(t *testing.T) {
 	d := NewDisk(e, p, nil, xrand.New(1))
 	end := d.Submit(OpRead, 0, units.MiB, nil)
 	e.AdvanceTo(end + 3)
-	d.Submit(OpRead, units.MiB, units.MiB, nil) // resets the idle window
-	e.Advance(4)                                // old threshold passes mid-activity
+	end = d.Submit(OpRead, units.MiB, units.MiB, nil) // resets the idle window
+	e.Advance(4)                                      // old threshold passes mid-activity
 	if d.Standby() {
 		t.Error("spun down despite intervening work")
+	}
+	// The interrupting request's own check spins the disk down
+	// StandbyAfter after that request's end, and not earlier.
+	e.AdvanceTo(end + p.StandbyAfter - units.Millisecond)
+	if d.Standby() {
+		t.Error("spun down before StandbyAfter had passed since the last request")
+	}
+	e.AdvanceTo(end + p.StandbyAfter)
+	if !d.Standby() {
+		t.Error("did not spin down StandbyAfter after the last request")
+	}
+}
+
+// TestDiskSubmitAllocatesNothing pins the disk's request path: its
+// power transitions are built once, by NewDisk, so a warm seeking
+// request on a power domain schedules the transfer and idle transitions
+// and allocates nothing.
+func TestDiskSubmitAllocatesNothing(t *testing.T) {
+	e, d, dom := testDisk(t)
+	off := units.Bytes(0)
+	if n := testing.AllocsPerRun(100, func() {
+		off += 64 * units.MiB
+		e.AdvanceTo(d.Submit(OpRead, off, 16*units.KiB, nil))
+	}); n != 0 {
+		t.Errorf("Disk.Submit: %v allocs/op, want 0", n)
+	}
+	if st := d.Stats(); st.Seeks != 101 || dom.Level() != d.Params().IdlePower {
+		t.Errorf("%d seeks, level %v after the last request; want 101 and idle", st.Seeks, dom.Level())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/xrand"
 )
@@ -266,7 +268,7 @@ func TestRangeSetMatchesFlatReference(t *testing.T) {
 					if got, want := s.Intersect(r), ref.Intersect(r); !equalRanges(got, want) {
 						t.Fatalf("step %d: Intersect(%v) = %v, reference %v", step, r, got, want)
 					}
-					if got, want := s.Gaps(r), ref.Gaps(r); !equalRanges(got, want) {
+					if got, want := s.Gaps(r, nil), ref.Gaps(r); !equalRanges(got, want) {
 						t.Fatalf("step %d: Gaps(%v) = %v, reference %v", step, r, got, want)
 					}
 				}
@@ -307,4 +309,139 @@ func TestRangeSetTakeFromWrapsPastLastChunk(t *testing.T) {
 			from, got[0], got[len(got)-1], from, firstEnd)
 	}
 	checkAgainstFlat(t, 1, s, ref)
+}
+
+// readRange returns a random range for the one-walk read tests, over
+// the set s and its flat reference ref. One time in five it touches a
+// held range at an edge (starting at its End or ending at its Start),
+// one in twenty it spans from inside the last range of a chunk to
+// inside the first of the next, one in twenty it fills the hole between
+// two chunks exactly, and otherwise it is a short random range.
+func readRange(rng *xrand.Rand, s *RangeSet, ref *flatSet, universe int64) Range {
+	roll := rng.Intn(20)
+	switch {
+	case roll < 4 && len(ref.ranges) > 0:
+		e := ref.ranges[rng.Intn(len(ref.ranges))]
+		n := units.Bytes(1 + rng.Int64n(300))
+		if roll < 2 {
+			return Range{e.End, e.End + n}
+		}
+		return Range{max64(0, e.Start-n), e.Start}
+	case roll < 6 && len(s.chunks) >= 2:
+		c := rng.Intn(len(s.chunks) - 1)
+		a, b := s.chunks[c][len(s.chunks[c])-1], s.chunks[c+1][0]
+		if roll == 5 {
+			return Range{a.End, b.Start}
+		}
+		return Range{a.Start + units.Bytes(rng.Int64n(int64(a.Len()))), b.Start + 1 + units.Bytes(rng.Int64n(int64(b.Len())))}
+	default:
+		start := units.Bytes(rng.Int64n(universe))
+		return Range{start, start + units.Bytes(rng.Int64n(256))}
+	}
+}
+
+// TestFillMatchesGapsThenAdd drives the chunked set's one-walk Fill
+// and the flat reference's Gaps followed by Add through the same
+// randomized sequence: thousands of reads and some
+// removals, so the set grows to thousands of ranges in many chunks and
+// then drains. The gaps must match, and the sets must hold the same
+// ranges after every step. The gaps buffer is reused throughout, as the
+// page cache reuses its own.
+func TestFillMatchesGapsThenAdd(t *testing.T) {
+	const universe = 1 << 26
+	rng := xrand.New(29)
+	s, ref := &RangeSet{}, &flatSet{}
+	var buf []Range
+	step, peak, peakChunks := 0, 0, 0
+	for _, phase := range []struct{ fill, ops int }{
+		{fill: 95, ops: 12000},
+		{fill: 40, ops: 6000},
+		{fill: 10, ops: 6000},
+	} {
+		for i := 0; i < phase.ops; i++ {
+			step++
+			r := readRange(rng, s, ref, universe)
+			if rng.Intn(100) < phase.fill {
+				want := ref.Gaps(r)
+				ref.Add(r)
+				buf = s.Fill(r, buf[:0])
+				if !equalRanges(buf, want) {
+					t.Fatalf("step %d: Fill(%v) gaps %v, reference %v", step, r, buf, want)
+				}
+			} else {
+				r.End += units.Bytes(rng.Int64n(4096))
+				s.Remove(r)
+				ref.Remove(r)
+			}
+			checkAgainstFlat(t, step, s, ref)
+			peak, peakChunks = max(peak, s.Len()), max(peakChunks, len(s.chunks))
+		}
+	}
+	if peak < 2000 || peakChunks < 10 {
+		t.Fatalf("sequence peaked at %d ranges in %d chunks: too few to cross chunk boundaries", peak, peakChunks)
+	}
+	t.Logf("%d steps, peak %d ranges in %d chunks", step, peak, peakChunks)
+}
+
+// recordingDevice serves every request at once and records the reads
+// it was asked for.
+type recordingDevice struct {
+	e     *sim.Engine
+	reads []Range
+}
+
+func (d *recordingDevice) Submit(op Op, off, n units.Bytes, done func()) sim.Time {
+	if op == OpRead {
+		d.reads = append(d.reads, Range{off, off + n})
+	}
+	if done != nil {
+		d.e.At(d.e.Now(), done)
+	}
+	return d.e.Now()
+}
+func (d *recordingDevice) FreeAt() sim.Time          { return d.e.Now() }
+func (d *recordingDevice) Idle() bool                { return true }
+func (d *recordingDevice) Capacity() units.Bytes     { return 1 << 40 }
+func (d *recordingDevice) Stats() DiskStats          { return DiskStats{} }
+func (d *recordingDevice) SetFaults(*fault.Injector) {}
+
+// TestBurstBufferSplitMatchesReference: a burst-buffer read splits the
+// request into tier hits and backing-store misses in one walk over the
+// resident set. Over thousands of random absorbed writes and reads that
+// bridge chunks or touch resident ranges at their edges, the hit bytes
+// must be the flat reference's Intersect total and the reads sent to
+// the backing store its Gaps.
+func TestBurstBufferSplitMatchesReference(t *testing.T) {
+	const universe = 1 << 26
+	e := sim.NewEngine()
+	backing := &recordingDevice{e: e}
+	b := NewBurstBuffer(e, backing, DefaultNVRAM(), nil)
+	rng := xrand.New(31)
+	ref := &flatSet{}
+	const steps = 12000
+	for step := 1; step <= steps; step++ {
+		r := readRange(rng, &b.resident, ref, universe)
+		if rng.Intn(100) < 70 {
+			b.Submit(OpWrite, r.Start, r.Len(), nil)
+			ref.Add(r)
+			continue
+		}
+		var wantHit units.Bytes
+		for _, h := range ref.Intersect(r) {
+			wantHit += h.Len()
+		}
+		hitBefore := b.TierStats().HitBytes
+		backing.reads = backing.reads[:0]
+		b.Submit(OpRead, r.Start, r.Len(), nil)
+		if got := b.TierStats().HitBytes - hitBefore; got != wantHit {
+			t.Fatalf("step %d: read %v hit %d bytes, reference %d", step, r, got, wantHit)
+		}
+		if want := ref.Gaps(r); !equalRanges(backing.reads, want) {
+			t.Fatalf("step %d: read %v missed %v, reference %v", step, r, backing.reads, want)
+		}
+	}
+	checkAgainstFlat(t, steps, &b.resident, ref)
+	if b.resident.Len() < 2000 {
+		t.Fatalf("resident set holds %d ranges: too few to cross chunk boundaries", b.resident.Len())
+	}
 }

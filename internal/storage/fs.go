@@ -154,21 +154,14 @@ func (f *File) ensureAllocated(end units.Bytes) {
 	}
 }
 
-// diskRanges maps the logical range [off, off+n) to media ranges in
-// logical order.
-func (f *File) diskRanges(off, n units.Bytes) []Range {
-	var out []Range
+// mediaRange maps the head of the logical range [off, off+n) onto the
+// media: the part inside off's extent. The read and write paths walk a
+// range extent by extent with it, building no slice.
+func (f *File) mediaRange(off, n units.Bytes) Range {
 	es := f.fs.params.ExtentSize
-	for n > 0 {
-		idx := int(off / es)
-		within := off % es
-		take := min64(n, es-within)
-		e := f.extents[idx]
-		out = append(out, Range{e.Start + within, e.Start + within + take})
-		off += take
-		n -= take
-	}
-	return out
+	within := off % es
+	e := f.extents[off/es]
+	return Range{e.Start + within, e.Start + within + min64(n, es-within)}
 }
 
 // Name returns the file name.
@@ -222,11 +215,14 @@ func (f *File) writeCommon(off, n units.Bytes) {
 		panic("storage: negative file offset")
 	}
 	f.ensureAllocated(off + n)
-	for _, r := range f.diskRanges(off, n) {
+	end := off + n
+	for pos := off; pos < end; {
+		r := f.mediaRange(pos, end-pos)
 		f.fs.cache.Write(r.Start, r.Len())
+		pos += r.Len()
 	}
-	if off+n > f.size {
-		f.size = off + n
+	if end > f.size {
+		f.size = end
 	}
 }
 
@@ -270,8 +266,10 @@ func (f *File) readTiming(off, n units.Bytes) {
 	if off < 0 || off+n > f.size {
 		panic(fmt.Sprintf("storage: read [%d,+%d) past EOF %d of %q", off, n, f.size, f.name))
 	}
-	for _, r := range f.diskRanges(off, n) {
+	for pos, end := off, off+n; pos < end; {
+		r := f.mediaRange(pos, end-pos)
 		f.fs.cache.Read(r.Start, r.Len())
+		pos += r.Len()
 	}
 }
 

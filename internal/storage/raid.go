@@ -18,6 +18,9 @@ type StripedDisk struct {
 	members []*Disk
 	stripe  units.Bytes
 	engine  *sim.Engine
+	// span holds only the touched region, in array offsets: the
+	// members know only their own.
+	span DiskStats
 }
 
 // NewStripedDisk builds a RAID-0 array of n identical disks. Each
@@ -68,6 +71,7 @@ func (s *StripedDisk) Submit(op Op, offset, n units.Bytes, done func()) sim.Time
 	if offset < 0 || n < 0 || offset+n > s.Capacity() {
 		panic(fmt.Sprintf("storage: RAID request [%d,+%d) outside capacity %d", offset, n, s.Capacity()))
 	}
+	s.span.touch(offset, n)
 	var latest sim.Time = s.engine.Now()
 	for n > 0 {
 		stripeIdx := offset / s.stripe
@@ -109,10 +113,11 @@ func (s *StripedDisk) Idle() bool {
 	return true
 }
 
-// Stats sums member statistics.
+// Stats sums member statistics; the touched span is the array's own,
+// in array offsets.
 func (s *StripedDisk) Stats() DiskStats {
-	var out DiskStats
-	for i, m := range s.members {
+	out := DiskStats{MinOffset: s.span.MinOffset, MaxOffset: s.span.MaxOffset}
+	for _, m := range s.members {
 		st := m.Stats()
 		out.Reads += st.Reads
 		out.Writes += st.Writes
@@ -124,12 +129,6 @@ func (s *StripedDisk) Stats() DiskStats {
 		out.Spinups += st.Spinups
 		out.SeqBytes += st.SeqBytes
 		out.RandBytes += st.RandBytes
-		if i == 0 || st.MinOffset < out.MinOffset {
-			out.MinOffset = st.MinOffset
-		}
-		if st.MaxOffset > out.MaxOffset {
-			out.MaxOffset = st.MaxOffset
-		}
 	}
 	return out
 }

@@ -103,16 +103,62 @@ func (s *RangeSet) next(p loc) loc {
 
 // firstAtOrAfter returns the position of the first range whose End is
 // greater than off (the first range that could overlap or follow off).
+// Both binary searches are written out: calling a search predicate
+// through a closure per probe cost a fifth of a random-read test's time.
 func (s *RangeSet) firstAtOrAfter(off units.Bytes) loc {
-	c := sort.Search(len(s.chunks), func(c int) bool {
-		ch := s.chunks[c]
-		return ch[len(ch)-1].End > off
-	})
+	c, hi := 0, len(s.chunks)
+	for c < hi {
+		m := int(uint(c+hi) >> 1)
+		if ch := s.chunks[m]; ch[len(ch)-1].End > off {
+			hi = m
+		} else {
+			c = m + 1
+		}
+	}
 	if c == len(s.chunks) {
 		return loc{c, 0}
 	}
 	ch := s.chunks[c]
-	return loc{c, sort.Search(len(ch), func(i int) bool { return ch[i].End > off })}
+	i, j := 0, len(ch)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if ch[m].End > off {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	return loc{c, i}
+}
+
+// span returns the window [p, q) of the ranges that overlap or touch r
+// (adjacency merges too, so it starts at the first End >= r.Start) and r
+// widened to cover them: adding r replaces the window by merged.
+func (s *RangeSet) span(r Range) (p, q loc, merged Range) {
+	p = s.firstAtOrAfter(r.Start - 1)
+	merged = r
+	for q = p; q.c < len(s.chunks) && s.at(q).Start <= r.End; q = s.next(q) {
+		cur := s.at(q)
+		merged = Range{min64(merged.Start, cur.Start), max64(merged.End, cur.End)}
+	}
+	return p, q, merged
+}
+
+// gapsIn appends to buf the portions of r that the window [p, q) from
+// span(r) leaves uncovered, in order.
+func (s *RangeSet) gapsIn(r Range, p, q loc, buf []Range) []Range {
+	pos := r.Start
+	for x := p; x != q; x = s.next(x) {
+		cur := s.at(x)
+		if cur.Start > pos {
+			buf = append(buf, Range{pos, cur.Start})
+		}
+		pos = max64(pos, cur.End)
+	}
+	if pos < r.End {
+		buf = append(buf, Range{pos, r.End})
+	}
+	return buf
 }
 
 // Add inserts [r.Start, r.End), merging with overlapping or adjacent
@@ -121,15 +167,21 @@ func (s *RangeSet) Add(r Range) {
 	if r.Empty() {
 		return
 	}
-	// Find the window of existing ranges that touch [Start-0, End+0]:
-	// adjacency merges too, so it starts at the first End >= r.Start.
-	p := s.firstAtOrAfter(r.Start - 1)
-	q := p
-	for ; q.c < len(s.chunks) && s.at(q).Start <= r.End; q = s.next(q) {
-		cur := s.at(q)
-		r = Range{min64(r.Start, cur.Start), max64(r.End, cur.End)}
+	p, q, merged := s.span(r)
+	s.replace(p, q, merged)
+}
+
+// Fill adds r to the set and appends to buf the portions of r that the
+// set did not cover before, in order: Gaps followed by Add, with one
+// search. Empty ranges are ignored.
+func (s *RangeSet) Fill(r Range, buf []Range) []Range {
+	if r.Empty() {
+		return buf
 	}
-	s.replace(p, q, r)
+	p, q, merged := s.span(r)
+	buf = s.gapsIn(r, p, q, buf)
+	s.replace(p, q, merged)
+	return buf
 }
 
 // Remove deletes [r.Start, r.End) from the set, splitting ranges that
@@ -235,23 +287,14 @@ func (s *RangeSet) Intersect(r Range) []Range {
 	return out
 }
 
-// Gaps returns the portions of r NOT covered by the set, in order.
-func (s *RangeSet) Gaps(r Range) []Range {
-	var out []Range
+// Gaps appends to buf the portions of r NOT covered by the set, in
+// order, and returns the extended slice.
+func (s *RangeSet) Gaps(r Range, buf []Range) []Range {
 	if r.Empty() {
-		return out
+		return buf
 	}
-	pos := r.Start
-	for _, seg := range s.Intersect(r) {
-		if seg.Start > pos {
-			out = append(out, Range{pos, seg.Start})
-		}
-		pos = seg.End
-	}
-	if pos < r.End {
-		out = append(out, Range{pos, r.End})
-	}
-	return out
+	p, q, _ := s.span(r)
+	return s.gapsIn(r, p, q, buf)
 }
 
 // TakeFrom removes and returns up to budget bytes of ranges from the

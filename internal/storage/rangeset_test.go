@@ -158,15 +158,15 @@ func TestIntersect(t *testing.T) {
 
 func TestGaps(t *testing.T) {
 	s := rs(10, 20, 30, 40)
-	got := s.Gaps(Range{0, 50})
+	got := s.Gaps(Range{0, 50}, nil)
 	if !equalRanges(got, []Range{{0, 10}, {20, 30}, {40, 50}}) {
 		t.Errorf("Gaps = %v", got)
 	}
-	if out := s.Gaps(Range{12, 18}); len(out) != 0 {
+	if out := s.Gaps(Range{12, 18}, nil); len(out) != 0 {
 		t.Errorf("Gaps inside covered = %v", out)
 	}
 	full := rs()
-	if out := full.Gaps(Range{5, 10}); !equalRanges(out, []Range{{5, 10}}) {
+	if out := full.Gaps(Range{5, 10}, nil); !equalRanges(out, []Range{{5, 10}}) {
 		t.Errorf("Gaps of empty set = %v", out)
 	}
 }

@@ -30,10 +30,12 @@
 #      BenchmarkRenderFrame (heat and ocean pipeline frames),
 #      BenchmarkEncodePNG512 and BenchmarkEncodePNG512Ocean (an
 #      annotated heat and ocean frame), BenchmarkCompressField,
-#      checkpoint BenchmarkCheckpointEncode)
-#      and the storage layer (fio
-#      BenchmarkRandWrite: one 64 MiB random-write test, nearly all
-#      page-cache range bookkeeping) at -cpu 1, also min-of-COUNT.
+#      checkpoint BenchmarkCheckpointEncode), the event kernel (sim
+#      BenchmarkEngineScheduleFire: one event scheduled and fired)
+#      and the storage layer (fio BenchmarkRandWrite and
+#      BenchmarkRandRead: one 64 MiB random-write or random-read test
+#      on a fresh node, page-cache range bookkeeping, the disk model
+#      and the event kernel) at -cpu 1, also min-of-COUNT.
 #      Names are recorded as pkg/Benchmark so kernels with equal
 #      benchmark names stay apart.
 #   3. The store pass: the result store's fsync-bound benchmarks (the
@@ -74,10 +76,10 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkRenderFrame|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkRandWrite)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkRenderFrame|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkEngineScheduleFire|BenchmarkRandWrite|BenchmarkRandRead)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
-    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/fio | tee "$rawk"
+    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/sim ./internal/fio | tee "$rawk"
 
 store_start=$(date +%s)
 go test -run '^$' \
