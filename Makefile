@@ -48,14 +48,17 @@ static:
 # deflate, heat and ocean tests at GOARCH=386, which run the portable
 # code that stands in for the amd64 assembly (the render fill's row
 # loop, the SWAR row filter, the scalar Adler-32 and the solvers'
-# stencil row loops), and short fuzz passes over the checkpoint
+# stencil row loops), and the checkpoint, storage and sim tests there
+# too, where int is 32 bits (a checkpoint header's grid size must not
+# overflow it), and short fuzz passes over the checkpoint
 # decoder, the PNG encoder, the PNG encoder's Adler-32 (against
 # hash/adler32), the render fill's row kernel, the heat sweep's and
 # the ocean momentum and continuity row kernels (each against its
 # portable loop), the job-spec decoder, the campaign-spec decoder and
 # expander, the deflate port (against compress/flate), the GET /v1/jobs
-# cursor and the result-store record decoder (seeds plus 10s of
-# mutation each).
+# cursor, the result-store record decoder and the storage range set's
+# Add, Remove, Fill, Take and TakeFrom (against the flat reference),
+# seeds plus 10s of mutation each.
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -64,7 +67,8 @@ check: static
 	$(GO) test -run '^TestDaemonSmoke$$' -timeout 10m ./cmd/greenvizd
 	$(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
-	GOARCH=386 $(GO) test ./internal/viz ./internal/deflate ./internal/heat ./internal/ocean
+	GOARCH=386 $(GO) test ./internal/viz ./internal/deflate ./internal/heat ./internal/ocean \
+		./internal/checkpoint ./internal/storage ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzAdler32$$' -fuzztime 10s ./internal/viz
@@ -76,6 +80,7 @@ check: static
 	$(GO) test -run '^$$' -fuzz '^FuzzDeflate$$' -fuzztime 10s ./internal/deflate
 	$(GO) test -run '^$$' -fuzz '^FuzzJobsCursor$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/resultstore
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeSet$$' -fuzztime 10s ./internal/storage
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

@@ -195,7 +195,7 @@ func Write(f *storage.File, g *field.Grid, step uint64, simTime float64, payload
 // TotalSize returns the on-disk size of a checkpoint of the given grid
 // and payload.
 func TotalSize(nx, ny int, payload units.Bytes) units.Bytes {
-	return HeaderSize + units.Bytes(nx*ny*8) + payload
+	return HeaderSize + units.Bytes(nx)*units.Bytes(ny)*8 + payload
 }
 
 // EncodePrefix serializes the retained prefix of a checkpoint — header
@@ -211,19 +211,14 @@ func DecodePrefix(b []byte) (Header, *field.Grid, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	const maxDim = 1 << 16
-	if h.NX == 0 || h.NY == 0 || h.NX > maxDim || h.NY > maxDim {
-		return Header{}, nil, fmt.Errorf("%w: implausible grid %dx%d", ErrCorrupt, h.NX, h.NY)
+	// The blob holds header and grid only: no payload.
+	g, err := verify(h, b, 0, units.Bytes(len(b)), func(n units.Bytes) ([]byte, error) {
+		return b[HeaderSize : HeaderSize+n], nil
+	})
+	if err != nil {
+		return Header{}, nil, err
 	}
-	gridBytes := int(h.NX) * int(h.NY) * 8
-	if len(b) < HeaderSize+gridBytes {
-		return Header{}, nil, fmt.Errorf("%w: prefix truncated", ErrCorrupt)
-	}
-	gb := b[HeaderSize : HeaderSize+gridBytes]
-	if crc := prefixCRC(b, gb); crc != h.GridCRC {
-		return Header{}, nil, fmt.Errorf("%w: prefix CRC %08x != header %08x", ErrCorrupt, crc, h.GridCRC)
-	}
-	return h, decodeGrid(gb, int(h.NX), int(h.NY)), nil
+	return h, g, nil
 }
 
 // Read deserializes a checkpoint from f, charging full read timing for
@@ -237,26 +232,43 @@ func Read(f *storage.File) (Header, *field.Grid, error) {
 	if err != nil {
 		return Header{}, nil, err
 	}
-	const maxDim = 1 << 16
-	if h.NX == 0 || h.NY == 0 || h.NX > maxDim || h.NY > maxDim {
-		return Header{}, nil, fmt.Errorf("%w: implausible grid %dx%d", ErrCorrupt, h.NX, h.NY)
-	}
-	gridBytes := units.Bytes(h.NX) * units.Bytes(h.NY) * 8
-	if HeaderSize+gridBytes+units.Bytes(h.PayloadBytes) > f.Size() {
-		return Header{}, nil, fmt.Errorf("%w: sizes exceed file length", ErrCorrupt)
-	}
-	gb := make([]byte, gridBytes)
-	if err := f.ReadAt(gb, HeaderSize); err != nil {
+	payload := units.Bytes(h.PayloadBytes)
+	g, err := verify(h, hb, payload, f.Size(), func(n units.Bytes) ([]byte, error) {
+		gb := make([]byte, n)
+		return gb, f.ReadAt(gb, HeaderSize)
+	})
+	if err != nil {
 		return Header{}, nil, err
 	}
-	if crc := prefixCRC(hb, gb); crc != h.GridCRC {
-		return Header{}, nil, fmt.Errorf("%w: prefix CRC %08x != header %08x", ErrCorrupt, crc, h.GridCRC)
-	}
 	// Stream the history payload (timing only; contents unused).
-	if h.PayloadBytes > 0 {
-		if err := f.ReadSparseAt(HeaderSize+gridBytes, units.Bytes(h.PayloadBytes)); err != nil {
+	if payload > 0 {
+		if err := f.ReadSparseAt(TotalSize(g.NX, g.NY, 0), payload); err != nil {
 			return Header{}, nil, err
 		}
 	}
-	return h, decodeGrid(gb, int(h.NX), int(h.NY)), nil
+	return h, g, nil
+}
+
+// verify checks a decoded header h, encoded as header, and returns its
+// field. The grid must be plausible and fit, with the payload after it,
+// in the stored bytes; load then fetches the grid's n encoded bytes, and
+// the CRC over header and grid must match. The grid is sized in
+// units.Bytes, so no product overflows a 32-bit int.
+func verify(h Header, header []byte, payload, stored units.Bytes, load func(n units.Bytes) ([]byte, error)) (*field.Grid, error) {
+	const maxDim = 1 << 16
+	if h.NX == 0 || h.NY == 0 || h.NX > maxDim || h.NY > maxDim {
+		return nil, fmt.Errorf("%w: implausible grid %dx%d", ErrCorrupt, h.NX, h.NY)
+	}
+	n := units.Bytes(h.NX) * units.Bytes(h.NY) * 8
+	if HeaderSize+n+payload > stored {
+		return nil, fmt.Errorf("%w: sizes exceed the %d bytes stored", ErrCorrupt, stored)
+	}
+	gb, err := load(n)
+	if err != nil {
+		return nil, err
+	}
+	if crc := prefixCRC(header, gb); crc != h.GridCRC {
+		return nil, fmt.Errorf("%w: prefix CRC %08x != header %08x", ErrCorrupt, crc, h.GridCRC)
+	}
+	return decodeGrid(gb, int(h.NX), int(h.NY)), nil
 }

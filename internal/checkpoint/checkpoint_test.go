@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -121,6 +122,26 @@ func TestImplausibleDimensionsDetected(t *testing.T) {
 	f.WriteAt(encodeHeader(h), 0)
 	if _, _, err := Read(f); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("zero-dim grid not detected: %v", err)
+	}
+}
+
+// TestGridBeyond32BitIntDetected: a header claiming 16512×16512 cells
+// (each side within bounds) needs 2,181,169,152 grid bytes, more than a
+// 32-bit int holds. Both decoders must size the grid without
+// overflowing and report ErrCorrupt on every GOARCH, never panic.
+func TestGridBeyond32BitIntDetected(t *testing.T) {
+	b := fuzzSeedPrefix()
+	binary.LittleEndian.PutUint32(b[28:], 16512)
+	binary.LittleEndian.PutUint32(b[32:], 16512)
+	if _, g, err := DecodePrefix(b); !errors.Is(err, ErrCorrupt) || g != nil {
+		t.Errorf("DecodePrefix of a 16512x16512 header: grid %v, error %v; want ErrCorrupt", g != nil, err)
+	}
+	_, fs := testFS(t)
+	f := fs.Create("c")
+	Write(f, sampleGrid(), 0, 0, 0)
+	f.WriteAt(encodeHeader(Header{Version: 1, NX: 16512, NY: 16512}), 0)
+	if _, _, err := Read(f); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Read of a 16512x16512 header: %v, want ErrCorrupt", err)
 	}
 }
 

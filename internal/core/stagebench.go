@@ -47,40 +47,30 @@ func CharacterizeStages(n *node.Node, cfg AppConfig, events int) StageCharacteri
 	n.Idle(10)
 	inst.Profile.MarkPhase("idle", idleStart, n.Now())
 
-	// nnwrite: repeatedly create + write + fsync checkpoints, one
-	// encoder (and so one encode buffer) for the whole stage.
+	// nnwrite: repeatedly write + fsync checkpoints through the
+	// pipelines' own local store, one encoder (and so one encode
+	// buffer) for the whole stage.
+	store := localStore{n: n, enc: &checkpoint.Encoder{}}
 	writeStart := n.Now()
-	var names []string
-	var enc checkpoint.Encoder
-	for i := 0; i < events; i++ {
-		name := fmt.Sprintf("stage-ckpt-%04d", i)
-		names = append(names, name)
-		f := n.FS.Create(name)
-		n.WithIO(func() {
-			// The characterization node carries no fault injector, so the
-			// write cannot fail transiently.
-			if err := enc.Write(f, solver.Field(), solver.Steps(), solver.Time(), cfg.CheckpointPayload); err != nil {
-				panic(fmt.Sprintf("core: stage checkpoint write failed: %v", err))
-			}
-			f.Fsync()
-		})
+	names := make([]string, events)
+	for i := range names {
+		names[i] = fmt.Sprintf("stage-ckpt-%04d", i)
+		// The characterization node carries no fault injector, so the
+		// write cannot fail transiently.
+		if err := store.WriteCheckpoint(names[i], solver.Field(), solver.Steps(), solver.Time(), cfg.CheckpointPayload); err != nil {
+			panic(fmt.Sprintf("core: stage checkpoint write failed: %v", err))
+		}
 	}
 	n.WaitDiskIdle()
 	inst.Profile.MarkPhase(StageWrite, writeStart, n.Now())
 
 	// Barrier, then nnread: cold reads of the same checkpoints.
-	n.WithIO(func() {
-		n.FS.Sync()
-		n.FS.DropCaches()
-	})
+	store.Barrier()
 	readStart := n.Now()
 	for _, name := range names {
-		f := n.FS.Open(name)
-		n.WithIO(func() {
-			if _, _, err := checkpoint.Read(f); err != nil {
-				panic(fmt.Sprintf("core: stage checkpoint corrupt: %v", err))
-			}
-		})
+		if _, _, _, err := store.ReadCheckpoint(name); err != nil {
+			panic(fmt.Sprintf("core: stage checkpoint corrupt: %v", err))
+		}
 	}
 	n.WaitDiskIdle()
 	inst.Profile.MarkPhase(StageRead, readStart, n.Now())

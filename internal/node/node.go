@@ -358,16 +358,17 @@ func (n *Node) WithIO(fn func()) {
 // WaitDiskIdle advances until the storage device has no queued work
 // (e.g. after background write-back or a burst-buffer drain).
 func (n *Node) WaitDiskIdle() {
-	for !n.Device.Idle() {
-		free := n.Device.FreeAt()
-		if free <= n.Engine.Now() {
-			// Idle-state transitions (e.g. burst-buffer drain delay)
-			// may be pending without queued media work.
-			n.Engine.Advance(0.1)
-			continue
+	n.Engine.AdvanceWhile(func() sim.Time {
+		if n.Device.Idle() {
+			return 0
 		}
-		n.Engine.AdvanceTo(free)
-	}
+		if free := n.Device.FreeAt(); free > n.Engine.Now() {
+			return free
+		}
+		// Idle-state transitions (e.g. burst-buffer drain delay) may be
+		// pending without queued media work: poll.
+		return n.Engine.Now() + 0.1
+	})
 }
 
 // InstallFaults attaches a fault injector to the node's whole storage

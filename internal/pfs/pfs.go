@@ -245,22 +245,11 @@ func (fs *FileSystem) Barrier() { fs.drain() }
 // drain advances the shared engine until the uplink and every server
 // is idle — the client's foreground wait.
 func (fs *FileSystem) drain() {
-	for {
-		next := fs.engine.Now()
-		if t := fs.uplink.FreeAt(); t > next {
-			next = t
-		}
+	fs.engine.AdvanceWhile(func() sim.Time {
+		next := fs.uplink.FreeAt()
 		for _, s := range fs.servers {
-			if t := s.n.Device.FreeAt(); t > next {
-				next = t
-			}
-			if t := s.ioCPU.FreeAt(); t > next {
-				next = t
-			}
+			next = max(next, s.n.Device.FreeAt(), s.ioCPU.FreeAt())
 		}
-		if next <= fs.engine.Now() {
-			return
-		}
-		fs.engine.AdvanceTo(next)
-	}
+		return next
+	})
 }

@@ -10,7 +10,10 @@
 // exactly reproducible. Sequential workloads (the pipelines) are written
 // as plain Go code that calls Engine.Advance to spend virtual time, with
 // background activity (disk write-back, power samplers) expressed as
-// scheduled events that the advance loop drains in timestamp order.
+// scheduled events that the advance loop drains in timestamp order. A
+// foreground wait for a device to go free is Engine.AdvanceWhile: it
+// advances to the time its callback names for as long as that time lies
+// ahead.
 //
 // Events are stored by value in the engine's own binary heap, and
 // scheduling one hands back no handle, so a callback built once (a
@@ -106,6 +109,18 @@ func (e *Engine) AdvanceTo(t Time) {
 	}
 	if t > e.now {
 		e.runUntil(t)
+	}
+}
+
+// AdvanceWhile advances the clock to next() for as long as that time
+// is after now, firing intervening events: the one loop behind every
+// foreground wait for a device to go free (a page-cache sync or
+// throttle, a node waiting for its disk, a parallel filesystem's
+// drain). next may start work before it answers; returning 0, or any
+// time not after now, ends the wait.
+func (e *Engine) AdvanceWhile(next func() Time) {
+	for t := next(); t > e.now; t = next() {
+		e.AdvanceTo(t)
 	}
 }
 

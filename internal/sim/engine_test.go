@@ -27,6 +27,32 @@ func TestAdvanceFiresEventsInOrder(t *testing.T) {
 	}
 }
 
+// TestAdvanceWhile: the wait advances to each time next returns,
+// firing the events in between, and ends once next returns a time not
+// after now; a next that returns 0 at once leaves the clock alone.
+func TestAdvanceWhile(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	for _, at := range []Time{1, 2.5, 4} {
+		e.At(at, func() { fired = append(fired, e.Now()) })
+	}
+	var asked []Time
+	e.AdvanceWhile(func() Time {
+		asked = append(asked, e.Now())
+		if e.Now() < 3 {
+			return e.Now() + 1
+		}
+		return e.Now()
+	})
+	if !slices.Equal(asked, []Time{0, 1, 2, 3}) || !slices.Equal(fired, []Time{1, 2.5}) || e.Now() != 3 {
+		t.Fatalf("asked at %v, fired %v, now %v; want [0 1 2 3], [1 2.5], 3", asked, fired, e.Now())
+	}
+	e.AdvanceWhile(func() Time { return 0 })
+	if e.Now() != 3 {
+		t.Errorf("a wait that ends at once moved the clock to %v", e.Now())
+	}
+}
+
 func TestEqualTimeEventsFIFO(t *testing.T) {
 	e := NewEngine()
 	var order []int

@@ -59,9 +59,11 @@ type CacheStats struct {
 // time for misses, and runs an elevator write-back daemon. File *data*
 // lives in the filesystem layer; the cache never stores bytes.
 //
-// Read, Write, Sync and SyncRanges are foreground (blocking) calls:
+// Read, Write, Sync and SyncRange are foreground (blocking) calls:
 // they advance the virtual clock until the operation completes. The
-// write-back daemon runs in the background via scheduled events.
+// write-back daemon runs in the background via scheduled events. Every
+// write-back batch, elevator, FIFO or fsync, is taken from the dirty
+// set with RangeSet.Take into one reused buffer.
 type PageCache struct {
 	params CacheParams
 	engine *sim.Engine
@@ -71,9 +73,11 @@ type PageCache struct {
 	dirty  RangeSet // not yet on media
 	fifo   []Range  // insertion order, used when FIFOWriteback is set
 	gaps   []Range  // Read's scratch: the misses of the current read
+	batch  []Range  // the write-back batch being submitted, reused
 
-	sweepPos units.Bytes // elevator position
-	inflight bool        // a write-back batch is on the media
+	sweepPos  units.Bytes // elevator position
+	inflight  bool        // a write-back batch is on the media
+	batchDone func()      // the batch completion, built once
 
 	stats CacheStats
 }
@@ -89,7 +93,15 @@ func NewPageCache(engine *sim.Engine, disk Device, params CacheParams) *PageCach
 	if params.BatchBytes <= 0 {
 		panic("storage: cache needs a positive write-back batch size")
 	}
-	return &PageCache{params: params, engine: engine, disk: disk}
+	c := &PageCache{params: params, engine: engine, disk: disk}
+	c.batchDone = func() {
+		c.inflight = false
+		// Keep draining while above the low-water mark.
+		if c.dirty.Bytes() > c.params.LowWater {
+			c.startWriteback()
+		}
+	}
+	return c
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -140,15 +152,14 @@ func (c *PageCache) Write(off, n units.Bytes) {
 // mirroring balance_dirty_pages.
 func (c *PageCache) throttle(incoming units.Bytes) {
 	throttled := false
-	for c.dirty.Bytes()+incoming > c.params.DirtyLimit {
+	c.engine.AdvanceWhile(func() sim.Time {
+		if c.dirty.Bytes()+incoming <= c.params.DirtyLimit {
+			return 0
+		}
 		throttled = true
 		c.startWriteback()
-		free := c.disk.FreeAt()
-		if free <= c.engine.Now() {
-			break // nothing in flight and nothing to drain
-		}
-		c.engine.AdvanceTo(free)
-	}
+		return c.disk.FreeAt() // an idle disk: nothing in flight to drain
+	})
 	if throttled {
 		c.stats.Throttles++
 	}
@@ -190,44 +201,29 @@ func (c *PageCache) Read(off, n units.Bytes) {
 // between phases.
 func (c *PageCache) Sync() {
 	c.stats.Syncs++
-	for !c.dirty.Empty() || c.inflight {
-		c.startWriteback()
-		free := c.disk.FreeAt()
-		if free <= c.engine.Now() {
-			break
+	c.engine.AdvanceWhile(func() sim.Time {
+		if c.dirty.Empty() && !c.inflight {
+			return 0
 		}
-		c.engine.AdvanceTo(free)
-	}
+		c.startWriteback()
+		return c.disk.FreeAt()
+	})
 }
 
-// SyncRanges drains only the given ranges (file-level fsync). Other
-// dirty data stays buffered.
-func (c *PageCache) SyncRanges(ranges []Range) {
+// SyncRange drains only the dirty data in r (file-level fsync), in
+// one batch once no other is in flight, and returns with no batch in
+// flight. Other dirty data stays buffered.
+func (c *PageCache) SyncRange(r Range) {
 	c.stats.Syncs++
-	for {
-		var pending units.Bytes
-		for _, r := range ranges {
-			for _, seg := range c.dirty.Intersect(r) {
-				pending += seg.Len()
+	c.engine.AdvanceWhile(func() sim.Time {
+		if !c.inflight {
+			if c.batch = c.dirty.Take(r, r.Len(), c.batch[:0]); len(c.batch) == 0 {
+				return 0
 			}
+			c.submit()
 		}
-		if pending == 0 && !c.inflight {
-			return
-		}
-		if pending > 0 && !c.inflight {
-			// Drain the requested ranges directly, elevator order.
-			var batch []Range
-			for _, r := range ranges {
-				batch = append(batch, c.dirty.Intersect(r)...)
-			}
-			c.submitBatch(batch)
-		}
-		free := c.disk.FreeAt()
-		if free <= c.engine.Now() {
-			return
-		}
-		c.engine.AdvanceTo(free)
-	}
+		return c.disk.FreeAt()
+	})
 }
 
 // DropCaches evicts clean pages (echo 1 > drop_caches). Dirty pages
@@ -256,76 +252,48 @@ func (c *PageCache) startWriteback() {
 	if c.inflight || c.dirty.Empty() {
 		return
 	}
-	var batch []Range
+	c.batch = c.batch[:0]
 	if c.params.FIFOWriteback {
-		batch = c.takeFIFO(c.params.BatchBytes)
+		c.takeFIFO()
 	}
-	if len(batch) == 0 {
+	if len(c.batch) == 0 {
 		// Elevator sweep; also the FIFO fallback when the insertion
 		// queue has been consumed but dirty data remains (e.g. after a
-		// partial SyncRanges), so Sync always terminates.
-		batch = c.dirty.TakeFrom(c.sweepPos, c.params.BatchBytes)
+		// partial SyncRange), so Sync always terminates.
+		c.batch = c.dirty.TakeFrom(c.sweepPos, c.params.BatchBytes, c.batch)
 	}
-	if len(batch) == 0 {
-		return
+	if len(c.batch) > 0 {
+		c.submit()
 	}
-	c.submitBatchTaken(batch)
 }
 
-// takeFIFO pops still-dirty segments from the insertion queue up to
-// the budget and removes them from the dirty set.
-func (c *PageCache) takeFIFO(budget units.Bytes) []Range {
-	var batch []Range
+// takeFIFO takes what is still dirty of the insertion queue's entries
+// into the batch, oldest first, up to the batch budget. An entry the
+// budget cuts short stays at the queue head with what is left of it.
+func (c *PageCache) takeFIFO() {
+	budget := c.params.BatchBytes
 	for budget > 0 && len(c.fifo) > 0 {
-		head := c.fifo[0]
-		c.fifo = c.fifo[1:]
-		segs := c.dirty.Intersect(head)
-		for i, seg := range segs {
-			if seg.Len() > budget {
-				// Split: keep the remainder at the queue head.
-				rest := Range{seg.Start + budget, seg.End}
-				seg = Range{seg.Start, seg.Start + budget}
-				c.fifo = append([]Range{rest}, c.fifo...)
-			}
-			c.dirty.Remove(seg)
-			batch = append(batch, seg)
-			budget -= seg.Len()
-			if budget <= 0 {
-				// Re-queue any untouched sibling segments.
-				if i+1 < len(segs) {
-					c.fifo = append(append([]Range(nil), segs[i+1:]...), c.fifo...)
-				}
+		before := c.dirty.Bytes()
+		c.batch = c.dirty.Take(c.fifo[0], budget, c.batch)
+		if budget -= before - c.dirty.Bytes(); budget <= 0 {
+			c.fifo[0].Start = c.batch[len(c.batch)-1].End
+			if !c.fifo[0].Empty() {
 				break
 			}
 		}
+		c.fifo = c.fifo[1:]
 	}
-	return batch
 }
 
-// submitBatch removes the given ranges from the dirty set and writes
-// them out.
-func (c *PageCache) submitBatch(batch []Range) {
-	for _, r := range batch {
-		c.dirty.Remove(r)
-	}
-	c.submitBatchTaken(batch)
-}
-
-// submitBatchTaken writes ranges (already removed from dirty) to media
-// in ascending offset order and arms the completion callback.
-func (c *PageCache) submitBatchTaken(batch []Range) {
+// submit writes the batch (already taken from the dirty set) to media
+// in its order and arms the completion.
+func (c *PageCache) submit() {
 	c.inflight = true
 	var end sim.Time
-	for _, r := range batch {
+	for _, r := range c.batch {
 		c.stats.WritebackBytes += r.Len()
 		end = c.disk.Submit(OpWrite, r.Start, r.Len(), nil)
 		c.sweepPos = r.End
 	}
-	c.engine.At(end, func() {
-		c.inflight = false
-		// Keep draining while above the low-water mark.
-		if c.dirty.Bytes() > c.params.LowWater {
-			c.startWriteback()
-		}
-	})
+	c.engine.At(end, c.batchDone)
 }

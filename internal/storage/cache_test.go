@@ -181,11 +181,11 @@ func TestDirtyLimitThrottles(t *testing.T) {
 	}
 }
 
-func TestSyncRangesOnlyDrainsRequested(t *testing.T) {
+func TestSyncRangeOnlyDrainsRequested(t *testing.T) {
 	_, d, c := testCache(t, smallCacheParams())
 	c.Write(0, units.MiB)
 	c.Write(units.GiB, units.MiB)
-	c.SyncRanges([]Range{{0, units.MiB}})
+	c.SyncRange(Range{0, units.MiB})
 	if c.DirtyBytes() != units.MiB {
 		t.Errorf("dirty after range sync = %v, want 1 MiB left", c.DirtyBytes())
 	}
@@ -257,5 +257,63 @@ func TestWritebackConservation(t *testing.T) {
 	}
 	if c.DirtyBytes() != 0 {
 		t.Errorf("dirty after sync = %v", c.DirtyBytes())
+	}
+}
+
+// TestWriteBackAllocations pins the write-back path's allocations: a
+// warm Write of one 4 MiB extent followed by SyncRange of it, or by
+// Sync, makes at most one allocation, the dirty set's chunk, which the
+// sync drops as it empties the set and the next Write builds again.
+// The batch buffer and its completion are the cache's own.
+func TestWriteBackAllocations(t *testing.T) {
+	r := Range{0, 4 * units.MiB}
+	for _, tc := range []struct {
+		name string
+		sync func(c *PageCache)
+	}{
+		{"SyncRange", func(c *PageCache) { c.SyncRange(r) }},
+		{"Sync", (*PageCache).Sync},
+	} {
+		_, d, c := testCache(t, smallCacheParams())
+		if n := testing.AllocsPerRun(100, func() {
+			c.Write(r.Start, r.Len())
+			tc.sync(c)
+		}); n > 1 {
+			t.Errorf("Write then %s: %v allocs/op, want at most 1", tc.name, n)
+		}
+		if c.DirtyBytes() != 0 || c.inflight || d.Stats().BytesWritten != 101*r.Len() {
+			t.Errorf("after %s: %d dirty bytes, batch in flight %v, %d bytes on media; want 0, false, %d",
+				tc.name, c.DirtyBytes(), c.inflight, d.Stats().BytesWritten, 101*r.Len())
+		}
+	}
+}
+
+// TestFIFOCutEntryStaysAtHead: under FIFOWriteback, a batch the budget
+// cuts short inside a queue entry leaves the entry's unsent part at the
+// queue head, so the next batch sends its dirty pieces in offset order
+// before any later entry.
+func TestFIFOCutEntryStaysAtHead(t *testing.T) {
+	const mib, half = units.MiB, units.MiB / 2
+	p := smallCacheParams()
+	p.FIFOWriteback = true
+	e, _, c := testCache(t, p)
+	c.Write(8*mib, 2*mib) // the oldest entry
+	c.Write(0, 4*mib)     // one entry of BatchBytes, holes cut below
+	c.Write(20*mib, mib)  // a later entry
+	c.Invalidate(Range{mib, mib + half})
+	c.Invalidate(Range{3 * mib, 3*mib + half})
+	// The 4 MiB budget takes the oldest entry whole and cuts the second
+	// inside its middle piece [1.5, 3) MiB.
+	c.startWriteback()
+	if want := []Range{{8 * mib, 10 * mib}, {0, mib}, {mib + half, 2*mib + half}}; !equalRanges(c.batch, want) {
+		t.Fatalf("first batch = %v, want %v", c.batch, want)
+	}
+	if want := []Range{{2*mib + half, 4 * mib}, {20 * mib, 21 * mib}}; !equalRanges(c.fifo, want) {
+		t.Fatalf("queue after the cut = %v, want %v", c.fifo, want)
+	}
+	e.Advance(10)
+	c.startWriteback()
+	if want := []Range{{2*mib + half, 3 * mib}, {3*mib + half, 4 * mib}, {20 * mib, 21 * mib}}; !equalRanges(c.batch, want) {
+		t.Errorf("second batch = %v, want %v", c.batch, want)
 	}
 }

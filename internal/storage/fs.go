@@ -281,14 +281,15 @@ func (f *File) Fsync() {
 	newExtents := f.unjournaled
 	f.unjournaled = 0
 	for i, e := range f.extents {
-		f.fs.cache.SyncRanges([]Range{e})
+		f.fs.cache.SyncRange(e)
 		if i >= len(f.extents)-newExtents {
 			f.fs.journalCommit()
 		}
 	}
-	// Cover dirty data beyond the per-extent sweep (none in practice,
-	// but keeps Fsync a true barrier).
-	f.fs.cache.SyncRanges(f.extents)
+	if len(f.extents) == 0 {
+		// Still a barrier: wait out a write-back batch in flight.
+		f.fs.cache.SyncRange(Range{})
+	}
 }
 
 // journalCommit writes one record to the journal region and waits for

@@ -231,3 +231,18 @@ func TestFileContentModelProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFsyncWithoutExtentsWaitsOutBatch: Fsync is a barrier even for a
+// file with no extents. Called while a background write-back batch is
+// in flight, it returns with none in flight.
+func TestFsyncWithoutExtentsWaitsOutBatch(t *testing.T) {
+	_, _, c, fs := testFS(t)
+	fs.Create("bg").AppendSparse(c.params.BackgroundDirty + units.MiB)
+	if !c.inflight {
+		t.Fatal("writing past the background threshold left no batch in flight")
+	}
+	fs.Create("empty").Fsync()
+	if c.inflight {
+		t.Error("Fsync of a file with no extents returned with a write-back batch in flight")
+	}
+}

@@ -6,12 +6,18 @@
 // buffer) share one Device contract. The paper's Table III
 // (fio), its read/write stage powers (Fig 6, Table II), and its §V-D
 // data-reorganization hypothetical all fall out of this stack.
+//
+// The cache tracks its resident and dirty bytes as RangeSets. Every
+// write-back batch, an elevator sweep, the FIFO queue's or an fsync's,
+// is taken from the dirty set by RangeSet.Take, and every foreground
+// wait for the media (Sync, SyncRange, the dirty-limit throttle) is one
+// sim.Engine.AdvanceWhile loop.
 package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/units"
 )
@@ -197,12 +203,43 @@ func (s *RangeSet) Remove(r Range) {
 	for ; q.c < len(s.chunks) && s.at(q).Start < r.End; q = s.next(q) {
 		last = s.at(q)
 	}
-	if p == q {
-		return // nothing overlaps
+	if p != q {
+		s.cut(p, q, Range{s.at(p).Start, r.Start}, Range{r.End, last.End})
 	}
+}
+
+// Take removes what the set holds of r, lowest offset first and at
+// most budget bytes, and appends the removed ranges to buf in ascending
+// order: one search and one edit. A range the budget cuts short gives
+// up its beginning. Every write-back batch is built on it.
+func (s *RangeSet) Take(r Range, budget units.Bytes, buf []Range) []Range {
+	if r.Empty() || budget <= 0 {
+		return buf
+	}
+	p := s.firstAtOrAfter(r.Start)
+	q := p
+	var cur, seg Range
+	for ; q.c < len(s.chunks) && budget > 0 && s.at(q).Start < r.End; q = s.next(q) {
+		cur = s.at(q)
+		seg = Range{max64(cur.Start, r.Start), min64(cur.End, r.End)}
+		if seg.Len() > budget {
+			seg.End = seg.Start + budget
+		}
+		buf = append(buf, seg)
+		budget -= seg.Len()
+	}
+	if p != q {
+		s.cut(p, q, Range{s.at(p).Start, r.Start}, Range{seg.End, cur.End})
+	}
+	return buf
+}
+
+// cut replaces the window [p, q) by the non-empty ones of head (what is
+// left of its first range) and tail (what is left of its last).
+func (s *RangeSet) cut(p, q loc, head, tail Range) {
 	var frags [2]Range
 	k := 0
-	for _, f := range [2]Range{{s.at(p).Start, r.Start}, {r.End, last.End}} {
+	for _, f := range [2]Range{head, tail} {
 		if !f.Empty() {
 			frags[k] = f
 			k++
@@ -268,25 +305,6 @@ func (s *RangeSet) Contains(r Range) bool {
 	return p.c < len(s.chunks) && s.at(p).Contains(r)
 }
 
-// Intersect returns the portions of r covered by the set, in order.
-func (s *RangeSet) Intersect(r Range) []Range {
-	var out []Range
-	if r.Empty() {
-		return out
-	}
-	for p := s.firstAtOrAfter(r.Start); p.c < len(s.chunks); p = s.next(p) {
-		cur := s.at(p)
-		if cur.Start >= r.End {
-			break
-		}
-		seg := Range{max64(cur.Start, r.Start), min64(cur.End, r.End)}
-		if !seg.Empty() {
-			out = append(out, seg)
-		}
-	}
-	return out
-}
-
 // Gaps appends to buf the portions of r NOT covered by the set, in
 // order, and returns the extended slice.
 func (s *RangeSet) Gaps(r Range, buf []Range) []Range {
@@ -297,40 +315,29 @@ func (s *RangeSet) Gaps(r Range, buf []Range) []Range {
 	return s.gapsIn(r, p, q, buf)
 }
 
-// TakeFrom removes and returns up to budget bytes of ranges from the
-// set, scanning upward from offset 'from' and wrapping around — the
-// elevator sweep order used by the write-back daemon. The final range
-// may be split to honor the budget exactly.
-func (s *RangeSet) TakeFrom(from units.Bytes, budget units.Bytes) []Range {
-	if budget <= 0 || s.n == 0 {
-		return nil
+// TakeFrom removes up to budget bytes of ranges from the set and
+// appends them to buf in the elevator's sweep order: upward from offset
+// 'from', then wrapping around to the lowest offset, as two Takes. A
+// range that straddles 'from' is taken whole (the budget may cut its
+// end): it counts first against the budget but is appended last, after
+// the wrap.
+func (s *RangeSet) TakeFrom(from, budget units.Bytes, buf []Range) []Range {
+	if budget <= 0 {
+		return buf
 	}
-	var taken []Range
-	p := s.firstAtOrAfter(from)
-	for k := 0; k < s.n && budget > 0; k++ {
-		if p.c == len(s.chunks) {
-			p = loc{} // wrap around past the last chunk
-		}
-		r := s.at(p)
-		if r.Len() > budget {
-			r = Range{r.Start, r.Start + budget}
-		}
-		taken = append(taken, r)
-		budget -= r.Len()
-		p = s.next(p)
+	lo := from
+	if p := s.firstAtOrAfter(from); p.c < len(s.chunks) && s.at(p).Start < from {
+		lo = s.at(p).Start
 	}
-	for _, r := range taken {
-		s.Remove(r)
+	n, before := len(buf), s.bytes
+	buf = s.Take(Range{lo, math.MaxInt64}, budget, buf)
+	buf = s.Take(Range{math.MinInt64, lo}, budget-(before-s.bytes), buf)
+	if lo < from {
+		straddler := buf[n]
+		copy(buf[n:], buf[n+1:])
+		buf[len(buf)-1] = straddler
 	}
-	// Keep the sweep order ascending-from-'from' even after wrap.
-	sort.Slice(taken, func(i, j int) bool {
-		ai, aj := taken[i].Start >= from, taken[j].Start >= from
-		if ai != aj {
-			return ai
-		}
-		return taken[i].Start < taken[j].Start
-	})
-	return taken
+	return buf
 }
 
 func max64(a, b units.Bytes) units.Bytes {

@@ -145,14 +145,30 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
+func TestTake(t *testing.T) {
 	s := rs(10, 20, 30, 40)
-	got := s.Intersect(Range{15, 35})
-	if !equalRanges(got, []Range{{15, 20}, {30, 35}}) {
-		t.Errorf("Intersect = %v", got)
+	if out := s.Take(Range{21, 29}, 100, nil); len(out) != 0 || s.Len() != 2 {
+		t.Errorf("Take of gap = %v, left %v", out, s.Ranges())
 	}
-	if out := s.Intersect(Range{21, 29}); len(out) != 0 {
-		t.Errorf("Intersect of gap = %v", out)
+	got := s.Take(Range{15, 35}, 100, nil)
+	if !equalRanges(got, []Range{{15, 20}, {30, 35}}) {
+		t.Errorf("Take = %v", got)
+	}
+	if !equalRanges(s.Ranges(), []Range{{10, 15}, {35, 40}}) {
+		t.Errorf("remaining = %v", s.Ranges())
+	}
+	// The budget cuts the lowest range short: it gives up its
+	// beginning, and a zero budget takes nothing.
+	s = rs(10, 20, 30, 40)
+	buf := []Range{{0, 1}}
+	if got := s.Take(Range{12, 40}, 0, buf); !equalRanges(got, buf) {
+		t.Errorf("zero budget took %v", got[1:])
+	}
+	if got := s.Take(Range{12, 40}, 5, buf); !equalRanges(got, []Range{{0, 1}, {12, 17}}) {
+		t.Errorf("budgeted Take appended %v", got)
+	}
+	if !equalRanges(s.Ranges(), []Range{{10, 12}, {17, 20}, {30, 40}}) {
+		t.Errorf("remaining after budgeted Take = %v", s.Ranges())
 	}
 }
 
@@ -173,7 +189,7 @@ func TestGaps(t *testing.T) {
 
 func TestTakeFromBudget(t *testing.T) {
 	s := rs(0, 100, 200, 300, 400, 500)
-	taken := s.TakeFrom(150, 150)
+	taken := s.TakeFrom(150, 150, nil)
 	// Sweep starts at 200, takes [200,300) then 50 bytes of [400,450).
 	if !equalRanges(taken, []Range{{200, 300}, {400, 450}}) {
 		t.Errorf("TakeFrom = %v", taken)
@@ -185,7 +201,7 @@ func TestTakeFromBudget(t *testing.T) {
 
 func TestTakeFromWrapsAround(t *testing.T) {
 	s := rs(0, 50, 900, 950)
-	taken := s.TakeFrom(800, 100)
+	taken := s.TakeFrom(800, 100, nil)
 	if !equalRanges(taken, []Range{{900, 950}, {0, 50}}) {
 		t.Errorf("wrap TakeFrom = %v", taken)
 	}
@@ -196,7 +212,7 @@ func TestTakeFromWrapsAround(t *testing.T) {
 
 func TestTakeFromZeroBudget(t *testing.T) {
 	s := rs(0, 10)
-	if taken := s.TakeFrom(0, 0); taken != nil {
+	if taken := s.TakeFrom(0, 0, nil); taken != nil {
 		t.Errorf("zero budget took %v", taken)
 	}
 }
@@ -285,11 +301,11 @@ func TestTakeFromProperty(t *testing.T) {
 			s.Add(Range{start, start + 2})
 		}
 		before := s.Bytes()
-		taken := s.TakeFrom(units.Bytes(from), units.Bytes(budget))
+		taken := s.TakeFrom(units.Bytes(from), units.Bytes(budget), nil)
 		var takenBytes units.Bytes
 		for _, r := range taken {
 			takenBytes += r.Len()
-			if s.Intersect(r) != nil {
+			if gaps := s.Gaps(r, nil); len(gaps) != 1 || gaps[0] != r {
 				return false // taken ranges must be gone from the set
 			}
 		}
