@@ -56,9 +56,11 @@ static:
 # the ocean momentum and continuity row kernels (each against its
 # portable loop), the job-spec decoder, the campaign-spec decoder and
 # expander, the deflate port (against compress/flate), the GET /v1/jobs
-# cursor, the result-store record decoder and the storage range set's
-# Add, Remove, Fill, Take and TakeFrom (against the flat reference),
-# seeds plus 10s of mutation each.
+# cursor, the result-store record decoder, the storage range set's
+# Add, Remove, Fill, Take and TakeFrom (against the flat reference) and
+# the page cache's clean and dirty sets under decoded Write, Read, Sync,
+# SyncRange, DropCaches, Invalidate and Advance sequences (against a
+# flat set of resident ranges), seeds plus 10s of mutation each.
 check: static
 	$(GO) build ./...
 	$(GO) build ./examples/...
@@ -81,6 +83,7 @@ check: static
 	$(GO) test -run '^$$' -fuzz '^FuzzJobsCursor$$' -fuzztime 10s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzRecord$$' -fuzztime 10s ./internal/resultstore
 	$(GO) test -run '^$$' -fuzz '^FuzzRangeSet$$' -fuzztime 10s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzPageCache$$' -fuzztime 10s ./internal/storage
 
 # golden re-verifies the committed output digests (per-experiment and
 # the example campaign report); golden-update regenerates them after

@@ -55,24 +55,27 @@ type CacheStats struct {
 
 // PageCache is the write-back cache between callers and the disk. It is
 // a pure timing model: it tracks which disk-offset ranges are RAM
-// resident and which are dirty, charges memcpy time for hits and media
-// time for misses, and runs an elevator write-back daemon. File *data*
-// lives in the filesystem layer; the cache never stores bytes.
+// resident as two sets that never overlap, the clean ranges (on media
+// too) and the dirty ones (not yet), charges memcpy time for hits and
+// media time for misses, and runs an elevator write-back daemon. File
+// *data* lives in the filesystem layer; the cache never stores bytes.
 //
 // Read, Write, Sync and SyncRange are foreground (blocking) calls:
 // they advance the virtual clock until the operation completes. The
 // write-back daemon runs in the background via scheduled events. Every
 // write-back batch, elevator, FIFO or fsync, is taken from the dirty
-// set with RangeSet.Take into one reused buffer.
+// set with RangeSet.Take into one reused buffer, and joins the clean set
+// as it is submitted.
 type PageCache struct {
 	params CacheParams
 	engine *sim.Engine
 	disk   Device
 
-	cached RangeSet // RAM-resident (clean + dirty)
-	dirty  RangeSet // not yet on media
+	clean  RangeSet // RAM-resident and on media; never overlaps dirty
+	dirty  RangeSet // RAM-resident, not yet on media
 	fifo   []Range  // insertion order, used when FIFOWriteback is set
-	gaps   []Range  // Read's scratch: the misses of the current read
+	holes  []Range  // Read's scratch: what the dirty set lacks of the read
+	misses []Range  // Read's scratch: what the clean set lacks of holes
 	batch  []Range  // the write-back batch being submitted, reused
 
 	sweepPos  units.Bytes // elevator position
@@ -111,7 +114,7 @@ func (c *PageCache) Stats() CacheStats { return c.stats }
 func (c *PageCache) DirtyBytes() units.Bytes { return c.dirty.Bytes() }
 
 // CachedBytes returns the current amount of RAM-resident data.
-func (c *PageCache) CachedBytes() units.Bytes { return c.cached.Bytes() }
+func (c *PageCache) CachedBytes() units.Bytes { return c.clean.Bytes() + c.dirty.Bytes() }
 
 // Write buffers [off, off+n) through the cache: memcpy time now,
 // media time later via write-back (or fsync). It blocks (advances the
@@ -124,7 +127,7 @@ func (c *PageCache) Write(off, n units.Bytes) {
 		c.engine.Advance(units.TransferTime(n, c.params.MemBW))
 		end := c.disk.Submit(OpWrite, off, n, nil)
 		c.engine.AdvanceTo(end)
-		c.cached.Add(Range{off, off + n})
+		c.clean.Add(Range{off, off + n})
 		c.stats.BytesWritten += n
 		c.stats.WritebackBytes += n
 		return
@@ -136,7 +139,7 @@ func (c *PageCache) Write(off, n units.Bytes) {
 		c.throttle(take)
 		c.engine.Advance(units.TransferTime(take, c.params.MemBW))
 		r := Range{off, off + take}
-		c.cached.Add(r)
+		c.clean.Remove(r)
 		c.dirty.Add(r)
 		if c.params.FIFOWriteback {
 			c.fifo = append(c.fifo, r)
@@ -175,14 +178,20 @@ func (c *PageCache) Read(off, n units.Bytes) {
 	if n == 0 {
 		return
 	}
-	// One walk finds the misses and makes the whole range resident.
-	// The scratch buffer is never live across AdvanceTo: Submit never
-	// advances the clock, so no event re-enters Read while the loop
-	// walks it, and nothing an event runs reads the cached set.
-	c.gaps = c.cached.Fill(Range{off, off + n}, c.gaps[:0])
+	// The misses are what neither set holds: the dirty set's holes in
+	// the range, less the clean set, which each hole's Fill makes
+	// resident in the same walk. The scratch buffers are never live
+	// across AdvanceTo: Submit never advances the clock, so no event
+	// re-enters Read or submits a write-back batch (which moves ranges
+	// from the dirty set to the clean one) while the loops run.
+	c.holes = c.dirty.Gaps(Range{off, off + n}, c.holes[:0])
+	c.misses = c.misses[:0]
+	for _, h := range c.holes {
+		c.misses = c.clean.Fill(h, c.misses)
+	}
 	var missBytes units.Bytes
 	var last sim.Time
-	for _, g := range c.gaps {
+	for _, g := range c.misses {
 		missBytes += g.Len()
 		last = c.disk.Submit(OpRead, g.Start, g.Len(), nil)
 	}
@@ -228,13 +237,12 @@ func (c *PageCache) SyncRange(r Range) {
 
 // DropCaches evicts clean pages (echo 1 > drop_caches). Dirty pages
 // stay resident, as on Linux; call Sync first to empty the cache fully.
-// Dirty pages are always cached, so what stays is exactly the dirty set.
-func (c *PageCache) DropCaches() { c.cached = *c.dirty.Clone() }
+func (c *PageCache) DropCaches() { c.clean = RangeSet{} }
 
 // Invalidate drops a range from the cache entirely (file deletion).
 // Dirty data in the range is discarded without reaching media.
 func (c *PageCache) Invalidate(r Range) {
-	c.cached.Remove(r)
+	c.clean.Remove(r)
 	c.dirty.Remove(r)
 }
 
@@ -286,11 +294,12 @@ func (c *PageCache) takeFIFO() {
 }
 
 // submit writes the batch (already taken from the dirty set) to media
-// in its order and arms the completion.
+// in its order, moves it to the clean set and arms the completion.
 func (c *PageCache) submit() {
 	c.inflight = true
 	var end sim.Time
 	for _, r := range c.batch {
+		c.clean.Add(r)
 		c.stats.WritebackBytes += r.Len()
 		end = c.disk.Submit(OpWrite, r.Start, r.Len(), nil)
 		c.sweepPos = r.End

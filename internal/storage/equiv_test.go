@@ -189,17 +189,21 @@ func (s *flatSet) TakeFrom(from units.Bytes, budget units.Bytes) []Range {
 }
 
 // checkAgainstFlat asserts that s holds exactly ref's ranges in a
-// well-formed chunk list, and that its count and byte total match the
-// ranges it holds.
+// well-formed chunk list whose search key for each chunk is the End of
+// its last range, and that its count and byte total match the ranges it
+// holds.
 func checkAgainstFlat(t *testing.T, step int, s *RangeSet, ref *flatSet) {
 	t.Helper()
 	k := 0
 	var sum units.Bytes
 	for c, ch := range s.chunks {
-		if len(ch) == 0 || len(ch) > 2*chunkRanges {
-			t.Fatalf("step %d: chunk %d holds %d ranges, want 1..%d", step, c, len(ch), 2*chunkRanges)
+		if len(ch.ranges) == 0 || len(ch.ranges) > 2*chunkRanges {
+			t.Fatalf("step %d: chunk %d holds %d ranges, want 1..%d", step, c, len(ch.ranges), 2*chunkRanges)
 		}
-		for _, r := range ch {
+		if last := ch.ranges[len(ch.ranges)-1]; ch.end != last.End {
+			t.Fatalf("step %d: chunk %d keyed %d, its last range %v", step, c, ch.end, last)
+		}
+		for _, r := range ch.ranges {
 			if k >= len(ref.ranges) {
 				t.Fatalf("step %d: set holds more than the reference's %d ranges", step, len(ref.ranges))
 			}
@@ -250,7 +254,7 @@ func TestRangeSetMatchesFlatReference(t *testing.T) {
 		if rng.Intn(50) == 0 {
 			d = min(c+2, len(s.chunks)-1) // swallows a whole chunk
 		}
-		a, b := s.chunks[c][len(s.chunks[c])-1], s.chunks[d][0]
+		a, b := s.chunks[c].ranges[len(s.chunks[c].ranges)-1], s.chunks[d].ranges[0]
 		return Range{a.Start + units.Bytes(rng.Int64n(int64(a.Len()))), b.Start + 1 + units.Bytes(rng.Int64n(int64(b.Len())))}
 	}
 	var buf []Range
@@ -332,9 +336,9 @@ func TestRangeSetTakeFromWrapsPastLastChunk(t *testing.T) {
 	}
 	// Start inside a range halfway through the last chunk; the budget
 	// outlasts the last chunk by more than the first chunk.
-	last := s.chunks[len(s.chunks)-1]
+	last := s.chunks[len(s.chunks)-1].ranges
 	from := last[len(last)/2].Start + 5
-	firstEnd := s.chunks[0][len(s.chunks[0])-1].End
+	firstEnd := s.chunks[0].ranges[len(s.chunks[0].ranges)-1].End
 	budget := units.Bytes(3*chunkRanges) * 10
 	got, want := s.TakeFrom(from, budget, nil), ref.TakeFrom(from, budget)
 	if !equalRanges(got, want) {
@@ -365,7 +369,7 @@ func readRange(rng *xrand.Rand, s *RangeSet, ref *flatSet, universe int64) Range
 		return Range{max64(0, e.Start-n), e.Start}
 	case roll < 6 && len(s.chunks) >= 2:
 		c := rng.Intn(len(s.chunks) - 1)
-		a, b := s.chunks[c][len(s.chunks[c])-1], s.chunks[c+1][0]
+		a, b := s.chunks[c].ranges[len(s.chunks[c].ranges)-1], s.chunks[c+1].ranges[0]
 		if roll == 5 {
 			return Range{a.End, b.Start}
 		}

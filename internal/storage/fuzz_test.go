@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -65,6 +66,97 @@ func FuzzRangeSet(f *testing.F) {
 				t.Fatalf("step %d: op %d on %v, budget %d: got %v, reference %v", step, b[0]%5, r, budget, buf, want)
 			}
 			checkAgainstFlat(t, step, s, ref)
+		}
+	})
+}
+
+// FuzzPageCache decodes a sequence of cache operations and runs it on a
+// page cache over a recordingDevice, beside a flat reference of what is
+// resident kept by the rules of a single cached set: Write and Read add
+// their range to it, Invalidate removes its range, and DropCaches
+// leaves exactly the dirty ranges. After every operation the cache's
+// clean and dirty sets must not overlap and must together hold the
+// reference's ranges, CachedBytes must be the reference's byte total,
+// and every read must miss exactly the reference's gaps, in the
+// ReadMisses stat and in the reads the cache submits. The first byte
+// picks elevator or FIFO write-back; each operation is five bytes: the
+// kind (Write, Read, Sync, SyncRange, DropCaches, Invalidate, Advance)
+// plus seven times a length shift, a 16-bit start, a length and a
+// count. A Write or Read runs 1+count%16 times, each range twice its
+// length plus one byte after the previous, so the sets grow to several
+// chunks. Only the first 64 operations run.
+func FuzzPageCache(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) == 0 {
+			return
+		}
+		e := sim.NewEngine()
+		dev := &recordingDevice{e: e}
+		params := CacheParams{
+			MemBW:           3e9,
+			BackgroundDirty: 16 * units.KiB,
+			DirtyLimit:      32 * units.KiB,
+			LowWater:        4 * units.KiB,
+			BatchBytes:      8 * units.KiB,
+			FIFOWriteback:   b[0]%2 == 1,
+		}
+		c := NewPageCache(e, dev, params)
+		ref := &flatSet{}
+		b = b[1:]
+		for step := 1; step <= 64 && len(b) >= 5; step, b = step+1, b[5:] {
+			start := units.Bytes(b[1])<<8 | units.Bytes(b[2])
+			r := Range{start, start + units.Bytes(b[3])<<(b[0]/7%8)}
+			stride := 2*r.Len() + 1
+			switch b[0] % 7 {
+			case 0:
+				for k := range units.Bytes(b[4]%16) + 1 {
+					w := Range{r.Start + k*stride, r.End + k*stride}
+					c.Write(w.Start, w.Len())
+					ref.Add(w)
+				}
+			case 1:
+				for k := range units.Bytes(b[4]%16) + 1 {
+					rd := Range{r.Start + k*stride, r.End + k*stride}
+					want := ref.Gaps(rd)
+					ref.Add(rd)
+					var wantBytes units.Bytes
+					for _, g := range want {
+						wantBytes += g.Len()
+					}
+					dev.reads = dev.reads[:0]
+					before := c.Stats().ReadMisses
+					c.Read(rd.Start, rd.Len())
+					if got := c.Stats().ReadMisses - before; got != wantBytes {
+						t.Fatalf("step %d: read %v missed %d bytes, reference %d", step, rd, got, wantBytes)
+					}
+					if !equalRanges(dev.reads, want) {
+						t.Fatalf("step %d: read %v submitted %v, reference gaps %v", step, rd, dev.reads, want)
+					}
+				}
+			case 2:
+				c.Sync()
+			case 3:
+				c.SyncRange(r)
+			case 4:
+				c.DropCaches()
+				ref = &flatSet{ranges: c.dirty.Ranges()}
+			case 5:
+				c.Invalidate(r)
+				ref.Remove(r)
+			case 6:
+				e.Advance(units.Seconds(b[3]) * units.Millisecond)
+			}
+			if !cacheInvariants(t, c) {
+				t.Fatalf("step %d: op %d on %v: clean and dirty overlap", step, b[0]%7, r)
+			}
+			resident := &flatSet{ranges: c.dirty.Ranges()}
+			for _, cr := range c.clean.Ranges() {
+				resident.Add(cr)
+			}
+			if !equalRanges(resident.ranges, ref.ranges) || c.CachedBytes() != ref.Bytes() {
+				t.Fatalf("step %d: op %d on %v: resident %v (%d bytes cached), reference %v (%d bytes)",
+					step, b[0]%7, r, resident.ranges, c.CachedBytes(), ref.ranges, ref.Bytes())
+			}
 		}
 	})
 }

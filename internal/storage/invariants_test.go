@@ -25,10 +25,10 @@ const (
 // cacheInvariants checks the structural invariants after every step.
 func cacheInvariants(t *testing.T, c *PageCache) bool {
 	t.Helper()
-	// Dirty must be a subset of cached.
+	// Clean and dirty never overlap.
 	for _, d := range c.dirty.Ranges() {
-		if !c.cached.Contains(d) {
-			t.Logf("dirty range %v not cached", d)
+		if gaps := c.clean.Gaps(d, nil); len(gaps) != 1 || gaps[0] != d {
+			t.Logf("dirty range %v is partly clean: clean lacks only %v of it", d, gaps)
 			return false
 		}
 	}

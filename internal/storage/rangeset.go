@@ -7,10 +7,11 @@
 // (fio), its read/write stage powers (Fig 6, Table II), and its §V-D
 // data-reorganization hypothetical all fall out of this stack.
 //
-// The cache tracks its resident and dirty bytes as RangeSets. Every
-// write-back batch, an elevator sweep, the FIFO queue's or an fsync's,
-// is taken from the dirty set by RangeSet.Take, and every foreground
-// wait for the media (Sync, SyncRange, the dirty-limit throttle) is one
+// The cache tracks its clean and dirty bytes as two disjoint RangeSets,
+// whose union is what is resident. Every write-back batch, an elevator
+// sweep, the FIFO queue's or an fsync's, is taken from the dirty set by
+// RangeSet.Take and joins the clean set, and every foreground wait for
+// the media (Sync, SyncRange, the dirty-limit throttle) is one
 // sim.Engine.AdvanceWhile loop.
 package storage
 
@@ -45,25 +46,35 @@ func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 // splits once it holds more than twice this. An edit then copies a
 // bounded number of ranges, and the chunk list stays short enough that
 // inserting or dropping a chunk is cheap.
-const chunkRanges = 128
+const chunkRanges = 64
 
 // RangeSet is a set of byte offsets stored as sorted, non-overlapping,
-// non-adjacent ranges. It backs the page cache's cached/dirty tracking.
+// non-adjacent ranges. It backs the page cache's clean/dirty tracking.
 // The zero value is an empty, ready-to-use set.
 //
 // The ranges live in an ascending list of chunks, each a sorted,
 // non-empty slice of at most 2*chunkRanges ranges that shares no memory
-// with another chunk. A lookup binary-searches the chunks by their last
-// End and then the chunk, so an edit costs O(log n) plus a copy bounded
-// by the chunk size. The set also keeps its range count and byte total,
-// so Len and Bytes are O(1): the page cache reads Bytes twice per write.
+// with another chunk. A lookup binary-searches the chunk list by the
+// keys it holds, each chunk's last End, and then the chunk, so an edit
+// costs O(log n) plus a copy bounded by the chunk size. The set also
+// keeps its range count and byte total, so Len and Bytes are O(1): the
+// page cache reads Bytes twice per write.
 type RangeSet struct {
-	chunks [][]Range
+	chunks []chunk
+	spare  []Range // an emptied set's last chunk, reused by the next edit
 	n      int
 	bytes  units.Bytes
 }
 
-// loc addresses the range chunks[c][i]; {len(chunks), 0} is the end.
+// chunk is one entry of the chunk list: the chunk's ranges and its
+// search key, the End of its last range, kept in the list itself so a
+// search over the chunks loads no chunk.
+type chunk struct {
+	end    units.Bytes
+	ranges []Range
+}
+
+// loc addresses the range chunks[c].ranges[i]; {len(chunks), 0} is the end.
 type loc struct{ c, i int }
 
 // Len returns the number of maximal ranges in the set.
@@ -76,32 +87,23 @@ func (s *RangeSet) Bytes() units.Bytes { return s.bytes }
 func (s *RangeSet) Ranges() []Range {
 	out := make([]Range, 0, s.n)
 	for _, ch := range s.chunks {
-		out = append(out, ch...)
+		out = append(out, ch.ranges...)
 	}
 	return out
 }
 
 // First returns the lowest range. The set must not be empty.
-func (s *RangeSet) First() Range { return s.chunks[0][0] }
+func (s *RangeSet) First() Range { return s.chunks[0].ranges[0] }
 
 // Empty reports whether the set covers no bytes.
 func (s *RangeSet) Empty() bool { return s.n == 0 }
 
-// Clone returns an independent copy of the set.
-func (s *RangeSet) Clone() *RangeSet {
-	c := &RangeSet{chunks: make([][]Range, len(s.chunks)), n: s.n, bytes: s.bytes}
-	for i, ch := range s.chunks {
-		c.chunks[i] = slices.Clone(ch)
-	}
-	return c
-}
-
-func (s *RangeSet) at(p loc) Range { return s.chunks[p.c][p.i] }
+func (s *RangeSet) at(p loc) Range { return s.chunks[p.c].ranges[p.i] }
 
 // next returns the position after p, moving on to the next chunk at a
 // chunk's end.
 func (s *RangeSet) next(p loc) loc {
-	if p.i++; p.i == len(s.chunks[p.c]) {
+	if p.i++; p.i == len(s.chunks[p.c].ranges) {
 		return loc{p.c + 1, 0}
 	}
 	return p
@@ -109,32 +111,48 @@ func (s *RangeSet) next(p loc) loc {
 
 // firstAtOrAfter returns the position of the first range whose End is
 // greater than off (the first range that could overlap or follow off).
-// Both binary searches are written out: calling a search predicate
-// through a closure per probe cost a fifth of a random-read test's time.
+// Both binary searches are written out (calling a search predicate
+// through a closure per probe cost a fifth of a random-read test's
+// time) and branch-free: each probe adds half & -b to the lower bound,
+// b the comparison as 0 or 1, which go1.24 compiles to SETLE and no
+// conditional jump. An if around the addition compiles to one, which
+// on random offsets mispredicts about every other probe.
 func (s *RangeSet) firstAtOrAfter(off units.Bytes) loc {
-	c, hi := 0, len(s.chunks)
-	for c < hi {
-		m := int(uint(c+hi) >> 1)
-		if ch := s.chunks[m]; ch[len(ch)-1].End > off {
-			hi = m
-		} else {
-			c = m + 1
-		}
+	cs := s.chunks
+	if len(cs) == 0 {
+		return loc{}
 	}
-	if c == len(s.chunks) {
+	c := 0
+	for n := len(cs); n > 1; {
+		half, b := n>>1, 0
+		if cs[c+half].end <= off {
+			b = 1
+		}
+		c += half & -b
+		n -= half
+	}
+	b := 0
+	if cs[c].end <= off {
+		b = 1
+	}
+	if c += b; c == len(cs) {
 		return loc{c, 0}
 	}
-	ch := s.chunks[c]
-	i, j := 0, len(ch)
-	for i < j {
-		m := int(uint(i+j) >> 1)
-		if ch[m].End > off {
-			j = m
-		} else {
-			i = m + 1
+	ch := cs[c].ranges
+	i := 0
+	for n := len(ch); n > 1; {
+		half, b := n>>1, 0
+		if ch[i+half].End <= off {
+			b = 1
 		}
+		i += half & -b
+		n -= half
 	}
-	return loc{c, i}
+	b = 0
+	if ch[i].End <= off {
+		b = 1
+	}
+	return loc{c, i + b}
 }
 
 // span returns the window [p, q) of the ranges that overlap or touch r
@@ -264,22 +282,26 @@ func (s *RangeSet) replace(p, q loc, repl ...Range) {
 	// Pin the window to chunks p.c..q.c, with q.i an end index in q.c.
 	switch {
 	case p.c == len(s.chunks) && p.c == 0:
-		s.chunks = append(s.chunks, nil)
+		s.chunks = append(s.chunks, chunk{ranges: s.spare})
+		s.spare = nil
 		q = p
 	case p.c == len(s.chunks):
-		p = loc{p.c - 1, len(s.chunks[p.c-1])}
+		p = loc{p.c - 1, len(s.chunks[p.c-1].ranges)}
 		q = p
 	case q.i == 0 && q.c > p.c:
-		q = loc{q.c - 1, len(s.chunks[q.c-1])}
+		q = loc{q.c - 1, len(s.chunks[q.c-1].ranges)}
 	}
-	ch := s.chunks[p.c]
+	ch := s.chunks[p.c].ranges
 	if p.c == q.c {
 		ch = slices.Replace(ch, p.i, q.i, repl...)
 	} else {
-		ch = append(slices.Replace(ch, p.i, len(ch), repl...), s.chunks[q.c][q.i:]...)
+		ch = append(slices.Replace(ch, p.i, len(ch), repl...), s.chunks[q.c].ranges[q.i:]...)
 		s.chunks = slices.Delete(s.chunks, p.c+1, q.c+1)
 	}
 	if len(ch) == 0 {
+		if len(s.chunks) == 1 {
+			s.spare = ch
+		}
 		s.chunks = slices.Delete(s.chunks, p.c, p.c+1)
 		return
 	}
@@ -288,12 +310,12 @@ func (s *RangeSet) replace(p, q loc, repl ...Range) {
 	c := p.c
 	for len(ch) > 2*chunkRanges {
 		rest := slices.Clone(ch[chunkRanges:])
-		s.chunks[c] = ch[:chunkRanges]
+		s.chunks[c] = chunk{ch[chunkRanges-1].End, ch[:chunkRanges]}
 		c++
-		s.chunks = slices.Insert(s.chunks, c, rest)
+		s.chunks = slices.Insert(s.chunks, c, chunk{ranges: rest})
 		ch = rest
 	}
-	s.chunks[c] = ch
+	s.chunks[c] = chunk{ch[len(ch)-1].End, ch}
 }
 
 // Contains reports whether every byte of r is in the set.

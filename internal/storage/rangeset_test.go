@@ -217,15 +217,6 @@ func TestTakeFromZeroBudget(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	s := rs(0, 10)
-	c := s.Clone()
-	c.Add(Range{20, 30})
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Errorf("clone not independent: s=%v c=%v", s.Ranges(), c.Ranges())
-	}
-}
-
 // invariant checks sortedness, non-overlap, non-adjacency, non-emptiness.
 func invariant(s *RangeSet) bool {
 	rs := s.Ranges()

@@ -35,7 +35,11 @@
 #      and the storage layer (fio BenchmarkRandWrite and
 #      BenchmarkRandRead: one 64 MiB random-write or random-read test
 #      on a fresh node, page-cache range bookkeeping, the disk model
-#      and the event kernel) at -cpu 1, also min-of-COUNT.
+#      and the event kernel; storage BenchmarkCacheRandom: a page cache
+#      over a disk taking 16,384 random 16 KiB writes, an fsync and
+#      16,384 random reads over 256 MiB, the perfbench fio scale, where
+#      the range sets hold thousands of ranges) at -cpu 1, also
+#      min-of-COUNT.
 #      Names are recorded as pkg/Benchmark so kernels with equal
 #      benchmark names stay apart.
 #   3. The store pass: the result store's fsync-bound benchmarks (the
@@ -76,10 +80,10 @@ go test -run '^$' \
     . | tee -a "$raw"
 
 go test -run '^$' \
-    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkRenderFrame|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkEngineScheduleFire|BenchmarkRandWrite|BenchmarkRandRead)$' \
+    -bench '^(BenchmarkStep128|BenchmarkRender512|BenchmarkRenderFrame|BenchmarkEncodePNG512|BenchmarkEncodePNG512Ocean|BenchmarkCompressField|BenchmarkCheckpointEncode|BenchmarkEngineScheduleFire|BenchmarkRandWrite|BenchmarkRandRead|BenchmarkCacheRandom)$' \
     -benchmem -benchtime "${KERNEL_BENCHTIME:-1s}" -count "${COUNT:-3}" \
     -cpu 1 \
-    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/sim ./internal/fio | tee "$rawk"
+    ./internal/heat ./internal/ocean ./internal/viz ./internal/checkpoint ./internal/sim ./internal/fio ./internal/storage | tee "$rawk"
 
 store_start=$(date +%s)
 go test -run '^$' \
