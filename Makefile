@@ -50,7 +50,9 @@ static:
 # loop, the SWAR row filter, the scalar Adler-32 and the solvers'
 # stencil row loops), and the checkpoint, storage and sim tests there
 # too, where int is 32 bits (a checkpoint header's grid size must not
-# overflow it), and short fuzz passes over the checkpoint
+# overflow it), the experiment and campaign goldens at GOARCH=386,
+# which pin every portable kernel end to end (about a minute), and
+# short fuzz passes over the checkpoint
 # decoder, the PNG encoder, the PNG encoder's Adler-32 (against
 # hash/adler32), the render fill's row kernel, the heat sweep's and
 # the ocean momentum and continuity row kernels (each against its
@@ -71,6 +73,7 @@ check: static
 	$(GO) test -run '^TestGoldenCampaignReport$$' -timeout 10m ./internal/campaign
 	GOARCH=386 $(GO) test ./internal/viz ./internal/deflate ./internal/heat ./internal/ocean \
 		./internal/checkpoint ./internal/storage ./internal/sim
+	GOARCH=386 $(GO) test -run '^TestGolden' -timeout 30m ./internal/experiments ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefix$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s ./internal/viz
 	$(GO) test -run '^$$' -fuzz '^FuzzAdler32$$' -fuzztime 10s ./internal/viz

@@ -15,16 +15,11 @@ import (
 
 func main() {
 	cfg := greenviz.DefaultConfig()
+	if err := greenviz.ConfigureApp(&cfg, "ocean"); err != nil {
+		log.Fatal(err)
+	}
 	cfg.RealSubsteps = 32
 	cfg.RetainFrames = true
-	cfg.NewSimulator = func() greenviz.Simulator {
-		return greenviz.NewOceanSolver(greenviz.DefaultOceanParams())
-	}
-	cfg.Render = greenviz.RenderOptions{
-		Width: 512, Height: 512,
-		Colormap: greenviz.CoolWarmColormap(),
-		Isolines: []float64{0},
-	}
 
 	cs := greenviz.CaseStudy{Name: "ocean waves", Iterations: 50, IOInterval: 1}
 	fmt.Println("Shallow-water proxy through both pipelines (I/O every iteration)...")

@@ -39,7 +39,9 @@ const (
 )
 
 // Platform describes a simulated machine: hardware constants, power
-// models, storage stack, and workload-cost calibration.
+// models, storage stack, and workload-cost calibration. Setting NVRAM
+// puts a 16 GiB PCIe NVRAM burst buffer, which drains to the disk after
+// 2 s of rest, in front of the disk.
 type Platform = node.Profile
 
 // SandyBridge returns the paper's platform (Table I), calibrated
@@ -240,30 +242,19 @@ func RunOnCluster(c *Cluster, p Pipeline, cs CaseStudy, cfg Config) *Result {
 	return core.RunOnCluster(c, p, cs, cfg)
 }
 
-// NVRAMParams describes the burst-buffer tier (set Platform.NVRAM).
-type NVRAMParams = storage.NVRAMParams
-
-// DefaultNVRAM returns a 16 GiB PCIe NVRAM card model.
-func DefaultNVRAM() NVRAMParams { return storage.DefaultNVRAM() }
-
 // CheckpointStore is where the post-processing pipeline keeps its
 // checkpoints; set Config.Store to redirect them (e.g. to a parallel
 // filesystem built with NewPFS).
 type CheckpointStore = core.CheckpointStore
 
-// PFSParams configures a striped parallel filesystem (Future Work).
-type PFSParams = pfs.Params
-
-// DefaultPFSParams returns a 4-server, 1 MiB-stripe, 10 GbE setup.
-func DefaultPFSParams() PFSParams { return pfs.DefaultParams() }
-
-// PFS is a striped parallel filesystem across dedicated storage nodes.
+// PFS is a striped parallel filesystem across dedicated storage nodes
+// (Future Work).
 type PFS = pfs.FileSystem
 
-// NewPFS attaches storage servers to the client node's virtual clock.
-func NewPFS(client *Node, params PFSParams, seed uint64) *PFS {
-	return pfs.New(client, params, seed)
-}
+// NewPFS attaches four storage servers, the paper's node hardware, to
+// the client node's virtual clock behind one 10 GbE uplink; files
+// stripe across them in 1 MiB chunks. seed drives the servers' disks.
+func NewPFS(client *Node, seed uint64) *PFS { return pfs.New(client, seed) }
 
 // NewPFSStore adapts a parallel filesystem to Config.Store.
 func NewPFSStore(fs *PFS) CheckpointStore { return pfs.NewStore(fs) }

@@ -20,7 +20,7 @@ func testFS(t *testing.T) (*sim.Engine, *storage.FileSystem) {
 	p.DeterministicRotation = true
 	d := storage.NewDisk(e, p, nil, xrand.New(1))
 	c := storage.NewPageCache(e, d, storage.LinuxPageCache())
-	return e, storage.NewFileSystem(e, d, c, storage.DefaultFS())
+	return e, storage.NewFileSystem(e, d, c)
 }
 
 func sampleGrid() *field.Grid {

@@ -47,7 +47,7 @@ func NewCluster(p node.Profile, link netio.LinkParams, seed uint64) *Cluster {
 	c.stagingCPU = sim.NewResource(engine,
 		func() { c.Staging.SetLoad(p.VizCores, power.IntensityRender, p.VizDRAMGBs) },
 		c.Staging.SetIdle)
-	c.frameOff = p.FS.DataStart
+	c.frameOff = storage.DataStart
 	return c
 }
 

@@ -20,7 +20,7 @@ func (s *Suite) PFS() Report {
 	ins := s.run(core.InSitu, cs)
 
 	client := node.New(node.SandyBridge(), s.seedFor("pfs/client"))
-	fsys := pfs.New(client, pfs.DefaultParams(), s.seedFor("pfs/servers"))
+	fsys := pfs.New(client, s.seedFor("pfs/servers"))
 	cfg := s.Config
 	cfg.Store = pfs.NewStore(fsys)
 	remote := core.Run(client, core.PostProcessing, cs, cfg)

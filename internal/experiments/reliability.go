@@ -78,7 +78,7 @@ func (s *Suite) Reliability() Report {
 	// Server drops on the parallel filesystem: the RPC-level fault class
 	// the local stack cannot express.
 	client := node.New(node.SandyBridge(), s.seedFor("reliability/pfs/client"))
-	fsys := pfs.New(client, pfs.DefaultParams(), s.seedFor("reliability/pfs/servers"))
+	fsys := pfs.New(client, s.seedFor("reliability/pfs/servers"))
 	cfg := s.Config
 	cfg.Store = pfs.NewStore(fsys)
 	cfg.Faults = &fault.Config{Seed: s.seedFor("reliability/pfs/faults"), Drop: 0.05}

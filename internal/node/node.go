@@ -51,13 +51,12 @@ type Profile struct {
 	// Storage stack.
 	Disk  storage.DiskParams
 	Cache storage.CacheParams
-	FS    storage.FSParams
 	// RAIDMembers > 1 replaces the single disk with a RAID-0 array of
 	// that many members (stripe unit raidStripe) — Future Work.
 	RAIDMembers int
-	// NVRAM, when non-nil, inserts a burst-buffer tier in front of the
-	// disk — the Future Work deep-memory-hierarchy study.
-	NVRAM *storage.NVRAMParams
+	// NVRAM inserts a burst-buffer tier in front of the disk — the
+	// Future Work deep-memory-hierarchy study.
+	NVRAM bool
 
 	// Workload cost calibration: how fast this node performs each kind
 	// of work, in virtual time. Derived from the paper's measured stage
@@ -101,7 +100,6 @@ func SandyBridge() Profile {
 
 		Disk:  storage.SeagateHDD(),
 		Cache: storage.LinuxPageCache(),
-		FS:    storage.DefaultFS(),
 
 		CellUpdateRate:  1.12e7,
 		PixelRate:       4.6e5,
@@ -150,8 +148,7 @@ const raidStripe = 256 * units.KiB
 func SandyBridgeNVRAM() Profile {
 	p := SandyBridge()
 	p.Name = "2x Intel Xeon E5-2665 (Sandy Bridge), 64 GB DDR3, NVRAM burst buffer + 7200 rpm"
-	nv := storage.DefaultNVRAM()
-	p.NVRAM = &nv
+	p.NVRAM = true
 	return p
 }
 
@@ -167,8 +164,8 @@ func IdlePower(p Profile) units.Watts {
 	for i := 0; i < max(p.RAIDMembers, 1); i++ {
 		sum += p.Disk.IdlePower
 	}
-	if p.NVRAM != nil {
-		sum += p.NVRAM.IdlePower
+	if p.NVRAM {
+		sum += storage.NVRAMIdlePower
 	}
 	return sum + p.RestBase
 }
@@ -232,12 +229,12 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 		diskDom := bus.NewDomain("disk", 0)
 		n.Device = storage.NewDisk(engine, profile.Disk, diskDom, rng.Split())
 	}
-	if profile.NVRAM != nil {
+	if profile.NVRAM {
 		nvDom := bus.NewDomain("nvram", 0)
-		n.Device = storage.NewBurstBuffer(engine, n.Device, *profile.NVRAM, nvDom)
+		n.Device = storage.NewBurstBuffer(engine, n.Device, nvDom)
 	}
 	n.Cache = storage.NewPageCache(engine, n.Device, profile.Cache)
-	n.FS = storage.NewFileSystem(engine, n.Device, n.Cache, profile.FS)
+	n.FS = storage.NewFileSystem(engine, n.Device, n.Cache)
 	// Skip one stream: the OS-noise and meter streams are split after
 	// this point, and every seeded run's output depends on which
 	// streams they get.
@@ -248,7 +245,7 @@ func NewOnEngine(engine *sim.Engine, profile Profile, seed uint64) *Node {
 	n.Rest.Bind(restDom)
 	n.observeRest()
 
-	n.MSR = rapl.NewMSR(rapl.Sources(bus))
+	n.MSR = rapl.NewMSR(bus)
 
 	if profile.OSNoiseSigma > 0 {
 		noiseRng := rng.Split()
@@ -412,10 +409,9 @@ func (n *Node) Rand() *xrand.Rand { return n.rng.Split() }
 // samplers emit onto the run's telemetry bus, and a trace.Recorder
 // consumer materializes their readings into Profile.
 type Instruments struct {
-	Profile  *trace.Profile
-	Recorder *trace.Recorder
-	Meter    *wattsup.Meter
-	RAPL     *rapl.Monitor
+	Profile *trace.Profile
+	Meter   *wattsup.Meter
+	RAPL    *rapl.Monitor
 }
 
 // NewInstruments attaches a Wattsup meter and a RAPL monitor emitting
@@ -430,11 +426,10 @@ func (n *Node) NewInstruments(label string, tel *telemetry.Bus) *Instruments {
 		tel = telemetry.NewBus()
 	}
 	prof := trace.NewProfile(label)
-	rec := trace.NewRecorder(prof)
-	tel.Attach(rec)
-	meter := wattsup.NewMeter(n.Engine, n.Bus, tel, wattsup.DefaultConfig(), n.rng.Split())
-	mon := rapl.NewMonitor(n.Engine, n.MSR, tel, n.Bus.Domain("package"))
-	return &Instruments{Profile: prof, Recorder: rec, Meter: meter, RAPL: mon}
+	tel.Attach(trace.NewRecorder(prof))
+	meter := wattsup.NewMeter(n.Engine, n.Bus, tel, n.rng.Split())
+	mon := rapl.NewMonitor(n.Engine, n.MSR, tel)
+	return &Instruments{Profile: prof, Meter: meter, RAPL: mon}
 }
 
 // Start begins sampling on both instruments.

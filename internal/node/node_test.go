@@ -167,7 +167,7 @@ func TestMonitorOverheadSurvivesLoadChanges(t *testing.T) {
 	run := func(metered bool) (pkg, wall units.Joules, elapsed units.Seconds) {
 		n := quiet(1)
 		dom := n.Bus.Domain("package")
-		mon := rapl.NewMonitor(n.Engine, n.MSR, nil, dom)
+		mon := rapl.NewMonitor(n.Engine, n.MSR, nil)
 		if metered {
 			mon.Start()
 		}

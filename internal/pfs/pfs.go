@@ -3,11 +3,12 @@
 // systems running parallel file systems to understand the impact of
 // [the] file system on energy consumption".
 //
-// A compute node (the client) stripes each file across N object storage
-// servers. All traffic traverses the client's single network uplink —
-// the realistic bottleneck — while server-side disk writes proceed in
-// parallel: the throughput win. Every server's static power burns for
-// the whole job: the energy cost.
+// A compute node (the client) stripes each file in 1 MiB chunks across
+// four object storage servers, each the paper's node hardware. All
+// traffic traverses the client's single 10 GbE uplink — the realistic
+// bottleneck — while server-side disk writes proceed in parallel: the
+// throughput win. Every server's static power burns for the whole job:
+// the energy cost.
 package pfs
 
 import (
@@ -22,31 +23,12 @@ import (
 	"repro/internal/units"
 )
 
-// Params configures the parallel filesystem.
-type Params struct {
-	// Servers is the object-storage-server count.
-	Servers int
-	// StripeSize is the per-server chunk of a striped file.
-	StripeSize units.Bytes
-	// Link is the client's uplink model (all stripes serialize on it).
-	Link netio.LinkParams
-	// ServerProfile builds each storage server (typically the same
-	// node hardware, dedicated to I/O).
-	ServerProfile node.Profile
-}
-
-// DefaultParams returns a 4-server stripe over a single 10 GbE uplink
-// with 1 MiB stripes on the paper's node hardware.
-func DefaultParams() Params {
-	p := node.SandyBridge()
-	p.OSNoiseSigma = 0 // servers idle quietly between requests
-	return Params{
-		Servers:       4,
-		StripeSize:    1 * units.MiB,
-		Link:          netio.TenGigE(),
-		ServerProfile: p,
-	}
-}
+// The parallel filesystem's one configuration: the object storage
+// server count and the per-server chunk of a striped file.
+const (
+	servers    = 4
+	stripeSize = 1 * units.MiB
+)
 
 // server is one object storage server.
 type server struct {
@@ -58,7 +40,6 @@ type server struct {
 // FileSystem is the client-side handle. All servers share the client
 // node's engine.
 type FileSystem struct {
-	params  Params
 	client  *node.Node
 	engine  *sim.Engine
 	uplink  *netio.Link
@@ -93,29 +74,28 @@ type Stats struct {
 	BytesRead    units.Bytes
 }
 
-// New builds the parallel filesystem: Servers storage nodes on the
+// New builds the parallel filesystem: the storage servers on the
 // client's engine, reached through one shared uplink (modeled as the
-// link between the client and the first server's switch port).
-func New(client *node.Node, params Params, seed uint64) *FileSystem {
-	if params.Servers <= 0 || params.StripeSize <= 0 {
-		panic("pfs: needs positive server count and stripe size")
-	}
+// link between the client and the first server's switch port). seed
+// drives the servers' disk rotation.
+func New(client *node.Node, seed uint64) *FileSystem {
 	fs := &FileSystem{
-		params: params,
 		client: client,
 		engine: client.Engine,
 		files:  map[string]*fileMeta{},
 	}
-	for i := 0; i < params.Servers; i++ {
-		sn := node.NewOnEngine(client.Engine, params.ServerProfile, seed+uint64(i)*131)
+	p := node.SandyBridge()
+	p.OSNoiseSigma = 0 // servers idle quietly between requests
+	for i := 0; i < servers; i++ {
+		sn := node.NewOnEngine(client.Engine, p, seed+uint64(i)*131)
 		fs.servers = append(fs.servers, &server{
 			n:     sn,
-			alloc: params.ServerProfile.FS.DataStart,
+			alloc: storage.DataStart,
 			ioCPU: sim.NewResource(client.Engine,
 				func() { sn.SetLoad(1, power.IntensityIO, 0.3) }, sn.SetIdle),
 		})
 	}
-	fs.uplink = netio.Connect(client, fs.servers[0].n, params.Link)
+	fs.uplink = netio.Connect(client, fs.servers[0].n, netio.TenGigE())
 	return fs
 }
 
@@ -175,7 +155,7 @@ func (fs *FileSystem) WriteFile(name string, header []byte, total units.Bytes) e
 	remaining := total
 	stripeIdx := 0
 	for remaining > 0 {
-		chunk := fs.params.StripeSize
+		chunk := stripeSize
 		if chunk > remaining {
 			chunk = remaining
 		}

@@ -10,6 +10,9 @@ import (
 	"repro/internal/units"
 )
 
+// quietClient returns a client with OS noise off and a deterministic
+// disk. The servers New builds sample their disks' rotation from the
+// seed each test passes, so every test runs one fixed draw.
 func quietClient(seed uint64) *node.Node {
 	p := node.SandyBridge()
 	p.OSNoiseSigma = 0
@@ -17,15 +20,9 @@ func quietClient(seed uint64) *node.Node {
 	return node.New(p, seed)
 }
 
-func quietParams() Params {
-	p := DefaultParams()
-	p.ServerProfile.Disk.DeterministicRotation = true
-	return p
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	client := quietClient(1)
-	fs := New(client, quietParams(), 10)
+	fs := New(client, 10)
 	header := []byte("PFSHDR--real bytes that must survive")
 	fs.WriteFile("f1", header, 32*units.MiB)
 	got, err := fs.ReadFile("f1")
@@ -39,7 +36,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestStripesSpreadAcrossServers(t *testing.T) {
 	client := quietClient(2)
-	fs := New(client, quietParams(), 20)
+	fs := New(client, 20)
 	fs.WriteFile("f", nil, 16*units.MiB) // 16 stripes over 4 servers
 	for i, s := range fs.servers {
 		st := s.n.DiskStats()
@@ -54,7 +51,7 @@ func TestParallelWriteBeatsLocalDisk(t *testing.T) {
 	// (~1.2 s); the PFS is uplink-bound at 1.1 GB/s with 4 disks
 	// absorbing in parallel (~0.3 s).
 	client := quietClient(3)
-	fs := New(client, quietParams(), 30)
+	fs := New(client, 30)
 	start := client.Engine.Now()
 	fs.WriteFile("ckpt", nil, 188*units.MiB)
 	elapsed := float64(client.Engine.Now() - start)
@@ -69,7 +66,7 @@ func TestParallelWriteBeatsLocalDisk(t *testing.T) {
 
 func TestServersEnergyAccumulates(t *testing.T) {
 	client := quietClient(4)
-	fs := New(client, quietParams(), 40)
+	fs := New(client, 40)
 	client.Engine.Advance(10)
 	e := fs.ServersEnergy()
 	// Four idle servers at ~104.5 W (+NIC on server 0) for 10 s.
@@ -80,7 +77,7 @@ func TestServersEnergyAccumulates(t *testing.T) {
 
 func TestReadUnknownFile(t *testing.T) {
 	client := quietClient(5)
-	fs := New(client, quietParams(), 50)
+	fs := New(client, 50)
 	if _, err := fs.ReadFile("nope"); err == nil {
 		t.Error("unknown file did not error")
 	}
@@ -88,7 +85,7 @@ func TestReadUnknownFile(t *testing.T) {
 
 func TestDuplicateWritePanics(t *testing.T) {
 	client := quietClient(6)
-	fs := New(client, quietParams(), 60)
+	fs := New(client, 60)
 	fs.WriteFile("x", nil, units.MiB)
 	defer func() {
 		if recover() == nil {
@@ -100,7 +97,7 @@ func TestDuplicateWritePanics(t *testing.T) {
 
 func TestStoreCheckpointRoundTrip(t *testing.T) {
 	client := quietClient(7)
-	fs := New(client, quietParams(), 70)
+	fs := New(client, 70)
 	store := NewStore(fs)
 
 	cfg := core.DefaultAppConfig()
@@ -124,7 +121,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 
 func TestPostProcessingOnPFS(t *testing.T) {
 	client := quietClient(8)
-	fs := New(client, quietParams(), 80)
+	fs := New(client, 80)
 	cfg := core.DefaultAppConfig()
 	cfg.RealSubsteps = 4
 	cfg.Store = NewStore(fs)

@@ -25,7 +25,7 @@ func testGrid(fill float64) *field.Grid {
 // must read back its own grid and header.
 func TestStoreConcurrentWrites(t *testing.T) {
 	client := quietClient(1)
-	fs := New(client, quietParams(), 10)
+	fs := New(client, 10)
 	store := NewStore(fs)
 
 	const perWriter = 8
@@ -67,7 +67,7 @@ func TestStoreConcurrentWrites(t *testing.T) {
 // zero values — never a panic, never a partial grid.
 func TestReadCheckpointTruncatedPrefix(t *testing.T) {
 	client := quietClient(2)
-	fs := New(client, quietParams(), 11)
+	fs := New(client, 11)
 	store := NewStore(fs)
 
 	full := checkpoint.EncodePrefix(testGrid(1), 42, 3.25, units.MiB)

@@ -138,9 +138,6 @@ func (b *Bus) Domain(name string) *Domain {
 	return nil
 }
 
-// Domains returns the attached domains in attachment order.
-func (b *Bus) Domains() []*Domain { return b.domains }
-
 // SystemPower returns the instantaneous wall power: the sum of all
 // domain levels.
 func (b *Bus) SystemPower() units.Watts {

@@ -1,10 +1,11 @@
 // Package rapl emulates Intel's Running Average Power Limit interface
 // as the paper used it on Sandy Bridge: model-specific registers (MSRs)
 // holding 32-bit cumulative energy counters in 15.3 µJ units for the
-// PKG and DRAM planes, read by a 1 Hz software monitor that differences
-// consecutive counter values — handling wraparound — to produce
-// per-domain power. Reading the MSRs costs the package domain the
-// 0.2 W the paper measured at 1 Hz.
+// PKG and DRAM planes, which read the power bus's package and dram
+// domains, and a 1 Hz software monitor that differences consecutive
+// counter values — handling wraparound — to produce per-domain power.
+// Reading the MSRs costs the package domain the 0.2 W the paper
+// measured at 1 Hz.
 package rapl
 
 import (
@@ -39,32 +40,27 @@ func (d Domain) String() string {
 // EnergyUnit is the Sandy Bridge RAPL energy resolution: 2^-16 J.
 const EnergyUnit = 1.0 / 65536
 
-// EnergySource yields cumulative joules for a domain; PKG and DRAM wrap
-// power.Domain energies.
-type EnergySource func() units.Joules
-
-// MSR emulates the energy-status registers.
+// MSR emulates the energy-status registers of the node's package and
+// dram power domains.
 type MSR struct {
-	sources map[Domain]EnergySource
+	planes [len(domains)]*power.Domain // indexed by Domain
 }
 
-// NewMSR builds the register file from per-domain energy sources.
-func NewMSR(sources map[Domain]EnergySource) *MSR {
-	if len(sources) == 0 {
-		panic("rapl: no energy sources")
+// NewMSR builds the register file over the bus's package and dram
+// domains.
+func NewMSR(bus *power.Bus) *MSR {
+	pkg, dram := bus.Domain("package"), bus.Domain("dram")
+	if pkg == nil || dram == nil {
+		panic("rapl: bus lacks package/dram domains")
 	}
-	return &MSR{sources: sources}
+	return &MSR{planes: [len(domains)]*power.Domain{PKG: pkg, DRAM: dram}}
 }
 
 // ReadEnergyStatus returns the 32-bit wrapped counter for a domain, in
 // EnergyUnit increments, exactly as MSR_PKG_ENERGY_STATUS does.
-func (m *MSR) ReadEnergyStatus(d Domain) (uint32, error) {
-	src, ok := m.sources[d]
-	if !ok {
-		return 0, fmt.Errorf("rapl: domain %v not supported on this package", d)
-	}
-	ticks := uint64(float64(src()) / EnergyUnit)
-	return uint32(ticks), nil // wraparound by truncation
+func (m *MSR) ReadEnergyStatus(d Domain) uint32 {
+	ticks := uint64(float64(m.planes[d].Energy()) / EnergyUnit)
+	return uint32(ticks) // wraparound by truncation
 }
 
 // CounterDelta returns the energy between two counter reads, handling a
@@ -73,20 +69,6 @@ func (m *MSR) ReadEnergyStatus(d Domain) (uint32, error) {
 func CounterDelta(prev, cur uint32) units.Joules {
 	delta := cur - prev // uint32 arithmetic wraps correctly
 	return units.Joules(float64(delta) * EnergyUnit)
-}
-
-// Sources builds the source map from the node's power bus: PKG = the
-// package domain, DRAM = the dram domain.
-func Sources(bus *power.Bus) map[Domain]EnergySource {
-	pkg := bus.Domain("package")
-	dram := bus.Domain("dram")
-	if pkg == nil || dram == nil {
-		panic("rapl: bus lacks package/dram domains")
-	}
-	return map[Domain]EnergySource{
-		PKG:  func() units.Joules { return pkg.Energy() },
-		DRAM: func() units.Joules { return dram.Energy() },
-	}
 }
 
 // The paper's monitor: one read of each domain per Period, costing the
@@ -104,10 +86,9 @@ var domains = [...]Domain{PKG, DRAM}
 type Monitor struct {
 	msr     *MSR
 	ticker  *sim.Ticker
-	pkgDom  *power.Domain
 	tel     *telemetry.Bus
 	names   [len(domains)]string
-	prev    map[Domain]uint32
+	prev    [len(domains)]uint32
 	running bool
 }
 
@@ -117,19 +98,13 @@ func SourceName(d Domain) string { return "rapl." + d.String() }
 
 // NewMonitor attaches a monitor to the MSRs, emitting PKG and DRAM
 // readings into tel (sources defined on construction, in that order, so
-// recorders materialize series columns in a stable order). pkgDomain
-// receives the monitoring overhead and may be nil, which leaves every
-// domain's power exact.
-func NewMonitor(engine *sim.Engine, msr *MSR, tel *telemetry.Bus, pkgDomain *power.Domain) *Monitor {
+// recorders materialize series columns in a stable order). While it
+// runs, the monitor adds its Overhead to the MSRs' package domain.
+func NewMonitor(engine *sim.Engine, msr *MSR, tel *telemetry.Bus) *Monitor {
 	if tel == nil {
 		tel = telemetry.NewBus()
 	}
-	m := &Monitor{
-		msr:    msr,
-		pkgDom: pkgDomain,
-		tel:    tel,
-		prev:   make(map[Domain]uint32),
-	}
+	m := &Monitor{msr: msr, tel: tel}
 	for i, d := range domains {
 		m.names[i] = SourceName(d)
 		tel.Emit(telemetry.Event{Kind: telemetry.KindSeriesDefine, Source: m.names[i], Unit: "W"})
@@ -145,13 +120,9 @@ func (m *Monitor) Start() {
 	}
 	m.running = true
 	for _, d := range domains {
-		if v, err := m.msr.ReadEnergyStatus(d); err == nil {
-			m.prev[d] = v
-		}
+		m.prev[d] = m.msr.ReadEnergyStatus(d)
 	}
-	if m.pkgDom != nil {
-		m.pkgDom.Add(Overhead)
-	}
+	m.msr.planes[PKG].Add(Overhead)
 	m.ticker.Start()
 }
 
@@ -162,17 +133,12 @@ func (m *Monitor) Stop() {
 	}
 	m.running = false
 	m.ticker.Stop()
-	if m.pkgDom != nil {
-		m.pkgDom.Add(-Overhead)
-	}
+	m.msr.planes[PKG].Add(-Overhead)
 }
 
 func (m *Monitor) sample(now sim.Time) {
 	for i, d := range domains {
-		cur, err := m.msr.ReadEnergyStatus(d)
-		if err != nil {
-			continue
-		}
+		cur := m.msr.ReadEnergyStatus(d)
 		e := CounterDelta(m.prev[d], cur)
 		m.prev[d] = cur
 		m.tel.Emit(telemetry.Event{

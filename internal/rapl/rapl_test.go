@@ -18,6 +18,13 @@ func monitorProfile() (*telemetry.Bus, *trace.Profile) {
 	return telemetry.NewBus(trace.NewRecorder(prof)), prof
 }
 
+// testBus returns a bus with the package and dram domains an MSR reads,
+// at the given levels.
+func testBus(e *sim.Engine, pkgW, dramW units.Watts) (bus *power.Bus, pkg, dram *power.Domain) {
+	bus = power.NewBus(e)
+	return bus, bus.NewDomain("package", pkgW), bus.NewDomain("dram", dramW)
+}
+
 func TestCounterDeltaSimple(t *testing.T) {
 	if got := CounterDelta(1000, 66536); math.Abs(float64(got)-65536*EnergyUnit) > 1e-9 {
 		t.Errorf("delta = %v, want 1 J worth", got)
@@ -35,58 +42,63 @@ func TestCounterDeltaWraparound(t *testing.T) {
 
 func TestReadEnergyStatusTracksDomain(t *testing.T) {
 	e := sim.NewEngine()
-	d := power.NewDomain(e, "package", 100)
-	msr := NewMSR(map[Domain]EnergySource{PKG: func() units.Joules { return d.Energy() }})
-	e.Advance(10) // 1000 J
-	c, err := msr.ReadEnergyStatus(PKG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint32(uint64(1000 / EnergyUnit))
-	if c != want {
-		t.Errorf("counter = %d, want %d", c, want)
-	}
-}
-
-func TestReadUnsupportedDomain(t *testing.T) {
-	msr := NewMSR(map[Domain]EnergySource{PKG: func() units.Joules { return 0 }})
-	if _, err := msr.ReadEnergyStatus(DRAM); err == nil {
-		t.Error("unsupported domain read did not error")
+	bus, _, _ := testBus(e, 100, 10)
+	msr := NewMSR(bus)
+	e.Advance(10) // 1000 J package, 100 J dram
+	for _, c := range []struct {
+		d     Domain
+		joule float64
+	}{{PKG, 1000}, {DRAM, 100}} {
+		want := uint32(uint64(c.joule / EnergyUnit))
+		if got := msr.ReadEnergyStatus(c.d); got != want {
+			t.Errorf("%v counter = %d, want %d", c.d, got, want)
+		}
 	}
 }
 
 func TestCounterWrapsAt32Bits(t *testing.T) {
-	// 2^32 units = 65536 J; feed slightly more and expect a wrapped value.
-	total := units.Joules(65536 + 1)
-	msr := NewMSR(map[Domain]EnergySource{PKG: func() units.Joules { return total }})
-	c, _ := msr.ReadEnergyStatus(PKG)
-	if c != uint32(1/EnergyUnit) {
+	// 2^32 units = 65536 J; run the package 1 J past that and expect a
+	// wrapped value.
+	e := sim.NewEngine()
+	bus, _, _ := testBus(e, 65537, 10)
+	msr := NewMSR(bus)
+	e.Advance(1)
+	if c := msr.ReadEnergyStatus(PKG); c != uint32(1/EnergyUnit) {
 		t.Errorf("wrapped counter = %d, want %d", c, uint32(1/EnergyUnit))
 	}
 }
 
+func TestMSRNeedsPackageAndDRAM(t *testing.T) {
+	bus := power.NewBus(sim.NewEngine())
+	bus.NewDomain("package", 42)
+	defer func() {
+		if recover() == nil {
+			t.Error("MSR over a bus without a dram domain did not panic")
+		}
+	}()
+	NewMSR(bus)
+}
+
 func TestMonitorRecordsAveragePower(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e)
-	pkg := bus.NewDomain("package", 42)
-	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus))
+	bus, pkg, _ := testBus(e, 42, 10)
 	tel, prof := monitorProfile()
-	mon := NewMonitor(e, msr, tel, nil) // no overhead: power stays exact
+	mon := NewMonitor(e, NewMSR(bus), tel)
 	mon.Start()
 	e.Advance(5)
 	pkg.SetLevel(72)
 	e.Advance(5)
 	mon.Stop()
 
+	// The package reads its level plus the monitor's own overhead.
 	s := prof.SeriesByName(SourceName(PKG))
 	if s.Len() != 10 {
 		t.Fatalf("PKG samples = %d, want 10", s.Len())
 	}
 	early := s.At(2).V
 	late := s.At(8).V
-	if math.Abs(early-42) > 0.01 || math.Abs(late-72) > 0.01 {
-		t.Errorf("PKG power early/late = %v/%v, want 42/72", early, late)
+	if math.Abs(early-42.2) > 0.01 || math.Abs(late-72.2) > 0.01 {
+		t.Errorf("PKG power early/late = %v/%v, want 42.2/72.2", early, late)
 	}
 	d := prof.SeriesByName(SourceName(DRAM))
 	if math.Abs(d.At(3).V-10) > 0.01 {
@@ -96,11 +108,8 @@ func TestMonitorRecordsAveragePower(t *testing.T) {
 
 func TestMonitorOverheadAppliedAndRemoved(t *testing.T) {
 	e := sim.NewEngine()
-	bus := power.NewBus(e)
-	pkg := bus.NewDomain("package", 42)
-	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus))
-	mon := NewMonitor(e, msr, nil, pkg)
+	bus, pkg, _ := testBus(e, 42, 10)
+	mon := NewMonitor(e, NewMSR(bus), nil)
 	mon.Start()
 	if math.Abs(float64(pkg.Level())-42.2) > 1e-9 {
 		t.Errorf("package with monitor = %v, want 42.2", pkg.Level())
@@ -122,18 +131,15 @@ func TestMonitorLongRunSurvivesCounterWrap(t *testing.T) {
 	// At 150 W the 32-bit counter wraps every ~437 s; run 1200 s and
 	// check no sample goes wild.
 	e := sim.NewEngine()
-	bus := power.NewBus(e)
-	bus.NewDomain("package", 150)
-	bus.NewDomain("dram", 10)
-	msr := NewMSR(Sources(bus))
+	bus, _, _ := testBus(e, 150, 10)
 	tel, prof := monitorProfile()
-	mon := NewMonitor(e, msr, tel, nil)
+	mon := NewMonitor(e, NewMSR(bus), tel)
 	mon.Start()
 	e.Advance(1200)
 	mon.Stop()
 	for _, s := range prof.SeriesByName(SourceName(PKG)).Samples() {
-		if math.Abs(s.V-150) > 0.01 {
-			t.Fatalf("sample at %v = %v, want 150 (wraparound mishandled)", s.T, s.V)
+		if math.Abs(s.V-150.2) > 0.01 { // with the monitor's overhead
+			t.Fatalf("sample at %v = %v, want 150.2 (wraparound mishandled)", s.T, s.V)
 		}
 	}
 }

@@ -9,33 +9,20 @@ import (
 	"repro/internal/units"
 )
 
-// NVRAMParams describes a byte-addressable persistent buffer tier.
-type NVRAMParams struct {
-	Capacity units.Bytes
-	// ReadBW / WriteBW are streaming bandwidths in bytes/s.
-	ReadBW, WriteBW float64
-	// AccessLatency is the fixed per-request cost.
-	AccessLatency units.Seconds
-	// IdlePower / ActiveDyn are the tier's power levels.
-	IdlePower, ActiveDyn units.Watts
-	// DrainDelay is how long data rests in the buffer before the
-	// background drain ships it to the backing store.
-	DrainDelay units.Seconds
-}
+// The NVRAM tier is a PCIe card of the era: 16 GiB, 2.2/1.8 GB/s,
+// 20 µs per request, draining to the backing store after 2 s of rest.
+const (
+	nvramCapacity      = 16 * units.GiB
+	nvramReadBW        = 2.2e9 // bytes/s
+	nvramWriteBW       = 1.8e9 // bytes/s
+	nvramAccessLatency = 20 * units.Microsecond
+	nvramActiveDyn     = units.Watts(6.0) // added to the idle level while busy
+	nvramDrainDelay    = units.Seconds(2) // rest before the background drain
+)
 
-// DefaultNVRAM returns a PCIe NVRAM card of the era: 16 GiB, 2.2/1.8
-// GB/s, 20 µs access, draining after 2 s of rest.
-func DefaultNVRAM() NVRAMParams {
-	return NVRAMParams{
-		Capacity:      16 * units.GiB,
-		ReadBW:        2.2e9,
-		WriteBW:       1.8e9,
-		AccessLatency: 20 * units.Microsecond,
-		IdlePower:     2.0,
-		ActiveDyn:     6.0,
-		DrainDelay:    2,
-	}
-}
+// NVRAMIdlePower is the tier's idle draw, part of an NVRAM node's idle
+// floor.
+const NVRAMIdlePower = units.Watts(2.0)
 
 // BurstBuffer is an NVRAM tier in front of a backing device — the deep
 // memory hierarchy of Gamell et al. [26] and the paper's Future Work
@@ -43,7 +30,6 @@ func DefaultNVRAM() NVRAMParams {
 // speed and drain to the backing store in the background; reads are
 // served from NVRAM while resident, from the backing store after.
 type BurstBuffer struct {
-	params  NVRAMParams
 	engine  *sim.Engine
 	backing Device
 	tier    *sim.Resource
@@ -64,18 +50,14 @@ type BurstBufferStats struct {
 
 // NewBurstBuffer builds the tier over a backing device. domain (may be
 // nil) carries the NVRAM power.
-func NewBurstBuffer(engine *sim.Engine, backing Device, params NVRAMParams, domain *power.Domain) *BurstBuffer {
-	if params.Capacity <= 0 || params.ReadBW <= 0 || params.WriteBW <= 0 {
-		panic("storage: burst buffer needs positive capacity and bandwidths")
-	}
+func NewBurstBuffer(engine *sim.Engine, backing Device, domain *power.Domain) *BurstBuffer {
 	var busy, idle func()
 	if domain != nil {
-		domain.SetLevel(params.IdlePower)
-		busy = func() { domain.SetLevel(params.IdlePower + params.ActiveDyn) }
-		idle = func() { domain.SetLevel(params.IdlePower) }
+		domain.SetLevel(NVRAMIdlePower)
+		busy = func() { domain.SetLevel(NVRAMIdlePower + nvramActiveDyn) }
+		idle = func() { domain.SetLevel(NVRAMIdlePower) }
 	}
 	return &BurstBuffer{
-		params:  params,
 		engine:  engine,
 		backing: backing,
 		tier:    sim.NewResource(engine, busy, idle),
@@ -101,11 +83,11 @@ func (b *BurstBuffer) Capacity() units.Bytes { return b.backing.Capacity() }
 
 // nvramService returns the tier cost of moving n bytes.
 func (b *BurstBuffer) nvramService(op Op, n units.Bytes) units.Seconds {
-	bw := b.params.ReadBW
+	bw := nvramReadBW
 	if op == OpWrite {
-		bw = b.params.WriteBW
+		bw = nvramWriteBW
 	}
-	return b.params.AccessLatency + units.TransferTime(n, bw)
+	return nvramAccessLatency + units.TransferTime(n, bw)
 }
 
 // submitTier runs one request on the NVRAM resource, whose hooks
@@ -125,7 +107,7 @@ func (b *BurstBuffer) Submit(op Op, offset, n units.Bytes, done func()) sim.Time
 	r := Range{offset, offset + n}
 	switch op {
 	case OpWrite:
-		if b.resident.Bytes()+n > b.params.Capacity {
+		if b.resident.Bytes()+n > nvramCapacity {
 			// Tier full: spill synchronously to the backing store.
 			return b.backing.Submit(op, offset, n, done)
 		}
@@ -171,7 +153,7 @@ func (b *BurstBuffer) scheduleDrain() {
 		return
 	}
 	b.draining = true
-	b.engine.After(b.params.DrainDelay, b.drainStep)
+	b.engine.After(nvramDrainDelay, b.drainStep)
 }
 
 // drainStep ships one resident range to the backing store and

@@ -10,18 +10,18 @@ import (
 	"repro/internal/xrand"
 )
 
-func testBB(t *testing.T, params NVRAMParams) (*sim.Engine, *Disk, *BurstBuffer, *power.Domain) {
+func testBB(t *testing.T) (*sim.Engine, *Disk, *BurstBuffer, *power.Domain) {
 	t.Helper()
 	e := sim.NewEngine()
 	p := SeagateHDD()
 	p.DeterministicRotation = true
 	d := NewDisk(e, p, nil, xrand.New(1))
 	dom := power.NewDomain(e, "nvram", 0)
-	return e, d, NewBurstBuffer(e, d, params, dom), dom
+	return e, d, NewBurstBuffer(e, d, dom), dom
 }
 
 func TestBurstBufferAbsorbsWritesAtNVRAMSpeed(t *testing.T) {
-	e, d, b, _ := testBB(t, DefaultNVRAM())
+	e, d, b, _ := testBB(t)
 	start := e.Now()
 	end := b.Submit(OpWrite, 0, 180*units.MiB, nil)
 	e.AdvanceTo(end)
@@ -39,7 +39,7 @@ func TestBurstBufferAbsorbsWritesAtNVRAMSpeed(t *testing.T) {
 }
 
 func TestBurstBufferDrainsToBackingStore(t *testing.T) {
-	e, d, b, _ := testBB(t, DefaultNVRAM())
+	e, d, b, _ := testBB(t)
 	b.Submit(OpWrite, 0, 64*units.MiB, nil)
 	// After the drain delay plus transfer time, data must be on disk.
 	e.Advance(10)
@@ -58,13 +58,14 @@ func TestBurstBufferDrainsToBackingStore(t *testing.T) {
 }
 
 func TestBurstBufferReadHitWhileResident(t *testing.T) {
-	params := DefaultNVRAM()
-	params.DrainDelay = 1000 // keep data resident
-	e, d, b, _ := testBB(t, params)
+	e, d, b, _ := testBB(t)
 	end := b.Submit(OpWrite, 0, 32*units.MiB, nil)
 	e.AdvanceTo(end)
 	start := e.Now()
 	end = b.Submit(OpRead, 0, 32*units.MiB, nil)
+	if end >= nvramDrainDelay {
+		t.Fatalf("read ends at %v, after the drain starts", end)
+	}
 	e.AdvanceTo(end)
 	elapsed := float64(e.Now() - start)
 	want := 20e-6 + float64(32*units.MiB)/2.2e9
@@ -80,7 +81,7 @@ func TestBurstBufferReadHitWhileResident(t *testing.T) {
 }
 
 func TestBurstBufferReadMissGoesToBacking(t *testing.T) {
-	e, d, b, _ := testBB(t, DefaultNVRAM())
+	e, d, b, _ := testBB(t)
 	end := b.Submit(OpRead, units.GiB, units.MiB, nil)
 	e.AdvanceTo(end)
 	if d.Stats().Reads != 1 {
@@ -92,11 +93,12 @@ func TestBurstBufferReadMissGoesToBacking(t *testing.T) {
 }
 
 func TestBurstBufferMixedReadSplits(t *testing.T) {
-	params := DefaultNVRAM()
-	params.DrainDelay = 1000
-	e, d, b, _ := testBB(t, params)
+	e, d, b, _ := testBB(t)
 	b.Submit(OpWrite, 0, units.MiB, nil) // first MiB resident
 	end := b.Submit(OpRead, 0, 2*units.MiB, nil)
+	if end >= nvramDrainDelay {
+		t.Fatalf("read ends at %v, after the drain starts", end)
+	}
 	e.AdvanceTo(end)
 	if d.Stats().BytesRead != units.MiB {
 		t.Errorf("backing read %v, want exactly the non-resident MiB", d.Stats().BytesRead)
@@ -104,31 +106,35 @@ func TestBurstBufferMixedReadSplits(t *testing.T) {
 }
 
 func TestBurstBufferOverflowSpills(t *testing.T) {
-	params := DefaultNVRAM()
-	params.Capacity = 8 * units.MiB
-	params.DrainDelay = 1000
-	e, d, b, _ := testBB(t, params)
-	b.Submit(OpWrite, 0, 6*units.MiB, nil)
-	end := b.Submit(OpWrite, 100*units.MiB, 6*units.MiB, nil) // would exceed 8 MiB
+	e, d, b, _ := testBB(t)
+	// Fill the tier to within 4 MiB; the resident set is sparse, so
+	// this costs nothing.
+	b.Submit(OpWrite, 0, nvramCapacity-4*units.MiB, nil)
+	end := b.Submit(OpWrite, 100*units.GiB, 6*units.MiB, nil) // would exceed the capacity
+	if end >= nvramDrainDelay {
+		t.Fatalf("spill ends at %v, after the drain starts", end)
+	}
 	e.AdvanceTo(end)
 	if d.Stats().BytesWritten != 6*units.MiB {
 		t.Errorf("spill wrote %v to backing, want 6 MiB", d.Stats().BytesWritten)
 	}
+	if b.ResidentBytes() != nvramCapacity-4*units.MiB {
+		t.Errorf("resident = %v after the spill", b.ResidentBytes())
+	}
 }
 
 func TestBurstBufferPowerBracketing(t *testing.T) {
-	params := DefaultNVRAM()
-	e, _, b, dom := testBB(t, params)
-	if dom.Level() != params.IdlePower {
+	e, _, b, dom := testBB(t)
+	if dom.Level() != NVRAMIdlePower {
 		t.Fatalf("idle NVRAM power = %v", dom.Level())
 	}
 	end := b.Submit(OpWrite, 0, 512*units.MiB, nil)
 	e.AdvanceTo(end - 0.001)
-	if dom.Level() != params.IdlePower+params.ActiveDyn {
+	if dom.Level() != NVRAMIdlePower+nvramActiveDyn {
 		t.Errorf("active NVRAM power = %v", dom.Level())
 	}
 	e.AdvanceTo(end + 0.001)
-	if dom.Level() != params.IdlePower {
+	if dom.Level() != NVRAMIdlePower {
 		t.Errorf("post-transfer NVRAM power = %v", dom.Level())
 	}
 }
@@ -144,10 +150,10 @@ func TestBurstBufferUnderFilesystemSpeedsUpFsync(t *testing.T) {
 		d := NewDisk(e, p, nil, xrand.New(1))
 		var dev Device = d
 		if withBB {
-			dev = NewBurstBuffer(e, d, DefaultNVRAM(), nil)
+			dev = NewBurstBuffer(e, d, nil)
 		}
 		cache := NewPageCache(e, dev, smallCacheParams())
-		fs := NewFileSystem(e, dev, cache, DefaultFS())
+		fs := NewFileSystem(e, dev, cache)
 		f := fs.Create("ckpt")
 		f.AppendSparse(64 * units.MiB)
 		start := e.Now()

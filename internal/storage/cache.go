@@ -10,9 +10,6 @@ import (
 // CacheParams configures the page cache. The defaults (LinuxPageCache)
 // follow the 3.2-kernel defaults on the paper's 64 GB node.
 type CacheParams struct {
-	// MemBW is the copy bandwidth between user buffers and the cache,
-	// bytes/s (effective single-stream memcpy, not peak DDR3).
-	MemBW float64
 	// BackgroundDirty starts the write-back daemon (dirty_background_ratio).
 	BackgroundDirty units.Bytes
 	// DirtyLimit throttles foreground writers (dirty_ratio).
@@ -30,13 +27,15 @@ type CacheParams struct {
 	WriteThrough bool
 }
 
+// memBW is the copy bandwidth between user buffers and the cache,
+// bytes/s (effective single-stream memcpy, not peak DDR3).
+const memBW = 3e9
+
 // LinuxPageCache returns cache parameters for a 64 GB node:
-// background write-back at 10 % of RAM, foreground throttle at 20 %,
-// 3 GB/s effective copy bandwidth.
+// background write-back at 10 % of RAM, foreground throttle at 20 %.
 func LinuxPageCache() CacheParams {
 	ram := 64 * units.GiB
 	return CacheParams{
-		MemBW:           3e9,
 		BackgroundDirty: ram / 10,
 		DirtyLimit:      ram / 5,
 		LowWater:        ram / 20,
@@ -87,9 +86,6 @@ type PageCache struct {
 
 // NewPageCache creates a cache over a block device.
 func NewPageCache(engine *sim.Engine, disk Device, params CacheParams) *PageCache {
-	if params.MemBW <= 0 {
-		panic("storage: cache needs positive memory bandwidth")
-	}
 	if params.DirtyLimit < params.BackgroundDirty {
 		panic("storage: DirtyLimit below BackgroundDirty")
 	}
@@ -124,7 +120,7 @@ func (c *PageCache) Write(off, n units.Bytes) {
 		panic(fmt.Sprintf("storage: negative write length %d", n))
 	}
 	if c.params.WriteThrough {
-		c.engine.Advance(units.TransferTime(n, c.params.MemBW))
+		c.engine.Advance(units.TransferTime(n, memBW))
 		end := c.disk.Submit(OpWrite, off, n, nil)
 		c.engine.AdvanceTo(end)
 		c.clean.Add(Range{off, off + n})
@@ -137,7 +133,7 @@ func (c *PageCache) Write(off, n units.Bytes) {
 	for n > 0 {
 		take := min64(n, c.params.BatchBytes)
 		c.throttle(take)
-		c.engine.Advance(units.TransferTime(take, c.params.MemBW))
+		c.engine.Advance(units.TransferTime(take, memBW))
 		r := Range{off, off + take}
 		c.clean.Remove(r)
 		c.dirty.Add(r)
@@ -202,7 +198,7 @@ func (c *PageCache) Read(off, n units.Bytes) {
 	c.stats.ReadHits += hit
 	c.stats.ReadMisses += missBytes
 	// Delivering to the caller's buffer costs one pass at memory speed.
-	c.engine.Advance(units.TransferTime(n, c.params.MemBW))
+	c.engine.Advance(units.TransferTime(n, memBW))
 }
 
 // Sync drains the entire dirty set to media and blocks until the media

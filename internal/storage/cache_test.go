@@ -22,7 +22,6 @@ func testCache(t *testing.T, params CacheParams) (*sim.Engine, *Disk, *PageCache
 
 func smallCacheParams() CacheParams {
 	return CacheParams{
-		MemBW:           3e9,
 		BackgroundDirty: 8 * units.MiB,
 		DirtyLimit:      16 * units.MiB,
 		LowWater:        2 * units.MiB,

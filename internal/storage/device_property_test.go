@@ -18,7 +18,7 @@ func devicesUnderTest(e *sim.Engine, seed uint64) map[string]Device {
 	return map[string]Device{
 		"disk": NewDisk(e, p, nil, rng.Split()),
 		"raid": NewStripedDisk(e, 4, p, 256*units.KiB, nil, rng.Split()),
-		"bb":   NewBurstBuffer(e, NewDisk(e, p, nil, rng.Split()), DefaultNVRAM(), nil),
+		"bb":   NewBurstBuffer(e, NewDisk(e, p, nil, rng.Split()), nil),
 	}
 }
 

@@ -42,9 +42,6 @@ type DiskParams struct {
 	MinSeek, MaxSeek, SettleTime units.Seconds
 	// SeqReadBW / SeqWriteBW are streaming media bandwidths in bytes/s.
 	SeqReadBW, SeqWriteBW float64
-	// SequentialWindow is how close a request must start to the previous
-	// request's end to count as sequential (no seek, no rotational miss).
-	SequentialWindow units.Bytes
 
 	// IdlePower is drawn whenever the disk spins (watts).
 	IdlePower units.Watts
@@ -65,24 +62,27 @@ type DiskParams struct {
 	SpinupTime   units.Seconds
 }
 
+// sequentialWindow is how close a request must start to the previous
+// request's end to count as sequential (no seek, no rotational miss).
+const sequentialWindow = 256 * units.KiB
+
 // SeagateHDD returns parameters calibrated to the paper's drive:
 // 500 GB, 7200 rpm, ~4.2 ms average seek, 120/159 MB/s streaming
 // read/write, and dynamic power levels that regenerate Table III's
 // full-system rows above the 104.5 W node idle.
 func SeagateHDD() DiskParams {
 	return DiskParams{
-		Capacity:         500 * 1000 * units.MiB, // marketing 500 GB
-		RPM:              7200,
-		MinSeek:          0.5 * units.Millisecond,
-		MaxSeek:          8.1 * units.Millisecond,
-		SettleTime:       3.0 * units.Millisecond,
-		SeqReadBW:        120e6,
-		SeqWriteBW:       159e6,
-		SequentialWindow: 256 * units.KiB,
-		IdlePower:        5.0,
-		ReadXferDyn:      12.5,
-		WriteXferDyn:     10.2,
-		SeekDyn:          2.5,
+		Capacity:     500 * 1000 * units.MiB, // marketing 500 GB
+		RPM:          7200,
+		MinSeek:      0.5 * units.Millisecond,
+		MaxSeek:      8.1 * units.Millisecond,
+		SettleTime:   3.0 * units.Millisecond,
+		SeqReadBW:    120e6,
+		SeqWriteBW:   159e6,
+		IdlePower:    5.0,
+		ReadXferDyn:  12.5,
+		WriteXferDyn: 10.2,
+		SeekDyn:      2.5,
 	}
 }
 
@@ -93,18 +93,17 @@ func SeagateHDD() DiskParams {
 // watts.
 func SamsungSSD() DiskParams {
 	return DiskParams{
-		Capacity:         512 * 1000 * units.MiB,
-		RPM:              6_000_000, // 10 µs "revolution": negligible rotational wait
-		MinSeek:          0.01 * units.Millisecond,
-		MaxSeek:          0.02 * units.Millisecond,
-		SettleTime:       0.05 * units.Millisecond,
-		SeqReadBW:        500e6,
-		SeqWriteBW:       450e6,
-		SequentialWindow: 256 * units.KiB,
-		IdlePower:        1.2,
-		ReadXferDyn:      2.8,
-		WriteXferDyn:     3.8,
-		SeekDyn:          0.5,
+		Capacity:     512 * 1000 * units.MiB,
+		RPM:          6_000_000, // 10 µs "revolution": negligible rotational wait
+		MinSeek:      0.01 * units.Millisecond,
+		MaxSeek:      0.02 * units.Millisecond,
+		SettleTime:   0.05 * units.Millisecond,
+		SeqReadBW:    500e6,
+		SeqWriteBW:   450e6,
+		IdlePower:    1.2,
+		ReadXferDyn:  2.8,
+		WriteXferDyn: 3.8,
+		SeekDyn:      0.5,
 	}
 }
 
@@ -301,7 +300,7 @@ func (d *Disk) bandwidth(op Op) float64 {
 //
 // Three regimes:
 //   - exactly sequential (offset == head): pure transfer;
-//   - a short forward gap (<= SequentialWindow): the platter must still
+//   - a short forward gap (<= sequentialWindow): the platter must still
 //     rotate past the gap, so the gap is charged at media rate — this is
 //     what makes hole-y elevator write-back slower than truly sequential
 //     streaming (the paper's 31 s vs 27 s for random vs sequential
@@ -322,7 +321,7 @@ func (d *Disk) serviceTimeClassified(op Op, offset, n units.Bytes) (positioning,
 	switch {
 	case gap == 0:
 		// sequential, no positioning
-	case gap > 0 && gap <= d.params.SequentialWindow:
+	case gap > 0 && gap <= sequentialWindow:
 		positioning = units.TransferTime(gap, d.bandwidth(op))
 	default:
 		if gap < 0 {

@@ -455,7 +455,7 @@ func TestBurstBufferSplitMatchesReference(t *testing.T) {
 	const universe = 1 << 26
 	e := sim.NewEngine()
 	backing := &recordingDevice{e: e}
-	b := NewBurstBuffer(e, backing, DefaultNVRAM(), nil)
+	b := NewBurstBuffer(e, backing, nil)
 	rng := xrand.New(31)
 	ref := &flatSet{}
 	const steps = 12000

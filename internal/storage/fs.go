@@ -9,39 +9,30 @@ import (
 	"repro/internal/units"
 )
 
-// FSParams configures the filesystem model.
-type FSParams struct {
-	// ExtentSize is the allocation granularity.
-	ExtentSize units.Bytes
-	// JournalStart / JournalSize locate the metadata journal region.
-	// Each fsync of freshly-allocated extents commits one journal
-	// record per extent, seeking between the data and journal regions
-	// exactly like ext3/4 in ordered mode under chunked checkpointing.
-	JournalStart, JournalSize units.Bytes
-	// JournalRecord is the size of one journal commit record.
-	JournalRecord units.Bytes
-	// DataStart is where file extents begin.
-	DataStart units.Bytes
-}
+// The filesystem layout on the 500 GB drive. Each fsync of
+// freshly-allocated extents commits one journal record per extent,
+// seeking between the data and journal regions exactly like ext3/4 in
+// ordered mode under chunked checkpointing.
+const (
+	// extentSize is the allocation granularity.
+	extentSize = 4 * units.MiB
+	// journalStart and journalSize locate the metadata journal region,
+	// a circular log of journalRecord-sized commit records.
+	journalStart  = 1 * units.GiB
+	journalSize   = 128 * units.MiB
+	journalRecord = 4 * units.KiB
+)
 
-// DefaultFS returns filesystem parameters for the 500 GB drive:
-// 4 MiB extents, journal at 1 GiB, data from 2 GiB.
-func DefaultFS() FSParams {
-	return FSParams{
-		ExtentSize:    4 * units.MiB,
-		JournalStart:  1 * units.GiB,
-		JournalSize:   128 * units.MiB,
-		JournalRecord: 4 * units.KiB,
-		DataStart:     2 * units.GiB,
-	}
-}
+// DataStart is where file extents begin, past the journal. The PFS
+// servers and the in-transit staging node lay their data out from it
+// too.
+const DataStart = 2 * units.GiB
 
 // FileSystem is an extent-based filesystem on one disk + page cache.
 // It lays every file out contiguously: extents are allocated back to
 // back from DataStart, like a fresh filesystem's, and the extents of a
 // deleted file are not reused.
 type FileSystem struct {
-	params FSParams
 	engine *sim.Engine
 	disk   Device
 	cache  *PageCache
@@ -57,18 +48,14 @@ type FileSystem struct {
 }
 
 // NewFileSystem creates an empty filesystem.
-func NewFileSystem(engine *sim.Engine, disk Device, cache *PageCache, params FSParams) *FileSystem {
-	if params.ExtentSize <= 0 {
-		panic("storage: filesystem needs a positive extent size")
-	}
+func NewFileSystem(engine *sim.Engine, disk Device, cache *PageCache) *FileSystem {
 	return &FileSystem{
-		params:     params,
 		engine:     engine,
 		disk:       disk,
 		cache:      cache,
 		files:      make(map[string]*File),
-		nextFree:   params.DataStart,
-		journalPos: params.JournalStart,
+		nextFree:   DataStart,
+		journalPos: journalStart,
 	}
 }
 
@@ -90,7 +77,7 @@ type File struct {
 	name string
 	seed uint64
 
-	extents []Range     // logical order; all ExtentSize except maybe last
+	extents []Range     // logical order; all extentSize except maybe last
 	size    units.Bytes // logical length
 
 	retained []segment // sorted by Off, non-overlapping
@@ -140,7 +127,7 @@ func (fs *FileSystem) DropCaches() { fs.cache.DropCaches() }
 
 // allocExtent claims the next extent.
 func (fs *FileSystem) allocExtent() Range {
-	r := Range{fs.nextFree, fs.nextFree + fs.params.ExtentSize}
+	r := Range{fs.nextFree, fs.nextFree + extentSize}
 	fs.nextFree = r.End
 	return r
 }
@@ -148,7 +135,7 @@ func (fs *FileSystem) allocExtent() Range {
 // ensureAllocated grows the file's extent list to cover logical offset
 // end, counting new extents for journaling.
 func (f *File) ensureAllocated(end units.Bytes) {
-	for units.Bytes(len(f.extents))*f.fs.params.ExtentSize < end {
+	for units.Bytes(len(f.extents))*extentSize < end {
 		f.extents = append(f.extents, f.fs.allocExtent())
 		f.unjournaled++
 	}
@@ -158,10 +145,9 @@ func (f *File) ensureAllocated(end units.Bytes) {
 // media: the part inside off's extent. The read and write paths walk a
 // range extent by extent with it, building no slice.
 func (f *File) mediaRange(off, n units.Bytes) Range {
-	es := f.fs.params.ExtentSize
-	within := off % es
-	e := f.extents[off/es]
-	return Range{e.Start + within, e.Start + within + min64(n, es-within)}
+	within := off % extentSize
+	e := f.extents[off/extentSize]
+	return Range{e.Start + within, e.Start + within + min64(n, extentSize-within)}
 }
 
 // Name returns the file name.
@@ -295,11 +281,11 @@ func (f *File) Fsync() {
 // journalCommit writes one record to the journal region and waits for
 // it (a write barrier).
 func (fs *FileSystem) journalCommit() {
-	if fs.journalPos+fs.params.JournalRecord > fs.params.JournalStart+fs.params.JournalSize {
-		fs.journalPos = fs.params.JournalStart // circular log
+	if fs.journalPos+journalRecord > journalStart+journalSize {
+		fs.journalPos = journalStart // circular log
 	}
-	end := fs.disk.Submit(OpWrite, fs.journalPos, fs.params.JournalRecord, nil)
-	fs.journalPos += fs.params.JournalRecord
+	end := fs.disk.Submit(OpWrite, fs.journalPos, journalRecord, nil)
+	fs.journalPos += journalRecord
 	fs.engine.AdvanceTo(end)
 }
 

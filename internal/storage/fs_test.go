@@ -18,7 +18,7 @@ func testFS(t *testing.T) (*sim.Engine, *Disk, *PageCache, *FileSystem) {
 	p.DeterministicRotation = true
 	d := NewDisk(e, p, nil, xrand.New(1))
 	c := NewPageCache(e, d, smallCacheParams())
-	fs := NewFileSystem(e, d, c, DefaultFS())
+	fs := NewFileSystem(e, d, c)
 	return e, d, c, fs
 }
 

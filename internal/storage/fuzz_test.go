@@ -93,7 +93,6 @@ func FuzzPageCache(f *testing.F) {
 		e := sim.NewEngine()
 		dev := &recordingDevice{e: e}
 		params := CacheParams{
-			MemBW:           3e9,
 			BackgroundDirty: 16 * units.KiB,
 			DirtyLimit:      32 * units.KiB,
 			LowWater:        4 * units.KiB,

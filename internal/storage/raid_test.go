@@ -129,7 +129,7 @@ func TestRAIDWorksUnderFilesystem(t *testing.T) {
 	p.DeterministicRotation = true
 	arr := NewStripedDisk(e, 4, p, 256*units.KiB, nil, xrand.New(1))
 	cache := NewPageCache(e, arr, smallCacheParams())
-	fs := NewFileSystem(e, arr, cache, DefaultFS())
+	fs := NewFileSystem(e, arr, cache)
 	f := fs.Create("striped")
 	data := []byte("stripe me please, across four spindles")
 	f.WriteAt(data, 0)

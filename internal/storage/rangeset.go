@@ -7,6 +7,12 @@
 // (fio), its read/write stage powers (Fig 6, Table II), and its §V-D
 // data-reorganization hypothetical all fall out of this stack.
 //
+// The disks and the cache thresholds are parameters (HDD or SSD, the
+// 64 GB node's dirty ratios); the rest of the stack is the paper's one
+// testbed and so constant: 4 MiB extents with the journal at 1 GiB and
+// data from DataStart, a 16 GiB NVRAM tier that drains after 2 s of
+// rest, 3 GB/s cache copies and a 256 KiB sequential window.
+//
 // The cache tracks its clean and dirty bytes as two disjoint RangeSets,
 // whose union is what is resident. Every write-back batch, an elevator
 // sweep, the FIFO queue's or an fsync's, is taken from the dirty set by

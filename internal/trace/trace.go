@@ -73,18 +73,15 @@ type Stats struct {
 // finite reports whether v is a usable sample value.
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Summarize computes stats over all samples.
-func (s *Series) Summarize() Stats { return SummarizeSamples(s.samples) }
-
-// SummarizeSamples computes stats over an explicit sample slice,
-// skipping non-finite values (counted in NonFinite).
-func SummarizeSamples(samples []Sample) Stats {
+// Summarize computes stats over all samples, skipping non-finite
+// values (counted in NonFinite).
+func (s *Series) Summarize() Stats {
 	st := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(samples) == 0 {
+	if len(s.samples) == 0 {
 		return Stats{}
 	}
 	var sum float64
-	for _, sm := range samples {
+	for _, sm := range s.samples {
 		if !finite(sm.V) {
 			st.NonFinite++
 			continue
@@ -102,8 +99,8 @@ func SummarizeSamples(samples []Sample) Stats {
 		return Stats{NonFinite: st.NonFinite}
 	}
 	st.Mean = sum / float64(st.N)
-	st.Start = samples[0].T
-	st.End = samples[len(samples)-1].T
+	st.Start = s.samples[0].T
+	st.End = s.samples[len(s.samples)-1].T
 	return st
 }
 

@@ -200,10 +200,6 @@ func referenceRender(g *field.Grid, opts RenderOptions) *image.RGBA {
 			img.SetRGBA(px, py, referenceMap(cm, (v-lo)*inv))
 		}
 	}
-	lineColor := opts.IsolineColor
-	if lineColor.A == 0 {
-		lineColor = color.RGBA{255, 255, 255, 255}
-	}
 	for _, level := range opts.Isolines {
 		segs, _ := MarchingSquares(g, level)
 		scaleX := float64(opts.Width-1) / float64(g.NX-1)
@@ -212,7 +208,7 @@ func referenceRender(g *field.Grid, opts RenderOptions) *image.RGBA {
 			drawLine(img,
 				int(s.X0*scaleX+0.5), int(s.Y0*scaleY+0.5),
 				int(s.X1*scaleX+0.5), int(s.Y1*scaleY+0.5),
-				lineColor)
+				color.RGBA{255, 255, 255, 255})
 		}
 	}
 	return img

@@ -174,12 +174,13 @@ type RenderOptions struct {
 	Colormap *Colormap
 	// Lo, Hi normalize the field; equal values auto-scale per frame.
 	Lo, Hi float64
-	// Isolines, when non-empty, overlays marching-squares contours at
-	// these field values.
+	// Isolines, when non-empty, overlays white marching-squares
+	// contours at these field values.
 	Isolines []float64
-	// IsolineColor is the overlay color (default white).
-	IsolineColor color.RGBA
 }
+
+// isolineColor is the contour overlay's color.
+var isolineColor = color.RGBA{255, 255, 255, 255}
 
 // DefaultRenderOptions returns the pipelines' 512×512 auto-scaled
 // inferno frame with three isolines.
@@ -254,10 +255,6 @@ func Render(g *field.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 	}
 	stats := RenderStats{Pixels: opts.Width * opts.Height}
 
-	lineColor := opts.IsolineColor
-	if lineColor.A == 0 {
-		lineColor = color.RGBA{255, 255, 255, 255}
-	}
 	for _, level := range opts.Isolines {
 		var cells int
 		rs.segs, cells = MarchingSquaresInto(rs.segs[:0], g, level)
@@ -270,7 +267,7 @@ func Render(g *field.Grid, opts RenderOptions) (*image.RGBA, RenderStats) {
 			drawLine(img,
 				int(float64(s.X0*scaleX)+0.5), int(float64(s.Y0*scaleY)+0.5),
 				int(float64(s.X1*scaleX)+0.5), int(float64(s.Y1*scaleY)+0.5),
-				lineColor)
+				isolineColor)
 		}
 	}
 	scratchPool.Put(rs)

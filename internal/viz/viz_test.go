@@ -222,13 +222,16 @@ func TestMarchingSquaresEndpointsOnEdgesProperty(t *testing.T) {
 }
 
 // TestPNGRoundTrip decodes encoded frames and compares every pixel:
-// an opaque frame (colour type 2) and one with a translucent isoline
-// (colour type 6), whose partial-alpha pixels must decode
-// un-premultiplied. A wrong filter residual that still decodes fails
-// here.
+// an opaque rendered frame (colour type 2) and the same frame with a
+// translucent diagonal line drawn over it (colour type 6), whose
+// partial-alpha pixels must decode un-premultiplied. A wrong filter
+// residual that still decodes fails here.
 func TestPNGRoundTrip(t *testing.T) {
 	for _, line := range []color.RGBA{{}, {R: 128, G: 64, B: 0, A: 128}} {
-		img, _ := Render(hotSpotGrid(), RenderOptions{Width: 32, Height: 32, Isolines: []float64{50}, IsolineColor: line})
+		img, _ := Render(hotSpotGrid(), RenderOptions{Width: 32, Height: 32, Isolines: []float64{50}})
+		if line.A != 0 {
+			drawLine(img, 0, 0, 31, 31, line)
+		}
 		if img.Opaque() != (line.A == 0) {
 			t.Fatalf("isoline %v: frame opaque = %v", line, img.Opaque())
 		}

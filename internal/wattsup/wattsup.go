@@ -1,6 +1,6 @@
 // Package wattsup emulates the external Wattsup Pro wall meter of the
 // paper's measurement setup: a 1 Hz sampler of full-system power with
-// coarse quantization and a little measurement noise, logged by a
+// 0.1 W resolution and ±0.5 W of measurement noise, logged by a
 // separate monitoring host (so it adds no load to the system under
 // test). Readings are emitted as telemetry energy-sample events; a
 // trace.Recorder (or any other consumer) turns them into a series.
@@ -17,29 +17,20 @@ import (
 // SeriesName is the telemetry source the meter samples under.
 const SeriesName = "system"
 
-// Config describes the meter.
-type Config struct {
-	// Period between readings (1 s for the Wattsup Pro).
-	Period units.Seconds
-	// Quantum is the reading resolution in watts (0.1 W).
-	Quantum float64
-	// NoiseSigma is the standard deviation of per-reading noise in
-	// watts; 0 disables noise.
-	NoiseSigma float64
-}
-
-// DefaultConfig returns the paper's meter: 1 Hz, 0.1 W resolution,
-// ±0.5 W jitter.
-func DefaultConfig() Config {
-	return Config{Period: 1, Quantum: 0.1, NoiseSigma: 0.5}
-}
+// The paper's meter: one reading per period, quantum resolution in
+// watts, and normally distributed noise of standard deviation
+// noiseSigma watts on every reading.
+const (
+	period     units.Seconds = 1
+	quantum                  = 0.1
+	noiseSigma               = 0.5
+)
 
 // Meter samples a power bus into telemetry events. Each reading is the
 // true average wall power over the elapsed period (the meter integrates
 // internally), plus noise, quantized.
 type Meter struct {
 	bus     *power.Bus
-	cfg     Config
 	rng     *xrand.Rand
 	tel     *telemetry.Bus
 	ticker  *sim.Ticker
@@ -50,20 +41,14 @@ type Meter struct {
 // NewMeter attaches a meter to bus, emitting readings into tel under
 // the source SeriesName (the series is defined on construction, so
 // recorders attached before this call materialize it even if no sample
-// ever fires). rng may be nil when NoiseSigma is 0.
-func NewMeter(engine *sim.Engine, bus *power.Bus, tel *telemetry.Bus, cfg Config, rng *xrand.Rand) *Meter {
-	if cfg.Period <= 0 {
-		panic("wattsup: period must be positive")
-	}
-	if cfg.NoiseSigma > 0 && rng == nil {
-		panic("wattsup: noise needs an rng")
-	}
+// ever fires). rng draws the noise.
+func NewMeter(engine *sim.Engine, bus *power.Bus, tel *telemetry.Bus, rng *xrand.Rand) *Meter {
 	if tel == nil {
 		tel = telemetry.NewBus()
 	}
-	m := &Meter{bus: bus, cfg: cfg, rng: rng, tel: tel}
+	m := &Meter{bus: bus, rng: rng, tel: tel}
 	tel.Emit(telemetry.Event{Kind: telemetry.KindSeriesDefine, Source: SeriesName, Unit: "W"})
-	m.ticker = sim.NewTicker(engine, cfg.Period, m.sample)
+	m.ticker = sim.NewTicker(engine, period, m.sample)
 	return m
 }
 
@@ -88,15 +73,11 @@ func (m *Meter) Stop() {
 
 func (m *Meter) sample(now sim.Time) {
 	cur := m.bus.SystemEnergy()
-	w := float64(cur-m.prevE) / float64(m.cfg.Period)
+	w := float64(cur-m.prevE) / float64(period)
 	m.prevE = cur
-	if m.cfg.NoiseSigma > 0 {
-		// The product is rounded, so no GOARCH fuses it into the sum.
-		w += float64(m.rng.NormFloat64() * m.cfg.NoiseSigma)
-	}
-	if m.cfg.Quantum > 0 {
-		w = float64(int64(w/m.cfg.Quantum+0.5)) * m.cfg.Quantum
-	}
+	// The product is rounded, so no GOARCH fuses it into the sum.
+	w += float64(m.rng.NormFloat64() * noiseSigma)
+	w = float64(int64(w/quantum+0.5)) * quantum
 	if w < 0 {
 		w = 0
 	}

@@ -14,39 +14,54 @@ import (
 // setup wires a meter to a recorder-backed profile, the production
 // arrangement: samples flow as telemetry events and the recorder folds
 // them into the "system" series.
-func setup(cfg Config) (*sim.Engine, *power.Domain, *Meter, *trace.Profile) {
+func setup() (*sim.Engine, *power.Domain, *Meter, *trace.Profile) {
 	e := sim.NewEngine()
 	bus := power.NewBus(e)
 	d := bus.NewDomain("package", 104.5)
 	prof := trace.NewProfile("t")
 	tel := telemetry.NewBus(trace.NewRecorder(prof))
-	m := NewMeter(e, bus, tel, cfg, xrand.New(7))
+	m := NewMeter(e, bus, tel, xrand.New(7))
 	return e, d, m, prof
 }
 
+// expectedReadings replays the meter's noise stream, xrand.New(7) as
+// setup seeds it, over the true average wall power of each period and
+// returns the readings the meter must report: noisy, then quantized.
+func expectedReadings(truth ...float64) []float64 {
+	rng := xrand.New(7)
+	out := make([]float64, len(truth))
+	for i, w := range truth {
+		w += float64(rng.NormFloat64() * noiseSigma)
+		out[i] = float64(int64(w/quantum+0.5)) * quantum
+	}
+	return out
+}
+
+func checkReadings(t *testing.T, s *trace.Series, want []float64) {
+	t.Helper()
+	if s.Len() != len(want) {
+		t.Fatalf("samples = %d, want %d", s.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := s.At(i).V; got != w {
+			t.Errorf("sample %d = %v, want %v", i, got, w)
+		}
+	}
+}
+
 func TestMeterSamplesAveragePower(t *testing.T) {
-	cfg := Config{Period: 1, Quantum: 0, NoiseSigma: 0}
-	e, d, m, prof := setup(cfg)
+	e, d, m, prof := setup()
 	m.Start()
 	e.Advance(3)
 	d.SetLevel(143)
 	e.Advance(3)
 	m.Stop()
-	s := prof.SeriesByName(SeriesName)
-	if s.Len() != 6 {
-		t.Fatalf("samples = %d, want 6", s.Len())
-	}
-	if math.Abs(s.At(1).V-104.5) > 1e-9 {
-		t.Errorf("idle sample = %v", s.At(1).V)
-	}
-	if math.Abs(s.At(5).V-143) > 1e-9 {
-		t.Errorf("busy sample = %v", s.At(5).V)
-	}
+	checkReadings(t, prof.SeriesByName(SeriesName),
+		expectedReadings(104.5, 104.5, 104.5, 143, 143, 143))
 }
 
 func TestMeterIntervalAverageNotInstantaneous(t *testing.T) {
-	cfg := Config{Period: 1, Quantum: 0, NoiseSigma: 0}
-	e, d, m, prof := setup(cfg)
+	e, d, m, prof := setup()
 	m.Start()
 	// Spike to 200 W for half of the first second.
 	e.Advance(0.5)
@@ -54,19 +69,11 @@ func TestMeterIntervalAverageNotInstantaneous(t *testing.T) {
 	e.Advance(0.5)
 	d.SetLevel(104.5)
 	e.Advance(0.0) // sample at t=1 fires during the advance above
-	s := prof.SeriesByName(SeriesName)
-	if s.Len() != 1 {
-		t.Fatalf("samples = %d, want 1", s.Len())
-	}
-	want := (104.5 + 200) / 2
-	if math.Abs(s.At(0).V-want) > 1e-9 {
-		t.Errorf("sample = %v, want interval average %v", s.At(0).V, want)
-	}
+	checkReadings(t, prof.SeriesByName(SeriesName), expectedReadings((104.5+200)/2))
 }
 
 func TestMeterQuantization(t *testing.T) {
-	cfg := Config{Period: 1, Quantum: 0.1, NoiseSigma: 0}
-	e, d, m, prof := setup(cfg)
+	e, d, m, prof := setup()
 	d.SetLevel(104.567)
 	m.Start()
 	e.Advance(2)
@@ -79,8 +86,7 @@ func TestMeterQuantization(t *testing.T) {
 }
 
 func TestMeterNoiseIsBoundedAndCentered(t *testing.T) {
-	cfg := Config{Period: 1, Quantum: 0, NoiseSigma: 0.5}
-	e, _, m, prof := setup(cfg)
+	e, _, m, prof := setup()
 	m.Start()
 	e.Advance(2000)
 	st := prof.SeriesByName(SeriesName).Summarize()
@@ -96,8 +102,7 @@ func TestMeterNoiseIsBoundedAndCentered(t *testing.T) {
 }
 
 func TestMeterStartStopIdempotent(t *testing.T) {
-	cfg := Config{Period: 1}
-	e, _, m, prof := setup(cfg)
+	e, _, m, prof := setup()
 	m.Start()
 	m.Start()
 	e.Advance(3)
@@ -116,19 +121,8 @@ func TestMeterEmitsOnInertBus(t *testing.T) {
 	e := sim.NewEngine()
 	bus := power.NewBus(e)
 	bus.NewDomain("package", 104.5)
-	m := NewMeter(e, bus, nil, Config{Period: 1, NoiseSigma: 0.5}, xrand.New(7))
+	m := NewMeter(e, bus, nil, xrand.New(7))
 	m.Start()
 	e.Advance(10)
 	m.Stop()
-}
-
-func TestMeterValidation(t *testing.T) {
-	e := sim.NewEngine()
-	bus := power.NewBus(e)
-	defer func() {
-		if recover() == nil {
-			t.Error("noise without rng did not panic")
-		}
-	}()
-	NewMeter(e, bus, nil, Config{Period: 1, NoiseSigma: 1}, nil)
 }
